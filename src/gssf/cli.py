@@ -136,15 +136,6 @@ def _resolve_k(policy, categories: list[str | None], n: int) -> int:
     return k
 
 
-def _threads(value) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    n = int(value)
-    if n < 1:
-        raise UsageError("--threads must be at least 1")
-    return n
-
-
 # -- pipeline pieces --------------------------------------------------------
 
 
@@ -250,12 +241,16 @@ def cmd_train(args) -> int:
 def _score_stage(args, config: dict):
     inks = load_jsonl(args.data)
     params = load_checkpoint(args.ckpt)
-    threads = _threads(_pick(args.threads, config, "threads", None))
+    threads = _pick(args.threads, config, "threads", None)
+    if threads is not None:  # accepted and validated, but scoring no longer uses it
+        if int(threads) < 1:
+            raise UsageError("--threads must be at least 1")
+        log.warning("--threads and config key 'threads' are deprecated and ignored")
     t0 = time.perf_counter()
-    answers = score_answers(params, inks, threads=threads)
+    answers = score_answers(params, inks)
     score_s = time.perf_counter() - t0
     categories = [ink.category for ink in inks]
-    return inks, params, answers, categories, threads, score_s
+    return inks, params, answers, categories, score_s
 
 
 def cmd_cluster(args) -> int:
@@ -267,11 +262,11 @@ def cmd_cluster(args) -> int:
     seed = int(_pick(args.seed, config, "seed", 0))
     restarts = int(_pick(args.restarts, config, "restarts", 10))
 
-    inks, params, answers, categories, threads, score_s = _score_stage(args, config)
+    inks, params, answers, categories, score_s = _score_stage(args, config)
     k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
 
     t0 = time.perf_counter()
-    raw = build_sbr_matrix(answers, kind, params, threads=threads)
+    raw = build_sbr_matrix(answers, kind, params)
     norm = normalize_unit_interval(raw, mode=normalization)
     sbr_s = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -289,6 +284,8 @@ def cmd_cluster(args) -> int:
         "seeds": {"clustering": seed, "restarts": restarts},
         "normalization": normalization,
         "num_unscorable": sum(1 for a in answers if not a.scorable),
+        "num_unique_decodes": len({tuple(a.decode.tokens) for a in answers}),
+        "num_truncated_decodes": sum(1 for a in answers if a.decode.truncated),
         "degenerate_matrix": norm.degenerate,
     }
     report.update(_evaluation_block(assignment.labels, categories, args.extra_indices))
@@ -299,8 +296,7 @@ def cmd_cluster(args) -> int:
     save_pgm(out_dir / "sbr.pgm", norm)
     # Wall times live outside report.json so repeat runs stay byte-identical.
     _write_json(out_dir / "timings.json",
-                {"score_s": score_s, "sbr_s": sbr_s, "cluster_s": cluster_s,
-                 "threads": threads})
+                {"score_s": score_s, "sbr_s": sbr_s, "cluster_s": cluster_s})
     _validate_report(out_dir / "report.json")
     _validate_csv(out_dir / "assignment.csv", len(inks))
     _validate_csv(out_dir / "sbr.csv", len(inks))
@@ -338,20 +334,20 @@ def cmd_compare(args) -> int:
     if not cells:
         raise UsageError("no compatible kind/method combinations to compare")
 
-    inks, params, answers, categories, threads, _ = _score_stage(args, config)
+    inks, params, answers, categories, _ = _score_stage(args, config)
     if any(c is None for c in categories):
         raise UsageError("compare needs a category on every sample")
     k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
 
     # One cross-score pass feeds every F-family kind.
-    f_shared = (cross_score_matrix(answers, params, threads=threads)
+    f_shared = (cross_score_matrix(answers, params)
                 if any(kind in GSSF_FAMILY for kind, _ in cells) else None)
     rows = []
     matrices: dict[SimilarityKind, tuple[SbRMatrix, SbRMatrix]] = {}
     for kind, method in cells:
         if kind not in matrices:
             f = f_shared if kind in GSSF_FAMILY else None
-            raw = build_sbr_matrix(answers, kind, params, threads=threads, f=f)
+            raw = build_sbr_matrix(answers, kind, params, f=f)
             matrices[kind] = (raw, normalize_unit_interval(raw, mode=normalization))
         raw, norm = matrices[kind]
         for i in range(num_seeds):
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--config", help="pipeline config JSON")
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
+    common.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     common.add_argument("--k", help="cluster count or 'categories'")
     common.add_argument("--normalization", choices=("global", "per_row"))
     common.add_argument("--restarts", type=int)

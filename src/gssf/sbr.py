@@ -16,7 +16,7 @@ import numpy as np
 
 from .seq2seq import ModelParams
 from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
-                         cross_score_matrix, edit_distance)
+                         cross_score_matrix, distinct_index, edit_distance)
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +40,7 @@ class SbRMatrix:
 
 
 def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
-                     params: ModelParams, threads: int | None = None,
-                     f: np.ndarray | None = None) -> SbRMatrix:
+                     params: ModelParams, f: np.ndarray | None = None) -> SbRMatrix:
     """Pairwise similarity matrix (unnormalized) under the given kind.
 
     For the F-family kinds, any answer with an empty decode gets its row and
@@ -56,32 +55,32 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     ids = [a.id for a in answers]
 
     if kind == SimilarityKind.NEG_EDIT_DISTANCE:
-        values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = -float(edit_distance(answers[i].decode.tokens, answers[j].decode.tokens))
-                values[i, j] = values[j, i] = d
+        # Answers with equal decodes share a row of distances: compute each
+        # distinct pair once, then scatter.
+        seqs, which = distinct_index([a.decode.tokens for a in answers])
+        dist = np.zeros((len(seqs), len(seqs)))
+        for p in range(len(seqs)):
+            for q in range(p + 1, len(seqs)):
+                dist[p, q] = dist[q, p] = edit_distance(seqs[p], seqs[q])
+        values = -dist[np.ix_(which, which)]
+        np.fill_diagonal(values, 0.0)
         return SbRMatrix(values=values, ids=ids, kind=kind)
 
     if not any(a.scorable for a in answers):
         raise UnscorableAnswer("all answers are unscorable")
     if f is None:
-        f = cross_score_matrix(answers, params, threads=threads)
+        f = cross_score_matrix(answers, params)
     elif f.shape != (n, n):
         raise ValueError("precomputed cross-score matrix has the wrong shape")
-    values = np.zeros((n, n))
+    # Float addition, min and max commute, so each result is bit-exactly symmetric.
     if kind == SimilarityKind.ASYMMETRIC:
         values = f.copy()
+    elif kind == SimilarityKind.GSSF:
+        values = (f + f.T) / 2.0
+    elif kind == SimilarityKind.MIN:
+        values = np.minimum(f, f.T)
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if kind == SimilarityKind.GSSF:
-                    v = (f[i, j] + f[j, i]) / 2.0
-                elif kind == SimilarityKind.MIN:
-                    v = min(f[i, j], f[j, i])
-                else:
-                    v = max(f[i, j], f[j, i])
-                values[i, j] = values[j, i] = v
+        values = np.maximum(f, f.T)
     np.fill_diagonal(values, 0.0)
 
     bad = [i for i, a in enumerate(answers) if not a.scorable]

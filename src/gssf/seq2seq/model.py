@@ -324,112 +324,104 @@ def _batch_tokens(token_seqs: list[list[int]], extra_eos: bool):
 # -- public operations ------------------------------------------------------
 
 
+def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Annotations]:
+    """Encode many feature sequences as one padded batch; each keeps its own
+    ceil(L / 2^p) annotation vectors."""
+    arch = params.arch
+    feats_list = [np.asarray(f, dtype=np.float64) for f in feats_list]
+    for feats in feats_list:
+        if feats.ndim != 2 or feats.shape[0] == 0:
+            raise ModelError("empty or malformed feature sequence")
+        if feats.shape[1] != arch.input_dim:
+            raise ModelError(f"feature dim {feats.shape[1]}, expected {arch.input_dim}")
+    if not feats_list:
+        return []
+    with no_grad():
+        ann, klens = _encode_steps(_wrap(params), arch,
+                                   *_steps_from_feats(feats_list, arch.input_dim))
+    return [Annotations(vectors=ann.data[i, :k], source_len=len(f))
+            for i, (k, f) in enumerate(zip(klens, feats_list))]
+
+
 def encode(params: ModelParams, feats: np.ndarray) -> Annotations:
     """Encode a feature sequence into ceil(L / 2^p) annotation vectors."""
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ModelError("empty or malformed feature sequence")
-    if feats.shape[1] != params.arch.input_dim:
-        raise ModelError(f"feature dim {feats.shape[1]}, expected {params.arch.input_dim}")
-    with no_grad():
-        steps = [feats[t : t + 1] for t in range(feats.shape[0])]
-        ann, _ = _encode_steps(_wrap(params), params.arch, steps, [feats.shape[0]])
-    return Annotations(vectors=ann.data[0], source_len=feats.shape[0])
+    return encode_batch(params, [feats])[0]
 
 
-def init_decoder_state(params: ModelParams, ann: Annotations) -> tuple[np.ndarray, np.ndarray]:
-    """Initial decoder state (projection of the mean annotation) and zero coverage."""
-    with no_grad():
-        s0, cov = _init_decoder_state(_wrap(params), params.arch, as_tensor(ann.vectors[None]),
-                                      [len(ann.vectors)])
-    return s0.data[0], cov.data[0]
-
-
-def decode_step(params: ModelParams, prev_token: int, state: np.ndarray,
-                ann: Annotations, coverage_acc: np.ndarray):
-    """One decoder step: (symbol distribution, new state, attention, new coverage)."""
+def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
+                        max_len: int | None = None) -> list[ScoredDecode]:
+    """Greedy argmax decoding of many annotation sets at once; ties break to the
+    lowest index. A row stops collecting tokens once it emits the end marker,
+    and is ``truncated`` if it never does within ``max_len`` steps."""
     arch = params.arch
-    k = len(ann.vectors)
-    if not 0 <= prev_token < params.vocab.size:
-        raise ModelError(f"token index {prev_token} out of range")
-    if np.shape(state) != (arch.dec_hidden,):
-        raise ModelError("decoder state has wrong dimension")
-    if np.shape(coverage_acc) != (k,):
-        raise ModelError("coverage accumulator does not match annotation count")
-    if ann.vectors.shape[1] != arch.annotation_dim:
-        raise ModelError("annotation vectors do not match the architecture")
+    max_len = arch.max_decode_len if max_len is None else max_len
+    if max_len < 1:
+        raise ModelError("max_len must be at least 1")
+    if not anns:
+        return []
+    batch, klens = len(anns), [len(a.vectors) for a in anns]
+    padded = np.zeros((batch, max(klens), arch.annotation_dim))
+    for i, a in enumerate(anns):
+        padded[i, : klens[i]] = a.vectors
+    tokens = np.zeros((batch, max_len), dtype=np.int64)
+    logprobs = np.zeros((batch, max_len))
+    lengths = np.zeros(batch, dtype=np.int64)
+    live = np.ones(batch, dtype=bool)
+    prev = np.full(batch, SOS_INDEX)
     with no_grad():
         pt = _wrap(params)
-        ann_t = as_tensor(ann.vectors[None])
+        ann_t = as_tensor(padded)
         keys = _attention_keys(pt, ann_t)
-        prev_emb = pt["emb"][np.asarray([prev_token])]
-        logits, s, alpha, cov = _decode_step_core(
-            pt, arch, prev_emb, as_tensor(np.asarray(state)[None]), ann_t, keys, None,
-            as_tensor(np.asarray(coverage_acc)[None]),
-        )
-        dist = np.exp(log_softmax(logits, axis=1).data[0])
-    return dist, s.data[0], alpha.data[0], cov.data[0]
+        mask_bias = _attention_mask_bias(klens, padded.shape[1])
+        s, cov = _init_decoder_state(pt, arch, ann_t, klens)
+        for t in range(max_len):
+            logits, s, _, cov = _decode_step_core(pt, arch, pt["emb"][prev], s, ann_t, keys,
+                                                  mask_bias, cov)
+            ls = log_softmax(logits, axis=1).data
+            prev = ls.argmax(axis=1)
+            live &= prev != EOS_INDEX
+            lengths += live
+            tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
+            if not live.any():
+                break
+    # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
+    return [ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
+                         truncated=bool(live[i])) for i, n in enumerate(lengths)]
 
 
 def greedy_decode(params: ModelParams, ann: Annotations, max_len: int | None = None) -> ScoredDecode:
     """Greedy argmax decoding from the start token; ties break to the lowest index."""
-    arch = params.arch
-    if max_len is None:
-        max_len = arch.max_decode_len
-    if max_len < 1:
-        raise ModelError("max_len must be at least 1")
+    return greedy_decode_batch(params, [ann], max_len)[0]
+
+
+def _teacher_forced(params: ModelParams, ann: Annotations, token_seqs: list[list[int]]):
+    """Per-step log-probabilities (B, T) and validity mask of many non-empty
+    sequences teacher-forced against one annotation set."""
+    if any(len(s) == 0 for s in token_seqs):
+        raise ModelError("empty token sequence")
     with no_grad():
-        pt = _wrap(params)
-        ann_t = as_tensor(ann.vectors[None])
-        keys = _attention_keys(pt, ann_t)
-        s, cov = _init_decoder_state(pt, arch, ann_t, [len(ann.vectors)])
-        prev = SOS_INDEX
-        tokens: list[int] = []
-        logprobs: list[float] = []
-        truncated = True
-        for _ in range(max_len):
-            prev_emb = pt["emb"][np.asarray([prev])]
-            logits, s, _, cov = _decode_step_core(pt, arch, prev_emb, s, ann_t, keys, None, cov)
-            ls = log_softmax(logits, axis=1).data[0]
-            tok = int(ls.argmax())
-            if tok == EOS_INDEX:
-                truncated = False
-                break
-            tokens.append(tok)
-            logprobs.append(float(ls[tok]))
-            prev = tok
-    return ScoredDecode(tokens=tokens, self_logprobs=np.asarray(logprobs), truncated=truncated)
+        batch = len(token_seqs)
+        feed, targets, mask = _batch_tokens([list(s) for s in token_seqs], extra_eos=False)
+        ann_b = as_tensor(np.ascontiguousarray(np.broadcast_to(
+            ann.vectors[None], (batch,) + ann.vectors.shape)))
+        lp, _ = _teacher_forced_steps(_wrap(params), params.arch, ann_b,
+                                      [len(ann.vectors)] * batch, feed, targets)
+    return lp.data, mask
 
 
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
     """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
-    if len(tokens) == 0:
-        raise ModelError("empty token sequence")
     if any(not 0 <= t < params.vocab.size for t in tokens):
         raise ModelError("token index out of range")
-    with no_grad():
-        feed, targets, _ = _batch_tokens([list(tokens)], extra_eos=False)
-        pt = _wrap(params)
-        ann_t = as_tensor(ann.vectors[None])
-        lp, _ = _teacher_forced_steps(pt, params.arch, ann_t, [len(ann.vectors)], feed, targets)
-    return lp.data[0]
+    return _teacher_forced(params, ann, [tokens])[0][0]
 
 
 def cross_logprob_sums(params: ModelParams, ann: Annotations,
                        token_seqs: list[list[int]]) -> np.ndarray:
     """Batched total teacher-forced log-probability of many sequences against
     one annotation set. Sequences must be non-empty."""
-    if any(len(s) == 0 for s in token_seqs):
-        raise ModelError("empty token sequence")
-    with no_grad():
-        pt = _wrap(params)
-        batch = len(token_seqs)
-        feed, targets, mask = _batch_tokens([list(s) for s in token_seqs], extra_eos=False)
-        ann_b = as_tensor(np.ascontiguousarray(np.broadcast_to(
-            ann.vectors[None], (batch,) + ann.vectors.shape)))
-        lp, _ = _teacher_forced_steps(pt, params.arch, ann_b, [len(ann.vectors)] * batch,
-                                      feed, targets)
-    return (lp.data * mask).sum(axis=1)
+    lp, mask = _teacher_forced(params, ann, token_seqs)
+    return (lp * mask).sum(axis=1)
 
 
 def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]):

@@ -10,7 +10,6 @@ distance baseline share the same "larger means more similar" convention.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,21 +56,14 @@ class AnswerScoring:
         return len(self.decode.tokens) > 0
 
 
-def score_answer(params: ModelParams, ink: RawInk) -> AnswerScoring:
-    """Preprocess, encode and greedy-decode one answer (done once per answer)."""
-    feats = extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
-    ann = seq2seq.encode(params, feats)
-    decode = seq2seq.greedy_decode(params, ann, params.arch.max_decode_len)
-    return AnswerScoring(id=ink.id, annotations=ann, decode=decode)
-
-
-def score_answers(params: ModelParams, inks: list[RawInk],
-                  threads: int | None = None) -> list[AnswerScoring]:
-    """Score a whole answer set; order follows the input regardless of threading."""
-    if threads is not None and threads <= 1:
-        return [score_answer(params, ink) for ink in inks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ink: score_answer(params, ink), inks))
+def score_answers(params: ModelParams, inks: list[RawInk]) -> list[AnswerScoring]:
+    """Preprocess every answer, then encode and greedy-decode them as one batch."""
+    feats = [extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
+             for ink in inks]
+    anns = seq2seq.encode_batch(params, feats)
+    decodes = seq2seq.greedy_decode_batch(params, anns, params.arch.max_decode_len)
+    return [AnswerScoring(id=ink.id, annotations=ann, decode=decode)
+            for ink, ann, decode in zip(inks, anns, decodes)]
 
 
 def conditional_score(a: AnswerScoring, b: AnswerScoring, params: ModelParams) -> float:
@@ -111,36 +103,30 @@ def variant_score(kind: SimilarityKind, a: AnswerScoring, b: AnswerScoring,
     return (fab + fba) / 2.0
 
 
-def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams,
-                       threads: int | None = None) -> np.ndarray:
+def distinct_index(seqs: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
+    """The distinct sequences in first-seen order, and each input's index among them."""
+    first: dict[tuple[int, ...], int] = {}
+    index = np.array([first.setdefault(tuple(seq), len(first)) for seq in seqs], dtype=np.int64)
+    return [list(seq) for seq in first], index
+
+
+def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.ndarray:
     """F[i, j] = F(answer_i | answer_j) over all scorable pairs, NaN elsewhere.
 
-    Column j teacher-forces every other answer's decode against answer j's
-    encoding in one batch; columns are independent, so any thread count
-    yields identical values. Diagonal entries are exactly zero.
+    F(a|b) depends on a only through a's decoded tokens, so column j
+    teacher-forces each distinct decode once against answer j's encoding and
+    scatters the sums to every answer with that decode. Diagonal entries are
+    exactly zero.
     """
     n = len(answers)
-    scorable = [i for i, a in enumerate(answers) if a.scorable]
+    rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
     f = np.full((n, n), np.nan)
-    for i in scorable:
-        f[i, i] = 0.0
-    self_sums = {i: float(np.sum(answers[i].decode.self_logprobs)) for i in scorable}
-
-    def fill_column(j: int) -> None:
-        rows = [i for i in scorable if i != j]
-        if not rows:
-            return
-        sums = seq2seq.cross_logprob_sums(
-            params, answers[j].annotations, [answers[i].decode.tokens for i in rows])
-        for i, s in zip(rows, sums):
-            f[i, j] = s - self_sums[i]
-
-    if threads is not None and threads <= 1:
-        for j in scorable:
-            fill_column(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_column, scorable))
+    seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
+    self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
+    for j in rows:
+        sums = seq2seq.cross_logprob_sums(params, answers[j].annotations, seqs)
+        f[rows, j] = sums[which] - self_sums
+    f[rows, rows] = 0.0
     return f
 
 

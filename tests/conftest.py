@@ -59,13 +59,13 @@ def trained(benchmark_inks):
 @pytest.fixture(scope="session")
 def benchmark_answers(trained, benchmark_inks):
     params, _ = trained
-    return score_answers(params, benchmark_inks, threads=4)
+    return score_answers(params, benchmark_inks)
 
 
 @pytest.fixture(scope="session")
 def benchmark_f_matrix(trained, benchmark_answers):
     params, _ = trained
-    return cross_score_matrix(benchmark_answers, params, threads=4)
+    return cross_score_matrix(benchmark_answers, params)
 
 
 @pytest.fixture(scope="session")

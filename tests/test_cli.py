@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ class TestCluster:
             outs.append(out)
         for artifact in ("report.json", "assignment.csv", "sbr.pgm", "sbr.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="gssf")
+        assert self.run(tiny_pipeline, tmp_path / "t2", ("--threads", "2")) == 0
+        deprecations = [r for r in caplog.records if "deprecated" in r.getMessage()]
+        assert len(deprecations) == 1
+        assert "threads" not in json.loads((tmp_path / "t2" / "timings.json").read_text())
+        assert self.run(tiny_pipeline, tmp_path / "t0", ("--threads", "0")) == 2
+        config = json.loads(tiny_pipeline["config"].read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config, "threads": 0}))
+        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "c0"),
+                     "--config", str(bad)]) == 2
+
+    def test_report_decode_diagnostics(self, tiny_pipeline, tmp_path):
+        from gssf.ink import load_jsonl
+        from gssf.seq2seq import load_checkpoint
+        from gssf.similarity import score_answers
+
+        out = tmp_path / "diag"
+        assert self.run(tiny_pipeline, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        answers = score_answers(load_checkpoint(tiny_pipeline["ckpt"]),
+                                load_jsonl(tiny_pipeline["dataset"]))
+        assert report["num_unique_decodes"] == len({tuple(a.decode.tokens) for a in answers})
+        assert report["num_truncated_decodes"] == sum(a.decode.truncated for a in answers)
+        assert 1 <= report["num_unique_decodes"] <= 12
 
     def test_extra_indices_flag(self, tiny_pipeline, tmp_path):
         out = tmp_path / "extra"

@@ -6,7 +6,52 @@ import pytest
 from gssf.seq2seq import Annotations, ScoredDecode
 from gssf.sbr import (SbRMatrix, build_sbr_matrix, load_csv, normalize_unit_interval,
                       save_csv, save_pgm, to_csv, to_pgm)
-from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer
+from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer, edit_distance
+
+
+def loop_sbr_values(answers, kind, f):
+    """Oracle: the pairwise double loop that filled the matrix before it was vectorized."""
+    n = len(answers)
+    values = np.zeros((n, n))
+    if kind == SimilarityKind.NEG_EDIT_DISTANCE:
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = -float(edit_distance(answers[i].decode.tokens, answers[j].decode.tokens))
+                values[i, j] = values[j, i] = d
+        return values
+    if kind == SimilarityKind.ASYMMETRIC:
+        values = f.copy()
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if kind == SimilarityKind.GSSF:
+                    v = (f[i, j] + f[j, i]) / 2.0
+                elif kind == SimilarityKind.MIN:
+                    v = min(f[i, j], f[j, i])
+                else:
+                    v = max(f[i, j], f[j, i])
+                values[i, j] = values[j, i] = v
+    np.fill_diagonal(values, 0.0)
+    bad = [i for i, a in enumerate(answers) if not a.scorable]
+    if bad:
+        fill = np.nanmin(np.where(np.isfinite(values), values, np.nan))
+        for i in bad:
+            values[i, :] = fill
+            values[:, i] = fill
+            values[i, i] = 0.0
+    return values
+
+
+def decoded(sample_id, tokens):
+    return AnswerScoring(id=sample_id,
+                         annotations=Annotations(vectors=np.zeros((1, 2)), source_len=1),
+                         decode=ScoredDecode(tokens=list(tokens),
+                                             self_logprobs=np.full(len(tokens), -0.5)))
+
+
+def assert_bit_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def matrix(values, kind=SimilarityKind.GSSF, normalized=False):
@@ -132,6 +177,45 @@ class TestBuild:
         params, _, answers = tiny_scored
         with pytest.raises(ValueError):
             build_sbr_matrix(answers[:1], SimilarityKind.GSSF, params)
+
+
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("kind", [SimilarityKind.GSSF, SimilarityKind.MIN,
+                                      SimilarityKind.MAX, SimilarityKind.ASYMMETRIC])
+    def test_f_family_bit_equal_with_unscorable(self, kind):
+        rng = np.random.default_rng(4)
+        answers = [decoded(f"a{i}", [2, 3][: 1 + i % 2]) for i in range(7)]
+        answers[4] = decoded("empty", [])
+        f = rng.normal(-3.0, 2.0, (7, 7))
+        np.fill_diagonal(f, 0.0)
+        f[4, :] = np.nan
+        f[:, 4] = np.nan
+        got = build_sbr_matrix(answers, kind, params=None, f=f).values
+        assert_bit_equal(got, loop_sbr_values(answers, kind, f))
+        if kind != SimilarityKind.ASYMMETRIC:
+            assert_bit_equal(got, got.T)
+
+    @pytest.mark.parametrize("kind", [SimilarityKind.GSSF, SimilarityKind.MIN,
+                                      SimilarityKind.MAX])
+    def test_f_family_bit_equal_on_tiny_set(self, tiny_scored, kind):
+        params, _, answers = tiny_scored
+        from gssf.similarity import cross_score_matrix
+
+        f = cross_score_matrix(answers, params)
+        got = build_sbr_matrix(answers, kind, params, f=f).values
+        assert_bit_equal(got, loop_sbr_values(answers, kind, f))
+
+    def test_edit_distance_equals_loop_on_tiny_set(self, tiny_scored):
+        params, _, answers = tiny_scored
+        got = build_sbr_matrix(answers, SimilarityKind.NEG_EDIT_DISTANCE, params).values
+        assert_bit_equal(got, loop_sbr_values(answers, SimilarityKind.NEG_EDIT_DISTANCE, None))
+
+    def test_edit_distance_equals_loop_with_repeated_decodes(self):
+        seqs = [[2, 3, 4], [2, 3], [2, 3, 4], [], [5, 2, 3], [2, 3], [], [2, 3, 4], [6]]
+        answers = [decoded(f"a{i}", s) for i, s in enumerate(seqs)]
+        got = build_sbr_matrix(answers, SimilarityKind.NEG_EDIT_DISTANCE, None).values
+        assert_bit_equal(got, loop_sbr_values(answers, SimilarityKind.NEG_EDIT_DISTANCE, None))
+        assert got[0, 2] == 0.0 and got[0, 1] == -1.0 and got[3, 6] == 0.0
 
 
 class TestExport:

@@ -12,7 +12,7 @@ from gssf.seq2seq import Annotations, ScoredDecode
 from gssf.similarity import (GSSF_FAMILY, SYMMETRIC_KINDS, AnswerScoring,
                              SimilarityKind, UnscorableAnswer, conditional_score,
                              cross_score_matrix, edit_distance, gssf_score,
-                             score_answers, variant_score)
+                             variant_score)
 
 
 def recursive_edit_distance(s, t):
@@ -156,12 +156,6 @@ class TestCrossScoreMatrix:
                     assert f[i, j] == pytest.approx(
                         conditional_score(answers[i], answers[j], params), abs=1e-9)
 
-    def test_thread_count_does_not_change_values(self, tiny_scored):
-        params, _, answers = tiny_scored
-        f1 = cross_score_matrix(answers, params, threads=1)
-        f4 = cross_score_matrix(answers, params, threads=4)
-        np.testing.assert_array_equal(f1, f4)
-
     def test_unscorable_rows_are_nan(self, tiny_scored):
         params, _, answers = tiny_scored
         mixed = answers[:2] + [fake_scoring("empty", [], tokens=[])]
@@ -171,15 +165,6 @@ class TestCrossScoreMatrix:
 
 
 class TestScoreAnswers:
-    def test_threading_preserves_order_and_values(self, tiny_scored):
-        params, inks, answers = tiny_scored
-        again = score_answers(params, inks, threads=3)
-        assert [a.id for a in again] == [a.id for a in answers]
-        for x, y in zip(answers, again):
-            assert x.decode.tokens == y.decode.tokens
-            np.testing.assert_array_equal(x.decode.self_logprobs, y.decode.self_logprobs)
-            np.testing.assert_array_equal(x.annotations.vectors, y.annotations.vectors)
-
     def test_decode_cached_against_own_encoder(self, tiny_scored):
         params, _, answers = tiny_scored
         from gssf.seq2seq import teacher_forced_logprobs
