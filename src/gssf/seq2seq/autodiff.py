@@ -186,14 +186,6 @@ class Tensor:
 
         return Tensor(out_data, (self,), backward)
 
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g):
-            self._accum(g * out_data * (1.0 - out_data))
-
-        return Tensor(out_data, (self,), backward)
-
     # -- shape ------------------------------------------------------------
 
     def reshape(self, *shape):

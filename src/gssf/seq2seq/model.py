@@ -6,7 +6,9 @@ input of length L yields ceil(L / 2^p) annotation vectors. The decoder is
 a single gated recurrent layer driven by additive attention with a
 convolutional coverage term, and emits a distribution over the vocabulary
 at every step. All maths runs in float64 on a small autodiff tape, which
-keeps training gradients exact for the implemented forward pass.
+keeps training gradients exact for the implemented forward pass. Each
+bidirectional encoder layer and each decoder recurrent step is a single
+tape node with a hand-derived backward pass.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, log_softmax, no_grad
+from .autodiff import Tensor, as_tensor, concat, grad_enabled, log_softmax, no_grad
 from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
+ENCODE_CHUNK = 32  # answers per padded encoder batch; bounds inference memory
 
 
 class ModelError(ValueError):
@@ -162,54 +165,146 @@ def _wrap(params: ModelParams) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in params.tensors.items()}
 
 
-def _gru_cell(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor, hsize: int,
-              mask_col: np.ndarray | None = None) -> Tensor:
-    gx = x @ wx + b
+def _gru_gates(gx: np.ndarray, h: np.ndarray, wh: np.ndarray):
+    """One gated recurrent step from its input projection ``gx = x @ wx + b``.
+
+    Works on (..., B, h) stacks. Returns the new state and the gate values
+    (r, z, n, ghn) its backward pass needs, where ghn is the candidate slice
+    of ``h @ wh``.
+    """
+    hs = h.shape[-1]
     gh = h @ wh
-    r = (gx[:, :hsize] + gh[:, :hsize]).sigmoid()
-    z = (gx[:, hsize:2 * hsize] + gh[:, hsize:2 * hsize]).sigmoid()
-    n = (gx[:, 2 * hsize:] + r * gh[:, 2 * hsize:]).tanh()
-    h_new = n + z * (h - n)
-    if mask_col is None:
-        return h_new
-    return mask_col * h_new + (1.0 - mask_col) * h
+    rz = 1.0 / (1.0 + np.exp(-(gx[..., :2 * hs] + gh[..., :2 * hs])))
+    r, z = rz[..., :hs], rz[..., hs:]
+    ghn = gh[..., 2 * hs:]
+    n = np.tanh(gx[..., 2 * hs:] + r * ghn)
+    return n + z * (h - n), (r, z, n, ghn)
 
 
-def _encode_steps(pt: dict[str, Tensor], arch: ArchConfig, steps: list[np.ndarray],
+def _gru_gate_grads(g: np.ndarray, h: np.ndarray, r: np.ndarray, z: np.ndarray,
+                    n: np.ndarray, ghn: np.ndarray):
+    """Backward of ``_gru_gates`` for the gradient ``g`` of the new state.
+
+    Returns the gradients w.r.t. ``gx`` and ``h @ wh`` and the direct
+    (non-matmul) part of the gradient w.r.t. ``h``.
+    """
+    hs = h.shape[-1]
+    dgx = np.empty(g.shape[:-1] + (3 * hs,))
+    dn = g * (1.0 - z) * (1.0 - n * n)
+    dgx[..., :hs] = dn * ghn * r * (1.0 - r)
+    dgx[..., hs:2 * hs] = g * (h - n) * z * (1.0 - z)
+    dgx[..., 2 * hs:] = dn
+    dgh = dgx.copy()
+    dgh[..., 2 * hs:] *= r
+    return dgx, dgh, g * z
+
+
+def _gru_cell(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One decoder recurrent step as a single tape node."""
+    h_new, gates = _gru_gates(x.data @ wx.data + b.data, h.data, wh.data)
+
+    def backward(g):
+        dgx, dgh, dh = _gru_gate_grads(g, h.data, *gates)
+        x._accum(dgx @ wx.data.T)
+        h._accum(dh + dgh @ wh.data.T)
+        wx._accum(x.data.T @ dgx)
+        wh._accum(h.data.T @ dgh)
+        b._accum(dgx.sum(axis=0))
+
+    return Tensor(h_new, (x, h, wx, wh, b), backward)
+
+
+_DIRS = np.arange(2)
+
+
+def _bigru_layer(x: Tensor, weights: list[tuple[Tensor, Tensor, Tensor]],
+                 lens: np.ndarray | None) -> Tensor:
+    """Both directions of one bidirectional encoder layer as a single tape node.
+
+    ``x`` is a batch-major (B, T, in) tensor and ``weights`` holds the
+    (wx, wh, b) triples of the forward and the backward direction. The output
+    is (B, T, 2h): forward states, then backward states. With ``lens``, a row
+    stops updating past its length (the forward state carries over, the
+    backward state stays zero). Per-step gate values are kept only while the
+    tape records.
+
+    Step s advances the forward direction at time s and the backward one at
+    time T-1-s as one (2, B, .) stack. All per-step work stays on small
+    arrays: whole-sequence temporaries cost more in fresh pages than they
+    save in calls.
+    """
+    xs = x.data
+    batch, t_steps, _ = xs.shape
+    wx, wh, b = (np.stack([triple[i].data for triple in weights]) for i in range(3))
+    hs = wh.shape[1]
+    b = b[:, None, :]
+    times = np.stack([np.arange(t_steps), np.arange(t_steps - 1, -1, -1)], axis=1)
+    valid = None if lens is None else times[:, :, None, None] < lens[:, None]
+    x_tm = xs.swapaxes(0, 1)
+    states = np.empty((2, t_steps, batch, hs))  # step order
+    gates = np.empty((4, 2, t_steps, batch, hs)) if grad_enabled() else None
+    h = np.zeros((2, batch, hs))
+    for s in range(t_steps):
+        h_new, step_gates = _gru_gates(x_tm[times[s]] @ wx + b, h, wh)
+        if gates is not None:
+            gates[:, :, s] = step_gates
+        h = h_new if valid is None else np.where(valid[s], h_new, h)
+        states[:, s] = h
+    out = np.empty((batch, t_steps, 2 * hs))
+    out[:, :, :hs] = states[0].swapaxes(0, 1)
+    out[:, :, hs:] = states[1, ::-1].swapaxes(0, 1)
+
+    def backward(g):
+        g_steps = np.empty((2, t_steps, batch, hs))
+        g_steps[0] = g[:, :, :hs].swapaxes(0, 1)
+        g_steps[1] = g[:, ::-1, hs:].swapaxes(0, 1)
+        dgx = np.empty((2, batch, t_steps, 3 * hs))  # input-time order, rows as in xs
+        dgh = np.empty((2, t_steps, batch, 3 * hs))  # step order, rows as in states
+        wh_t = wh.swapaxes(1, 2)
+        dh = np.zeros((2, batch, hs))
+        for s in range(t_steps - 1, -1, -1):
+            g_s = g_steps[:, s] + dh
+            g_in = g_s if valid is None else np.where(valid[s], g_s, 0.0)
+            h_prev = states[:, s - 1] if s else np.zeros((2, batch, hs))
+            dgx[_DIRS, :, times[s]], dgh[:, s], dh = _gru_gate_grads(
+                g_in, h_prev, *gates[:, :, s])
+            dh = dh + dgh[:, s] @ wh_t
+            if valid is not None:
+                dh = np.where(valid[s], dh, g_s)
+        # Weight gradients: one product per direction over all T*B rows (the
+        # first step's h_prev is zero, so its rows drop out of dwh).
+        rows_gx = dgx.reshape(2, batch * t_steps, 3 * hs)
+        dwx = xs.reshape(batch * t_steps, -1).T @ rows_gx
+        dwh = (states[:, :-1].reshape(2, -1, hs).swapaxes(1, 2)
+               @ dgh[:, 1:].reshape(2, -1, 3 * hs))
+        db = rows_gx.sum(axis=1)
+        for (wx_d, wh_d, b_d), gwx, gwh, gb in zip(weights, dwx, dwh, db):
+            wx_d._accum(gwx)
+            wh_d._accum(gwh)
+            b_d._accum(gb)
+        x._accum(dgx[0] @ wx[0].T + dgx[1] @ wx[1].T)
+
+    params = tuple(t for triple in weights for t in triple)
+    return Tensor(out, (x, *params), backward)
+
+
+def _encode_steps(pt: dict[str, Tensor], arch: ArchConfig, feats: np.ndarray | Tensor,
                   lens: list[int]) -> tuple[Tensor, list[int]]:
-    """Run the encoder stack over a padded time-major batch.
+    """Run the encoder stack over a padded batch-major (B, L, input_dim) batch.
 
     Returns the (B, K, annotation_dim) annotation tensor and per-sample
     annotation counts. Padded positions carry junk values; callers mask them.
     """
-    batch = steps[0].shape[0]
-    h_sz = arch.enc_hidden
-    cur: list[Tensor] = [as_tensor(s) for s in steps]
-    cur_lens = list(lens)
+    cur = as_tensor(feats)
+    cur_lens = np.asarray(lens)
     for layer in range(arch.enc_layers):
         if layer >= arch.enc_layers - arch.enc_pool:
-            cur = cur[::2]
-            cur_lens = [(n + 1) // 2 for n in cur_lens]
-        t_steps = len(cur)
-        if min(cur_lens) == t_steps:
-            masks: list[np.ndarray | None] = [None] * t_steps
-        else:
-            lens_arr = np.asarray(cur_lens)
-            masks = [(t < lens_arr)[:, None].astype(np.float64) for t in range(t_steps)]
-        outs: dict[str, list[Tensor]] = {}
-        for direction, order in (("fwd", range(t_steps)), ("bwd", range(t_steps - 1, -1, -1))):
-            wx = pt[f"enc{layer}_{direction}_wx"]
-            wh = pt[f"enc{layer}_{direction}_wh"]
-            b = pt[f"enc{layer}_{direction}_b"]
-            h = Tensor(np.zeros((batch, h_sz)))
-            collected: list[Tensor] = [h] * t_steps
-            for t in order:
-                h = _gru_cell(cur[t], h, wx, wh, b, h_sz, masks[t])
-                collected[t] = h
-            outs[direction] = collected
-        cur = [concat([f, bk], axis=1) for f, bk in zip(outs["fwd"], outs["bwd"])]
-    ann = concat([c.reshape(batch, 1, arch.annotation_dim) for c in cur], axis=1)
-    return ann, cur_lens
+            cur = cur[:, ::2]
+            cur_lens = (cur_lens + 1) // 2
+        weights = [tuple(pt[f"enc{layer}_{d}_{w}"] for w in ("wx", "wh", "b"))
+                   for d in ("fwd", "bwd")]
+        cur = _bigru_layer(cur, weights, None if cur_lens.min() == cur.shape[1] else cur_lens)
+    return cur, cur_lens.tolist()
 
 
 def _attention_mask_bias(klens: list[int], k_max: int) -> np.ndarray | None:
@@ -237,17 +332,14 @@ def _init_decoder_state(pt: dict[str, Tensor], arch: ArchConfig, ann: Tensor,
 
 
 def _coverage_features(pt: dict[str, Tensor], arch: ArchConfig, cov_acc: Tensor) -> Tensor:
-    batch, k_max = cov_acc.shape
-    width, channels = arch.cov_kernel, arch.cov_channels
-    pad = width // 2
-    zeros = Tensor(np.zeros((batch, pad)))
+    """Coverage term of the attention energy: each width-W window of the
+    zero-padded accumulated attention times the folded (W, att_dim) kernel
+    ``cov_k @ cov_w``, as one (B, K, W) product."""
+    k_max = cov_acc.shape[1]
+    zeros = Tensor(np.zeros((cov_acc.shape[0], arch.cov_kernel // 2)))
     padded = concat([zeros, cov_acc, zeros], axis=1)
-    out: Tensor | None = None
-    for w in range(width):
-        window = padded[:, w:w + k_max].reshape(batch, k_max, 1)
-        term = window * pt["cov_k"][w].reshape(1, 1, channels)
-        out = term if out is None else out + term
-    return out
+    windows = padded[:, np.arange(k_max)[:, None] + np.arange(arch.cov_kernel)]
+    return windows @ (pt["cov_k"] @ pt["cov_w"])
 
 
 def _decode_step_core(pt: dict[str, Tensor], arch: ArchConfig, prev_emb: Tensor,
@@ -255,7 +347,7 @@ def _decode_step_core(pt: dict[str, Tensor], arch: ArchConfig, prev_emb: Tensor,
                       mask_bias: np.ndarray | None, cov_acc: Tensor):
     batch, k_max, a_dim = ann.shape
     query = (s_prev @ pt["att_ws"]).reshape(batch, 1, arch.att_dim)
-    cov = _coverage_features(pt, arch, cov_acc) @ pt["cov_w"]
+    cov = _coverage_features(pt, arch, cov_acc)
     act = (keys + query + cov).tanh()
     energy = (act * pt["att_v"]).sum(axis=2)
     if mask_bias is not None:
@@ -263,7 +355,7 @@ def _decode_step_core(pt: dict[str, Tensor], arch: ArchConfig, prev_emb: Tensor,
     alpha = log_softmax(energy, axis=1).exp()
     ctx = (alpha.reshape(batch, 1, k_max) @ ann).reshape(batch, a_dim)
     x = concat([prev_emb, ctx], axis=1)
-    s = _gru_cell(x, s_prev, pt["dec_wx"], pt["dec_wh"], pt["dec_b"], arch.dec_hidden)
+    s = _gru_cell(x, s_prev, pt["dec_wx"], pt["dec_wh"], pt["dec_b"])
     logits = s @ pt["out_ws"] + ctx @ pt["out_wc"] + prev_emb @ pt["out_we"] + pt["out_b"]
     return logits, s, alpha, cov_acc + alpha
 
@@ -297,13 +389,13 @@ def _attention_keys(pt: dict[str, Tensor], ann: Tensor) -> Tensor:
     return ann @ pt["att_ua"] + pt["att_b"]
 
 
-def _steps_from_feats(feats_list: list[np.ndarray], input_dim: int):
+def _pad_feats(feats_list: list[np.ndarray], input_dim: int) -> tuple[np.ndarray, list[int]]:
+    """Zero-padded (B, L_max, input_dim) batch and the per-sample lengths."""
     lens = [f.shape[0] for f in feats_list]
-    l_max = max(lens)
-    padded = np.zeros((len(feats_list), l_max, input_dim))
+    padded = np.zeros((len(feats_list), max(lens), input_dim))
     for i, f in enumerate(feats_list):
         padded[i, : lens[i]] = f
-    return [np.ascontiguousarray(padded[:, t, :]) for t in range(l_max)], lens
+    return padded, lens
 
 
 def _batch_tokens(token_seqs: list[list[int]], extra_eos: bool):
@@ -325,8 +417,8 @@ def _batch_tokens(token_seqs: list[list[int]], extra_eos: bool):
 
 
 def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Annotations]:
-    """Encode many feature sequences as one padded batch; each keeps its own
-    ceil(L / 2^p) annotation vectors."""
+    """Encode many feature sequences in padded batches of ``ENCODE_CHUNK``;
+    each keeps its own ceil(L / 2^p) annotation vectors."""
     arch = params.arch
     feats_list = [np.asarray(f, dtype=np.float64) for f in feats_list]
     for feats in feats_list:
@@ -334,13 +426,15 @@ def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Anno
             raise ModelError("empty or malformed feature sequence")
         if feats.shape[1] != arch.input_dim:
             raise ModelError(f"feature dim {feats.shape[1]}, expected {arch.input_dim}")
-    if not feats_list:
-        return []
+    out: list[Annotations] = []
     with no_grad():
-        ann, klens = _encode_steps(_wrap(params), arch,
-                                   *_steps_from_feats(feats_list, arch.input_dim))
-    return [Annotations(vectors=ann.data[i, :k], source_len=len(f))
-            for i, (k, f) in enumerate(zip(klens, feats_list))]
+        pt = _wrap(params)
+        for start in range(0, len(feats_list), ENCODE_CHUNK):
+            chunk = feats_list[start:start + ENCODE_CHUNK]
+            ann, klens = _encode_steps(pt, arch, *_pad_feats(chunk, arch.input_dim))
+            out.extend(Annotations(vectors=ann.data[i, :k], source_len=len(f))
+                       for i, (k, f) in enumerate(zip(klens, chunk)))
+    return out
 
 
 def encode(params: ModelParams, feats: np.ndarray) -> Annotations:
@@ -430,9 +524,8 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
         raise ModelError("empty batch")
     pt = _wrap(params)
     arch = params.arch
-    steps, lens = _steps_from_feats([np.asarray(f, dtype=np.float64) for f, _ in batch],
-                                    arch.input_dim)
-    ann, klens = _encode_steps(pt, arch, steps, lens)
+    ann, klens = _encode_steps(pt, arch, *_pad_feats(
+        [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
     feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
     lp, _ = _teacher_forced_steps(pt, arch, ann, klens, feed, targets)
     total_tokens = int(mask.sum())
@@ -453,9 +546,8 @@ def teacher_forced_accuracy(params: ModelParams, batch: list[tuple[np.ndarray, l
     with no_grad():
         pt = _wrap(params)
         arch = params.arch
-        steps, lens = _steps_from_feats([np.asarray(f, dtype=np.float64) for f, _ in batch],
-                                        arch.input_dim)
-        ann, klens = _encode_steps(pt, arch, steps, lens)
+        ann, klens = _encode_steps(pt, arch, *_pad_feats(
+            [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
         feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
         _, argmax = _teacher_forced_steps(pt, arch, ann, klens, feed, targets, collect_argmax=True)
     hits = ((argmax == targets) & (mask > 0)).sum()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,12 +51,15 @@ class _Adam:
             tensors[name] -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> None:
+def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
+    """Scale ``grads`` in place to a global norm of at most ``clip_norm``;
+    returns the norm before clipping."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if clip_norm > 0 and total > clip_norm:
         scale = clip_norm / total
         for g in grads.values():
             g *= scale
+    return total
 
 
 def _stratified_split(label_keys: list[tuple], val_fraction: float,
@@ -87,7 +91,9 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
 
     Returns the epoch snapshot with the best held-out token accuracy
     (accuracy ties resolved toward the lower training loss). Raises
-    ``TrainingError`` when the loss diverges.
+    ``TrainingError`` when the loss diverges. ``on_epoch`` receives one record
+    per epoch: the token-weighted training loss, the held-out token accuracy,
+    the mean pre-clip global gradient norm over its batches and its wall time.
     """
     if not dataset:
         raise TrainingError("empty dataset")
@@ -113,16 +119,18 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
     best_acc_epoch = 0
 
     for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
         order = shuffle_rng.permutation(len(train_idx))
         epoch_tokens = 0
         epoch_ce = 0.0
+        norms = []
         for start in range(0, len(order), config.batch_size):
             chunk = [samples[train_idx[j]] for j in order[start : start + config.batch_size]]
             try:
                 loss, grads = loss_and_gradients(params, chunk)
             except Exception as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
-            _clip_gradients(grads, config.clip_norm)
+            norms.append(_clip_gradients(grads, config.clip_norm))
             opt.step(params.tensors, grads)
             n_tok = sum(len(t) + 1 for _, t in chunk)
             epoch_tokens += n_tok
@@ -130,7 +138,9 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
         epoch_loss = epoch_ce / epoch_tokens
         val_acc = teacher_forced_accuracy(params, val_batch)
         if on_epoch is not None:
-            on_epoch({"epoch": epoch, "loss": epoch_loss, "val_token_acc": val_acc})
+            on_epoch({"epoch": epoch, "loss": epoch_loss, "val_token_acc": val_acc,
+                      "grad_norm": sum(norms) / len(norms),
+                      "epoch_s": time.perf_counter() - started})
         if (val_acc, -epoch_loss) > best_key:
             best_key = (val_acc, -epoch_loss)
             best_tensors = {k: v.copy() for k, v in params.tensors.items()}

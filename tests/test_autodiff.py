@@ -42,9 +42,8 @@ class TestElementwise:
     def test_scalar_const_ops(self):
         fd_check(lambda a: ((2.0 * a + 1.0) - (a / 2.0)).sum(), [(5,)])
 
-    def test_tanh_sigmoid_exp_log(self):
-        fd_check(lambda a: (a.tanh() + a.sigmoid() + (a * a + 1.0).log() + (0.1 * a).exp()).sum(),
-                 [(4, 2)])
+    def test_tanh_exp_log(self):
+        fd_check(lambda a: (a.tanh() + (a * a + 1.0).log() + (0.1 * a).exp()).sum(), [(4, 2)])
 
     def test_reflected_ops_with_ndarray(self):
         c = np.array([1.0, 2.0, 3.0])

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -72,13 +73,20 @@ class TestSynth:
 
 class TestTrain:
     def test_reports_epochs_as_json_lines(self, tiny_pipeline, tmp_path, capsys):
-        out = tmp_path / "model.ckpt"
-        code = main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]), "--seed", "1"])
-        assert code == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert all({"epoch", "loss", "val_token_acc"} <= set(r) for r in lines)
+        runs = []
+        for name in ("a", "b"):
+            code = main(["train", "--data", str(tiny_pipeline["dataset"]),
+                         "--out", str(tmp_path / f"{name}.ckpt"),
+                         "--config", str(tiny_pipeline["config"]), "--seed", "1"])
+            assert code == 0
+            runs.append([json.loads(l) for l in capsys.readouterr().out.splitlines()])
+        lines = runs[0]
+        keys = {"epoch", "loss", "val_token_acc", "grad_norm", "epoch_s"}
+        assert all(keys <= set(r) for r in lines)
         assert lines[-1]["epoch"] == len(lines)
+        assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in lines)
+        assert all(r["epoch_s"] >= 0 for r in lines)
+        assert [r["grad_norm"] for r in lines] == [r["grad_norm"] for r in runs[1]]
 
     def test_fixed_seed_identical_checkpoint(self, tiny_pipeline, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
