@@ -93,15 +93,12 @@ def kmeans_single(rows: np.ndarray, k: int, rng: np.random.Generator):
             members = rows[labels == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-        # Empty clusters seize the point currently farthest from its centroid.
-        seized: set[int] = set()
-        for c in range(k):
-            if (labels == c).any():
-                continue
+        # Empty clusters, in ascending order, seize the points currently
+        # farthest from their centroids.
+        empty = np.setdiff1d(np.arange(k), labels)
+        if len(empty):
             order = np.argsort(-point_cost, kind="stable")
-            far = next(int(i) for i in order if int(i) not in seized)
-            seized.add(far)
-            centroids[c] = rows[far]
+            centroids[empty] = rows[order[:len(empty)]]
     return Assignment(labels=[int(x) for x in labels], k=k, objective=objectives[-1]), objectives
 
 
@@ -130,28 +127,16 @@ def complete_linkage(d: DistanceMatrix, k: int) -> Assignment:
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} out of range for {n} points")
     cur = d.values.copy()
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    alive = sorted(members)
+    np.fill_diagonal(cur, np.inf)
+    root = np.arange(n)
     for _ in range(n - k):
-        best = (np.inf, -1, -1)
-        for ai in range(len(alive)):
-            i = alive[ai]
-            for j in alive[ai + 1 :]:
-                cand = (cur[i, j], i, j)
-                if cand < best:
-                    best = cand
-        _, i, j = best
-        members[i].extend(members[j])
-        del members[j]
-        alive.remove(j)
-        for m in alive:
-            if m != i:
-                merged = max(cur[i, m], cur[j, m])
-                cur[i, m] = cur[m, i] = merged
-    labels = [0] * n
-    for cluster_label, root in enumerate(sorted(members)):
-        for point in members[root]:
-            labels[point] = cluster_label
+        # The matrix is symmetric, so the first minimum in row-major order is
+        # the lexicographically smallest pair (i, j), and it has i < j.
+        i, j = divmod(int(cur.argmin()), n)
+        cur[i] = cur[:, i] = np.maximum(cur[i], cur[j])
+        cur[j] = cur[:, j] = np.inf
+        root[root == j] = i
+    labels = np.unique(root, return_inverse=True)[1].tolist()
     return Assignment(labels=labels, k=k, objective=0.0)
 
 
@@ -171,11 +156,9 @@ def euclidean_distance_matrix(rows: np.ndarray) -> DistanceMatrix:
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = float(np.sqrt(((rows[i] - rows[j]) ** 2).sum()))
-            values[i, j] = values[j, i] = dist
-    return DistanceMatrix(values=values)
+    for i in range(n - 1):
+        values[i, i + 1:] = np.sqrt(((rows[i + 1:] - rows[i]) ** 2).sum(axis=1))
+    return DistanceMatrix(values=values + values.T)
 
 
 def assignment_to_csv(assignment: Assignment, ids: list[str],

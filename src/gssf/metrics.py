@@ -58,12 +58,19 @@ def _cluster_majorities(labels, categories) -> dict[object, tuple[int, int, str]
     return out
 
 
+def _purity(majorities, h: int) -> float:
+    return sum(m for _, m, _ in majorities.values()) / h
+
+
+def _marking_cost(majorities, h: int) -> float:
+    return len(majorities) / (2 * h) + (1.0 - _purity(majorities, h) / 2.0)
+
+
 def purity(labels, categories) -> float:
     """Sum over clusters of the majority-category overlap, divided by the
     sample count."""
     _check(labels, categories)
-    majorities = _cluster_majorities(labels, categories)
-    return sum(m for _, m, _ in majorities.values()) / len(labels)
+    return _purity(_cluster_majorities(labels, categories), len(labels))
 
 
 def marking_cost_raw(labels, categories, time_unit: float = 1.0, alpha: float = 1.0) -> float:
@@ -81,9 +88,7 @@ def marking_cost_raw(labels, categories, time_unit: float = 1.0, alpha: float = 
 def marking_cost(labels, categories) -> float:
     """Normalized marking cost in (0, 1]: K/(2H) + 1 - purity/2."""
     _check(labels, categories)
-    k = len(set(labels))
-    h = len(labels)
-    return k / (2 * h) + (1.0 - purity(labels, categories) / 2.0)
+    return _marking_cost(_cluster_majorities(labels, categories), len(labels))
 
 
 def evaluate(labels, categories) -> Evaluation:
@@ -95,8 +100,8 @@ def evaluate(labels, categories) -> Evaluation:
         for _, (size, majority, cat) in sorted(majorities.items(), key=lambda kv: str(kv[0]))
     ]
     return Evaluation(
-        purity=purity(labels, categories),
-        mc=marking_cost(labels, categories),
+        purity=_purity(majorities, len(labels)),
+        mc=_marking_cost(majorities, len(labels)),
         k=len(majorities),
         h=len(labels),
         j=len(set(categories)),

@@ -86,10 +86,9 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     bad = [i for i, a in enumerate(answers) if not a.scorable]
     if bad:
         fill = np.nanmin(np.where(np.isfinite(values), values, np.nan))
-        for i in bad:
-            values[i, :] = fill
-            values[:, i] = fill
-            values[i, i] = 0.0
+        values[bad, :] = fill
+        values[:, bad] = fill
+        values[bad, bad] = 0.0
         log.warning("%d unscorable answer(s) assigned the sentinel score %.6g", len(bad), fill)
     return SbRMatrix(values=values, ids=ids, kind=kind)
 
@@ -114,14 +113,11 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
         out = (values - vmin) / (vmax - vmin)
         return replace(m, values=out, normalized=True)
     if mode == "per_row":
-        out = np.zeros_like(values)
-        degenerate = False
-        for i, row in enumerate(values):
-            rmin, rmax = float(row.min()), float(row.max())
-            if rmax == rmin:
-                degenerate = True
-            else:
-                out[i] = (row - rmin) / (rmax - rmin)
+        rmin = values.min(axis=1, keepdims=True)
+        span = values.max(axis=1, keepdims=True) - rmin
+        flat = span == 0.0
+        out = np.where(flat, 0.0, (values - rmin) / np.where(flat, 1.0, span))
+        degenerate = bool(flat.any())
         if degenerate:
             log.warning("degenerate row(s) in per-row normalization")
         return replace(m, values=out, normalized=True, degenerate=degenerate)

@@ -310,10 +310,7 @@ def _encode_steps(pt: dict[str, Tensor], arch: ArchConfig, feats: np.ndarray | T
 def _attention_mask_bias(klens: list[int], k_max: int) -> np.ndarray | None:
     if min(klens) == k_max:
         return None
-    bias = np.zeros((len(klens), k_max))
-    for i, n in enumerate(klens):
-        bias[i, n:] = MASK_NEG
-    return bias
+    return np.where(np.arange(k_max) < np.asarray(klens)[:, None], 0.0, MASK_NEG)
 
 
 def _init_decoder_state(pt: dict[str, Tensor], arch: ArchConfig, ann: Tensor,
@@ -322,9 +319,7 @@ def _init_decoder_state(pt: dict[str, Tensor], arch: ArchConfig, ann: Tensor,
     if min(klens) == k_max:
         mean = ann.sum(axis=1) * (1.0 / k_max)
     else:
-        valid = np.zeros((batch, k_max, 1))
-        for i, n in enumerate(klens):
-            valid[i, :n, 0] = 1.0
+        valid = np.arange(k_max)[:, None] < np.asarray(klens)[:, None, None]
         inv = (1.0 / np.asarray(klens, dtype=np.float64))[:, None]
         mean = (ann * valid).sum(axis=1) * inv
     s0 = (mean @ pt["dec_init_w"] + pt["dec_init_b"]).tanh()
@@ -389,12 +384,12 @@ def _attention_keys(pt: dict[str, Tensor], ann: Tensor) -> Tensor:
     return ann @ pt["att_ua"] + pt["att_b"]
 
 
-def _pad_feats(feats_list: list[np.ndarray], input_dim: int) -> tuple[np.ndarray, list[int]]:
-    """Zero-padded (B, L_max, input_dim) batch and the per-sample lengths."""
-    lens = [f.shape[0] for f in feats_list]
-    padded = np.zeros((len(feats_list), max(lens), input_dim))
-    for i, f in enumerate(feats_list):
-        padded[i, : lens[i]] = f
+def _pad(arrays: list[np.ndarray], dim: int) -> tuple[np.ndarray, list[int]]:
+    """Zero-padded (B, L_max, dim) batch of (L_i, dim) arrays and the lengths L_i."""
+    lens = [a.shape[0] for a in arrays]
+    padded = np.zeros((len(arrays), max(lens), dim))
+    for i, a in enumerate(arrays):
+        padded[i, : lens[i]] = a
     return padded, lens
 
 
@@ -431,7 +426,7 @@ def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Anno
         pt = _wrap(params)
         for start in range(0, len(feats_list), ENCODE_CHUNK):
             chunk = feats_list[start:start + ENCODE_CHUNK]
-            ann, klens = _encode_steps(pt, arch, *_pad_feats(chunk, arch.input_dim))
+            ann, klens = _encode_steps(pt, arch, *_pad(chunk, arch.input_dim))
             out.extend(Annotations(vectors=ann.data[i, :k], source_len=len(f))
                        for i, (k, f) in enumerate(zip(klens, chunk)))
     return out
@@ -453,10 +448,8 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
         raise ModelError("max_len must be at least 1")
     if not anns:
         return []
-    batch, klens = len(anns), [len(a.vectors) for a in anns]
-    padded = np.zeros((batch, max(klens), arch.annotation_dim))
-    for i, a in enumerate(anns):
-        padded[i, : klens[i]] = a.vectors
+    padded, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
+    batch = len(anns)
     tokens = np.zeros((batch, max_len), dtype=np.int64)
     logprobs = np.zeros((batch, max_len))
     lengths = np.zeros(batch, dtype=np.int64)
@@ -524,7 +517,7 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
         raise ModelError("empty batch")
     pt = _wrap(params)
     arch = params.arch
-    ann, klens = _encode_steps(pt, arch, *_pad_feats(
+    ann, klens = _encode_steps(pt, arch, *_pad(
         [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
     feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
     lp, _ = _teacher_forced_steps(pt, arch, ann, klens, feed, targets)
@@ -546,7 +539,7 @@ def teacher_forced_accuracy(params: ModelParams, batch: list[tuple[np.ndarray, l
     with no_grad():
         pt = _wrap(params)
         arch = params.arch
-        ann, klens = _encode_steps(pt, arch, *_pad_feats(
+        ann, klens = _encode_steps(pt, arch, *_pad(
             [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
         feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
         _, argmax = _teacher_forced_steps(pt, arch, ann, klens, feed, targets, collect_argmax=True)

@@ -40,6 +40,54 @@ def naive_complete_linkage(dist, k):
     return labels
 
 
+def loop_complete_linkage(d, k):
+    """Oracle: the pairwise-scan linkage that ran before the masked argmin."""
+    n = len(d)
+    cur = d.values.copy()
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    alive = sorted(members)
+    for _ in range(n - k):
+        best = (np.inf, -1, -1)
+        for ai in range(len(alive)):
+            i = alive[ai]
+            for j in alive[ai + 1 :]:
+                cand = (cur[i, j], i, j)
+                if cand < best:
+                    best = cand
+        _, i, j = best
+        members[i].extend(members[j])
+        del members[j]
+        alive.remove(j)
+        for m in alive:
+            if m != i:
+                merged = max(cur[i, m], cur[j, m])
+                cur[i, m] = cur[m, i] = merged
+    labels = [0] * n
+    for cluster_label, root in enumerate(sorted(members)):
+        for point in members[root]:
+            labels[point] = cluster_label
+    return labels
+
+
+def loop_euclidean_values(rows):
+    """Oracle: the pairwise double loop that filled the Euclidean matrix."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = float(np.sqrt(((rows[i] - rows[j]) ** 2).sum()))
+            values[i, j] = values[j, i] = dist
+    return values
+
+
+def random_distances(rng, n, ties):
+    """Symmetric zero-diagonal distances; ``ties`` draws from {0, 1, 2, 3}."""
+    raw = rng.integers(0, 4, (n, n)).astype(float) if ties else rng.uniform(0, 1, (n, n))
+    d = np.triu(raw, 1)
+    return d + d.T
+
+
 def brute_force_kmeans_objective(rows, k):
     """Exhaustive minimum over every k-partition (tiny inputs only)."""
     n = len(rows)
@@ -131,6 +179,19 @@ class TestKmeans:
         with pytest.raises(ClusteringError):
             kmeans(FOUR_POINTS, 5, seed=0)
 
+    def test_two_empty_clusters_in_one_iteration(self, monkeypatch):
+        # Two seeds far from every row leave clusters 2 and 3 empty in the
+        # first iteration; they seize rows 7 and 8, the two farthest from
+        # their centroids, in that order. The expected labels and objective
+        # log are those of the per-cluster rescan this repair replaced.
+        rows = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0], [4.0, 4.0], [5.0, 3.5],
+                         [9.0, 1.0], [8.5, 0.0], [3.0, 7.0], [2.5, 6.0]])
+        seeds = np.array([rows[0], rows[5], [50.0, 50.0], [-40.0, 60.0]])
+        monkeypatch.setattr("gssf.cluster.kmeans_pp_init", lambda r, k, rng: seeds.copy())
+        a, objectives = kmeans_single(rows, 4, np.random.default_rng(0))
+        assert a.labels == [0, 0, 0, 3, 3, 1, 1, 2, 2]
+        assert objectives == [161.25, 46.61805555555556, 31.965, 16.546875, 4.541666666666666]
+
 
 class TestCompleteLinkage:
     def test_two_group_fixture(self):
@@ -170,6 +231,35 @@ class TestCompleteLinkage:
             complete_linkage(d, 4)
 
 
+class TestLinkageAgainstLoopOracle:
+    @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "integer"])
+    def test_labels_equal_randomized(self, ties):
+        rng = np.random.default_rng(11 if ties else 10)
+        for _ in range(60):
+            n = int(rng.integers(2, 61))
+            d = DistanceMatrix(random_distances(rng, n, ties))
+            for k in sorted({1, int(rng.integers(1, n + 1)), n}):
+                assert complete_linkage(d, k).labels == loop_complete_linkage(d, k)
+
+    def test_all_equal_distances_merge_in_index_order(self):
+        d = DistanceMatrix(1.0 - np.eye(6))
+        assert complete_linkage(d, 3).labels == loop_complete_linkage(d, 3) == [0, 0, 0, 0, 1, 2]
+
+    def test_labels_equal_at_300(self):
+        d = DistanceMatrix(random_distances(np.random.default_rng(12), 300, ties=True))
+        assert complete_linkage(d, 7).labels == loop_complete_linkage(d, 7)
+
+    def test_partition_matches_scipy_at_1000(self):
+        pytest.importorskip("scipy")
+        from scipy.cluster.hierarchy import cut_tree, linkage
+        from scipy.spatial.distance import squareform
+
+        d = random_distances(np.random.default_rng(13), 1000, ties=False)
+        ours = complete_linkage(DistanceMatrix(d), 9).labels
+        theirs = cut_tree(linkage(squareform(d), "complete"), n_clusters=9)[:, 0]
+        assert partition_key(ours) == partition_key(theirs.tolist())
+
+
 class TestDistanceMatrices:
     def test_gssf_distance_absolute_value(self):
         m = SbRMatrix(values=np.array([[0.0, -3.0], [-3.0, 0.0]]), ids=["a", "b"],
@@ -198,6 +288,11 @@ class TestDistanceMatrices:
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
         with pytest.raises(ClusteringError):
             DistanceMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("n,width", [(1, 3), (2, 1), (7, 1), (40, 5), (60, 1000)])
+    def test_euclidean_matrix_bit_equal_to_loop(self, n, width):
+        rows = np.random.default_rng(n * width).normal(0, 1, (n, width))
+        assert np.array_equal(euclidean_distance_matrix(rows).values, loop_euclidean_values(rows))
 
     def test_euclidean_matrix_symmetric_zero_diag(self):
         rng = np.random.default_rng(9)
