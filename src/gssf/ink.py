@@ -66,15 +66,19 @@ def _resample_stroke(pts: np.ndarray, step: float) -> np.ndarray:
     seglen = np.hypot(seg[:, 0], seg[:, 1])
     if len(pts) == 1 or float(seglen.sum()) == 0.0:
         return pts[:1].copy()
-    out = [pts[0]]
-    for a, b, length in zip(pts[:-1], pts[1:], seglen):
-        if length == 0.0:
-            continue
-        pieces = max(1, int(round(length / step)))
-        for j in range(1, pieces):
-            out.append(a + (b - a) * (j / pieces))
-        out.append(b)
-    return np.asarray(out)
+    keep = seglen > 0.0
+    a, b = pts[:-1][keep], pts[1:][keep]
+    # Segment i yields the points a + (b - a) * (j / pieces) for j = 1..pieces,
+    # the last of which is b itself.
+    pieces = np.maximum(1, np.rint(seglen[keep] / step).astype(np.int64))
+    seg = np.repeat(np.arange(len(a)), pieces)
+    ends = np.cumsum(pieces)
+    j = np.arange(1, len(seg) + 1) - np.repeat(ends - pieces, pieces)
+    out = np.empty((len(seg) + 1, 2))
+    out[0] = pts[0]
+    out[1:] = a[seg] + (b - a)[seg] * (j / pieces[seg])[:, None]
+    out[ends] = b
+    return out
 
 
 def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:

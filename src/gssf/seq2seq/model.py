@@ -22,7 +22,8 @@ from .autodiff import Tensor, as_tensor, concat, grad_enabled, log_softmax, no_g
 from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
-ENCODE_CHUNK = 32  # answers per padded encoder batch; bounds inference memory
+INFER_CHUNK = 32  # answers per padded encoder or decoder batch; bounds inference memory
+CROSS_CHUNK = 64  # (decode, annotation set) pairs per teacher-forced scoring batch
 
 
 class ModelError(ValueError):
@@ -412,7 +413,7 @@ def _batch_tokens(token_seqs: list[list[int]], extra_eos: bool):
 
 
 def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Annotations]:
-    """Encode many feature sequences in padded batches of ``ENCODE_CHUNK``;
+    """Encode many feature sequences in padded batches of ``INFER_CHUNK``;
     each keeps its own ceil(L / 2^p) annotation vectors."""
     arch = params.arch
     feats_list = [np.asarray(f, dtype=np.float64) for f in feats_list]
@@ -424,8 +425,8 @@ def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Anno
     out: list[Annotations] = []
     with no_grad():
         pt = _wrap(params)
-        for start in range(0, len(feats_list), ENCODE_CHUNK):
-            chunk = feats_list[start:start + ENCODE_CHUNK]
+        for start in range(0, len(feats_list), INFER_CHUNK):
+            chunk = feats_list[start:start + INFER_CHUNK]
             ann, klens = _encode_steps(pt, arch, *_pad(chunk, arch.input_dim))
             out.extend(Annotations(vectors=ann.data[i, :k], source_len=len(f))
                        for i, (k, f) in enumerate(zip(klens, chunk)))
@@ -439,15 +440,19 @@ def encode(params: ModelParams, feats: np.ndarray) -> Annotations:
 
 def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
                         max_len: int | None = None) -> list[ScoredDecode]:
-    """Greedy argmax decoding of many annotation sets at once; ties break to the
-    lowest index. A row stops collecting tokens once it emits the end marker,
-    and is ``truncated`` if it never does within ``max_len`` steps."""
+    """Greedy argmax decoding of many annotation sets in padded batches of
+    ``INFER_CHUNK``; ties break to the lowest index. A row stops collecting
+    tokens once it emits the end marker, and is ``truncated`` if it never
+    does within ``max_len`` steps."""
     arch = params.arch
     max_len = arch.max_decode_len if max_len is None else max_len
     if max_len < 1:
         raise ModelError("max_len must be at least 1")
     if not anns:
         return []
+    if len(anns) > INFER_CHUNK:
+        return [d for start in range(0, len(anns), INFER_CHUNK)
+                for d in greedy_decode_batch(params, anns[start:start + INFER_CHUNK], max_len)]
     padded, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
     batch = len(anns)
     tokens = np.zeros((batch, max_len), dtype=np.int64)
@@ -481,34 +486,53 @@ def greedy_decode(params: ModelParams, ann: Annotations, max_len: int | None = N
     return greedy_decode_batch(params, [ann], max_len)[0]
 
 
-def _teacher_forced(params: ModelParams, ann: Annotations, token_seqs: list[list[int]]):
-    """Per-step log-probabilities (B, T) and validity mask of many non-empty
-    sequences teacher-forced against one annotation set."""
-    if any(len(s) == 0 for s in token_seqs):
-        raise ModelError("empty token sequence")
-    with no_grad():
-        batch = len(token_seqs)
-        feed, targets, mask = _batch_tokens([list(s) for s in token_seqs], extra_eos=False)
-        ann_b = as_tensor(np.ascontiguousarray(np.broadcast_to(
-            ann.vectors[None], (batch,) + ann.vectors.shape)))
-        lp, _ = _teacher_forced_steps(_wrap(params), params.arch, ann_b,
-                                      [len(ann.vectors)] * batch, feed, targets)
+def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
+    for seq in token_seqs:
+        if len(seq) == 0:
+            raise ModelError("empty token sequence")
+        if any(not 0 <= t < params.vocab.size for t in seq):
+            raise ModelError("token index out of range")
+
+
+def _teacher_forced(pt: dict[str, Tensor], arch: ArchConfig, anns: list[Annotations],
+                    token_seqs: list[list[int]]):
+    """Per-step log-probabilities (B, T) and validity mask of each non-empty
+    ``token_seqs[i]`` teacher-forced against ``anns[i]``, as one padded batch."""
+    ann, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
+    feed, targets, mask = _batch_tokens(token_seqs, extra_eos=False)
+    lp, _ = _teacher_forced_steps(pt, arch, as_tensor(ann), klens, feed, targets)
     return lp.data, mask
 
 
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
     """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
-    if any(not 0 <= t < params.vocab.size for t in tokens):
-        raise ModelError("token index out of range")
-    return _teacher_forced(params, ann, [tokens])[0][0]
+    _check_tokens(params, [tokens])
+    with no_grad():
+        return _teacher_forced(_wrap(params), params.arch, [ann], [tokens])[0][0]
 
 
-def cross_logprob_sums(params: ModelParams, ann: Annotations,
+def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
                        token_seqs: list[list[int]]) -> np.ndarray:
-    """Batched total teacher-forced log-probability of many sequences against
-    one annotation set. Sequences must be non-empty."""
-    lp, mask = _teacher_forced(params, ann, token_seqs)
-    return (lp * mask).sum(axis=1)
+    """(len(anns), len(token_seqs)) total teacher-forced log-probability of
+    every non-empty sequence against every annotation set.
+
+    The (sequence, annotation set) pairs run in padded batches of
+    ``CROSS_CHUNK``, sequence-major with the shortest sequence first, so a
+    batch is padded only to the lengths of the sequences it holds.
+    """
+    _check_tokens(params, token_seqs)
+    order = np.argsort([len(s) for s in token_seqs], kind="stable")
+    seq_of = np.repeat(order, len(anns))
+    ann_of = np.tile(np.arange(len(anns)), len(token_seqs))
+    sums = np.zeros((len(anns), len(token_seqs)))
+    with no_grad():
+        pt = _wrap(params)
+        for start in range(0, len(seq_of), CROSS_CHUNK):
+            c, q = ann_of[start:start + CROSS_CHUNK], seq_of[start:start + CROSS_CHUNK]
+            lp, mask = _teacher_forced(pt, params.arch, [anns[i] for i in c],
+                                       [token_seqs[i] for i in q])
+            sums[c, q] = (lp * mask).sum(axis=1)
+    return sums
 
 
 def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]):

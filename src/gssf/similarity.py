@@ -57,7 +57,7 @@ class AnswerScoring:
 
 
 def score_answers(params: ModelParams, inks: list[RawInk]) -> list[AnswerScoring]:
-    """Preprocess every answer, then encode and greedy-decode them as one batch."""
+    """Preprocess every answer, then encode and greedy-decode them in padded batches."""
     feats = [extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
              for ink in inks]
     anns = seq2seq.encode_batch(params, feats)
@@ -113,19 +113,20 @@ def distinct_index(seqs: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
 def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.ndarray:
     """F[i, j] = F(answer_i | answer_j) over all scorable pairs, NaN elsewhere.
 
-    F(a|b) depends on a only through a's decoded tokens, so column j
-    teacher-forces each distinct decode once against answer j's encoding and
-    scatters the sums to every answer with that decode. Diagonal entries are
-    exactly zero.
+    F(a|b) depends on a only through a's decoded tokens, so each distinct
+    decode is teacher-forced once against every scorable answer's encoding,
+    in one ``cross_logprob_sums`` call, and the sums are scattered to every
+    answer with that decode. Diagonal entries are exactly zero.
     """
     n = len(answers)
     rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
     f = np.full((n, n), np.nan)
+    if not len(rows):
+        return f
     seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
     self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
-    for j in rows:
-        sums = seq2seq.cross_logprob_sums(params, answers[j].annotations, seqs)
-        f[rows, j] = sums[which] - self_sums
+    sums = seq2seq.cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)
+    f[np.ix_(rows, rows)] = sums[:, which].T - self_sums[:, None]
     f[rows, rows] = 0.0
     return f
 

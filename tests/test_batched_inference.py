@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from gssf.ink import extract_features, resample_and_normalize
-from gssf.seq2seq import (ArchConfig, Annotations, ScoredDecode, encode, encode_batch,
-                          greedy_decode, greedy_decode_batch, init_params)
+from gssf.sbr import build_sbr_matrix
+from gssf.seq2seq import (ArchConfig, Annotations, ModelError, ScoredDecode,
+                          cross_logprob_sums, encode, encode_batch, greedy_decode,
+                          greedy_decode_batch, init_params, model, teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
-from gssf.similarity import (AnswerScoring, conditional_score, cross_score_matrix,
-                             distinct_index)
+from gssf.similarity import (AnswerScoring, SimilarityKind, conditional_score,
+                             cross_score_matrix, distinct_index)
 
 TOL = 1e-9
 
@@ -58,12 +60,16 @@ def assert_same_scoring(batched, oracle):
                                    rtol=0, atol=TOL)
 
 
+def random_feats(rng, lengths):
+    return [rng.normal(0, 1, (int(n), RANDOM_ARCH.input_dim)) for n in lengths]
+
+
 def random_model_answers(model_seed, feats_seed, count, max_len, max_decode_len):
     """Answers scored in one batch by a random-init model from random features."""
     arch = replace(RANDOM_ARCH, max_decode_len=max_decode_len)
     params = init_params(arch, build_vocabulary([list("abcdef")]), seed=model_seed)
     rng = np.random.default_rng(feats_seed)
-    feats = [rng.normal(0, 1, (int(n), arch.input_dim)) for n in rng.integers(1, max_len, count)]
+    feats = random_feats(rng, rng.integers(1, max_len, count))
     anns = encode_batch(params, feats)
     decodes = greedy_decode_batch(params, anns)
     answers = [AnswerScoring(id=f"r{i}", annotations=a, decode=d)
@@ -95,6 +101,16 @@ class TestScoreAnswers:
             np.testing.assert_allclose(x.annotations.vectors, ann.vectors, rtol=0, atol=TOL)
             np.testing.assert_allclose(x.decode.self_logprobs, dec.self_logprobs,
                                        rtol=0, atol=TOL)
+
+    def test_decode_chunk_seam(self):
+        params = init_params(RANDOM_ARCH, build_vocabulary([list("abcdef")]), seed=2)
+        rng = np.random.default_rng(9)
+        anns = encode_batch(params, random_feats(rng, rng.integers(1, 30, 37)))
+        assert model.INFER_CHUNK < len(anns) < 2 * model.INFER_CHUNK
+        for got, ann in zip(greedy_decode_batch(params, anns), anns):
+            want = greedy_decode(params, ann)
+            assert got.tokens == want.tokens and got.truncated == want.truncated
+            np.testing.assert_allclose(got.self_logprobs, want.self_logprobs, rtol=0, atol=TOL)
 
     def test_empty_batch(self, tiny_scored):
         params, _, _ = tiny_scored
@@ -137,6 +153,121 @@ class TestDeduplicatedCrossScores:
                                decode=ScoredDecode(tokens=[], self_logprobs=np.array([])))
                  for i in range(3)]
         assert np.isnan(cross_score_matrix(empty, params=None)).all()
+
+
+def pairwise_logprob_sums(params, anns, seqs):
+    """Oracle: one B = 1 ``teacher_forced_logprobs`` call per (annotation set, sequence)."""
+    return np.array([[teacher_forced_logprobs(params, ann, seq).sum() for seq in seqs]
+                     for ann in anns])
+
+
+class TestCrossLogprobSums:
+    """The chunked all-pairs path against pairwise teacher forcing."""
+
+    def setup_method(self):
+        self.params = init_params(replace(RANDOM_ARCH, max_decode_len=30),
+                                  build_vocabulary([list("abcdef")]), seed=5)
+        self.rng = np.random.default_rng(8)
+
+    def check(self, anns, seqs):
+        got = cross_logprob_sums(self.params, anns, seqs)
+        assert got.shape == (len(anns), len(seqs))
+        np.testing.assert_allclose(got, pairwise_logprob_sums(self.params, anns, seqs),
+                                   rtol=0, atol=TOL)
+
+    def test_mixed_annotation_lengths_in_one_chunk(self):
+        anns = encode_batch(self.params, random_feats(self.rng, [1, 3, 9, 17, 2, 30]))
+        assert len({len(a.vectors) for a in anns}) > 3
+        self.check(anns, [[2, 3], [4], [5, 6, 7, 2]])
+
+    def test_decode_rows_span_two_chunks(self):
+        columns = 40  # 3 * 40 pairs: the second decode's rows straddle the first seam
+        assert (3 * columns) % model.CROSS_CHUNK != 0
+        assert columns < model.CROSS_CHUNK < 2 * columns
+        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 15, columns)))
+        self.check(anns, [[3, 4, 5], [2], [6, 6]])
+
+    def test_one_sequence_and_one_column(self):
+        anns = encode_batch(self.params, random_feats(self.rng, [7, 4]))
+        self.check(anns, [[2, 5, 3]])
+        self.check(anns[:1], [[2, 5, 3], [7]])
+        self.check(anns[:1], [[4]])
+
+    def test_long_sequence_beside_short_ones(self):
+        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 12, 30)))
+        long_seq = [int(t) for t in self.rng.integers(2, self.params.vocab.size, 30)]
+        self.check(anns, [[2, 3], long_seq, [4], [5, 6]])
+
+    def test_empty_inputs(self):
+        anns = encode_batch(self.params, random_feats(self.rng, [3]))
+        assert cross_logprob_sums(self.params, anns, []).shape == (1, 0)
+        assert cross_logprob_sums(self.params, [], [[2]]).shape == (0, 1)
+
+    def test_rejects_invalid_sequences(self):
+        anns = encode_batch(self.params, random_feats(self.rng, [4]))
+        for bad in ([-1, 3], [2, self.params.vocab.size], []):
+            with pytest.raises(ModelError):
+                cross_logprob_sums(self.params, anns, [[2], bad])
+
+
+class TestChunkedCrossScoreMatrix:
+    """``cross_score_matrix`` with short decodes, one 30-token truncated decode
+    and an unscorable answer, against pairwise ``conditional_score``."""
+
+    @pytest.fixture
+    def answers(self):
+        params, _, answers = random_model_answers(7, 104, 40, 40, 6)
+        assert not all(a.scorable for a in answers)
+        assert max(len(a.decode.tokens) for a in answers) <= 6
+        long_tokens = [int(t) for t in np.random.default_rng(2).integers(
+            2, params.vocab.size, 30)]
+        params = replace(params, arch=replace(params.arch, max_decode_len=30))
+        target = next(a for a in answers if a.scorable)
+        target.decode = ScoredDecode(
+            tokens=long_tokens, truncated=True,
+            self_logprobs=teacher_forced_logprobs(params, target.annotations, long_tokens))
+        return params, answers
+
+    def test_matches_pairwise(self, answers):
+        params, answers = answers
+        f = cross_score_matrix(answers, params)
+        oracle = pairwise_cross_scores(answers, params)
+        np.testing.assert_array_equal(np.isnan(f), np.isnan(oracle))
+        np.testing.assert_allclose(f, oracle, rtol=0, atol=TOL)
+        scorable = [i for i, a in enumerate(answers) if a.scorable]
+        unscorable = [i for i, a in enumerate(answers) if not a.scorable]
+        np.testing.assert_array_equal(f[scorable, scorable], np.zeros(len(scorable)))
+        assert np.isnan(f[unscorable]).all() and np.isnan(f[:, unscorable]).all()
+        values = build_sbr_matrix(answers, SimilarityKind.GSSF, params, f=f).values
+        assert values.tobytes() == values.T.tobytes()
+
+    def test_single_scorable_column(self, answers):
+        params, answers = answers
+        one = [a for a in answers if a.scorable][:1] + [a for a in answers if not a.scorable]
+        f = cross_score_matrix(one, params)
+        assert f[0, 0] == 0.0
+        assert np.isnan(f[1:]).all() and np.isnan(f[:, 1:]).all()
+
+    def test_short_decodes_are_not_padded_to_the_long_one(self, answers, monkeypatch):
+        params, answers = answers
+        steps = []
+        real = model._teacher_forced_steps
+
+        def spy(pt, arch, ann, klens, feed, targets, *args, **kwargs):
+            # Decoded tokens never include the end marker, so it marks padding.
+            longest = int((targets != model.EOS_INDEX).sum(axis=1).max())
+            steps.append((feed.shape[1], longest))
+            return real(pt, arch, ann, klens, feed, targets, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_teacher_forced_steps", spy)
+        cross_score_matrix(answers, params)
+        # Each batch is padded to its own longest decode. Shortest first puts
+        # the 30-token decode's rows, at most two batches' worth, last.
+        assert all(t == longest for t, longest in steps)
+        long_batches = sum(t == 30 for t, _ in steps)
+        assert 1 <= long_batches <= 2 < len(steps)
+        assert all(t == 30 for t, _ in steps[-long_batches:])
+        assert all(t <= 6 for t, _ in steps[:-long_batches])
 
 
 def test_distinct_index_first_seen_order():

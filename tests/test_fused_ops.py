@@ -225,7 +225,7 @@ def test_no_grad_records_no_parents():
 def test_chunked_encode_matches_single_batches():
     params = random_params(1)
     rng = np.random.default_rng(4)
-    feats = [rng.normal(0, 1, (int(n), 8)) for n in rng.integers(1, 12, model.ENCODE_CHUNK + 5)]
+    feats = [rng.normal(0, 1, (int(n), 8)) for n in rng.integers(1, 12, model.INFER_CHUNK + 5)]
     batched = model.encode_batch(params, feats)
     assert len(batched) == len(feats)
     for f, got in zip(feats, batched):

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gssf.ink import (InkError, RawInk, extract_features, load_jsonl,
+from gssf.ink import (InkError, RawInk, _resample_stroke, extract_features, load_jsonl,
                       resample_and_normalize, save_jsonl)
 
 
@@ -71,6 +73,69 @@ class TestResampleAndNormalize:
     def test_bad_spacing(self):
         with pytest.raises(InkError):
             resample_and_normalize(vertical_two_point(), spacing=0.0)
+
+
+def loop_resample_stroke(pts, step):
+    """Oracle: the per-point loop that ``_resample_stroke`` replaced."""
+    seg = np.diff(pts, axis=0)
+    seglen = np.hypot(seg[:, 0], seg[:, 1])
+    if len(pts) == 1 or float(seglen.sum()) == 0.0:
+        return pts[:1].copy()
+    out = [pts[0]]
+    for a, b, length in zip(pts[:-1], pts[1:], seglen):
+        if length == 0.0:
+            continue
+        pieces = max(1, int(round(length / step)))
+        for j in range(1, pieces):
+            out.append(a + (b - a) * (j / pieces))
+        out.append(b)
+    return np.asarray(out)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Grid points repeat often, so zero-length segments are common.
+grid_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda p: (p[0] * 0.25, p[1] * 0.25))
+free_points = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
+polylines = st.lists(st.one_of(grid_points, free_points), min_size=1, max_size=12)
+
+
+class TestResampleStrokeOracle:
+    @given(polylines, st.floats(0.01, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_bit_for_bit(self, points, step):
+        pts = np.array(points, dtype=np.float64)
+        assert_bit_equal(_resample_stroke(pts, step), loop_resample_stroke(pts, step))
+
+    def test_seeded_polylines_with_repeats_and_dots(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            pts = rng.normal(0, 1, (int(rng.integers(1, 20)), 2))
+            dup = rng.random(len(pts)) < 0.3
+            dup[0] = False
+            pts[dup] = pts[np.flatnonzero(dup) - 1]  # repeat the previous vertex
+            step = float(rng.choice([0.01, 0.05, 0.08, 0.3]))
+            assert_bit_equal(_resample_stroke(pts, step), loop_resample_stroke(pts, step))
+
+    def test_half_integer_piece_counts_round_to_even(self):
+        pts = np.array([[0.0, 0.0], [2.5, 0.0], [2.5, 3.5]])
+        got = _resample_stroke(pts, 1.0)
+        assert len(got) == 1 + 2 + 4
+        assert_bit_equal(got, loop_resample_stroke(pts, 1.0))
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.05, 0.08, 0.3])
+    def test_benchmark_strokes(self, benchmark_inks, spacing):
+        for ink in benchmark_inks:
+            pts = np.concatenate(ink.strokes)
+            extent = pts.max(axis=0) - pts.min(axis=0)
+            step = spacing * (extent[1] if extent[1] > 0.0 else extent[0])
+            for stroke in ink.strokes:
+                assert_bit_equal(_resample_stroke(stroke, step),
+                                 loop_resample_stroke(stroke, step))
 
 
 class TestExtractFeatures:

@@ -227,7 +227,7 @@ class TestTeacherForcing:
         p = small_model(seed=17)
         ann = encode(p, random_feats(6, seed=4))
         seqs = [[2, 3], [3], [2, 2, 3]]
-        batched = cross_logprob_sums(p, ann, seqs)
+        batched = cross_logprob_sums(p, [ann], seqs)[0]
         singles = [teacher_forced_logprobs(p, ann, s).sum() for s in seqs]
         np.testing.assert_allclose(batched, singles, atol=1e-9)
 
