@@ -12,6 +12,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -71,7 +72,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.source}: bad UTF-8 text ({exc})") from exc
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -95,7 +100,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         name = reader.text()
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)  # Python ints: a huge product cannot wrap to a small one
         arr = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(dims)
         tensors[name] = arr.astype(np.float64, copy=True)
     if reader.pos != len(reader.data):

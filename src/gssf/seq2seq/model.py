@@ -5,10 +5,10 @@ subsample their input sequence (keeping the 1st, 3rd, ... steps) so an
 input of length L yields ceil(L / 2^p) annotation vectors. The decoder is
 a single gated recurrent layer driven by additive attention with a
 convolutional coverage term, and emits a distribution over the vocabulary
-at every step. All maths runs in float64 on a small autodiff tape, which
-keeps training gradients exact for the implemented forward pass. Each
-bidirectional encoder layer and each decoder recurrent step is a single
-tape node with a hand-derived backward pass.
+at every step. All maths is plain float64 numpy. Training gradients come
+from two hand-derived backward passes through time, one per encoder layer
+and one over the whole teacher-forced decoder, so they are exact for the
+implemented forward pass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, grad_enabled, log_softmax, no_grad
 from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
@@ -158,12 +157,13 @@ class ScoredDecode:
     self_logprobs: np.ndarray
     truncated: bool = False
 
+# -- forward and backward passes (batched; single-sample ops use B=1) -------
+#
+# Every forward function takes the parameter arrays by name and, where a
+# backward pass exists, a ``keep`` flag: with it the function also returns the
+# cache its backward pass reads; without it (inference) the cache is None.
 
-# -- forward pass internals (batched; single-sample ops use B=1) -----------
-
-
-def _wrap(params: ModelParams) -> dict[str, Tensor]:
-    return {k: Tensor(v) for k, v in params.tensors.items()}
+Params = dict[str, np.ndarray]
 
 
 def _gru_gates(gx: np.ndarray, h: np.ndarray, wh: np.ndarray):
@@ -200,189 +200,272 @@ def _gru_gate_grads(g: np.ndarray, h: np.ndarray, r: np.ndarray, z: np.ndarray,
     return dgx, dgh, g * z
 
 
-def _gru_cell(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One decoder recurrent step as a single tape node."""
-    h_new, gates = _gru_gates(x.data @ wx.data + b.data, h.data, wh.data)
-
-    def backward(g):
-        dgx, dgh, dh = _gru_gate_grads(g, h.data, *gates)
-        x._accum(dgx @ wx.data.T)
-        h._accum(dh + dgh @ wh.data.T)
-        wx._accum(x.data.T @ dgx)
-        wh._accum(h.data.T @ dgh)
-        b._accum(dgx.sum(axis=0))
-
-    return Tensor(h_new, (x, h, wx, wh, b), backward)
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable log softmax over the last axis; exact -log(n) on
+    all-zero rows."""
+    shift = x - x.max(axis=-1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
 
 
 _DIRS = np.arange(2)
 
 
-def _bigru_layer(x: Tensor, weights: list[tuple[Tensor, Tensor, Tensor]],
-                 lens: np.ndarray | None) -> Tensor:
-    """Both directions of one bidirectional encoder layer as a single tape node.
+def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 lens: np.ndarray | None, keep: bool):
+    """Both directions of one bidirectional encoder layer.
 
-    ``x`` is a batch-major (B, T, in) tensor and ``weights`` holds the
-    (wx, wh, b) triples of the forward and the backward direction. The output
-    is (B, T, 2h): forward states, then backward states. With ``lens``, a row
-    stops updating past its length (the forward state carries over, the
-    backward state stays zero). Per-step gate values are kept only while the
-    tape records.
+    ``xs`` is a batch-major (B, T, in) array and ``weights`` holds the
+    (wx, wh, b) triples of the forward and the backward direction. Returns the
+    (B, T, 2h) output (forward states, then backward states) and the cache.
+    With ``lens``, a row stops updating past its length (the forward state
+    carries over, the backward state stays zero).
 
     Step s advances the forward direction at time s and the backward one at
     time T-1-s as one (2, B, .) stack. All per-step work stays on small
     arrays: whole-sequence temporaries cost more in fresh pages than they
     save in calls.
     """
-    xs = x.data
     batch, t_steps, _ = xs.shape
-    wx, wh, b = (np.stack([triple[i].data for triple in weights]) for i in range(3))
+    wx, wh, b = (np.stack([triple[i] for triple in weights]) for i in range(3))
     hs = wh.shape[1]
     b = b[:, None, :]
     times = np.stack([np.arange(t_steps), np.arange(t_steps - 1, -1, -1)], axis=1)
     valid = None if lens is None else times[:, :, None, None] < lens[:, None]
     x_tm = xs.swapaxes(0, 1)
     states = np.empty((2, t_steps, batch, hs))  # step order
-    gates = np.empty((4, 2, t_steps, batch, hs)) if grad_enabled() else None
+    gates = np.empty((4, 2, t_steps, batch, hs)) if keep else None
     h = np.zeros((2, batch, hs))
     for s in range(t_steps):
         h_new, step_gates = _gru_gates(x_tm[times[s]] @ wx + b, h, wh)
-        if gates is not None:
+        if keep:
             gates[:, :, s] = step_gates
         h = h_new if valid is None else np.where(valid[s], h_new, h)
         states[:, s] = h
     out = np.empty((batch, t_steps, 2 * hs))
     out[:, :, :hs] = states[0].swapaxes(0, 1)
     out[:, :, hs:] = states[1, ::-1].swapaxes(0, 1)
-
-    def backward(g):
-        g_steps = np.empty((2, t_steps, batch, hs))
-        g_steps[0] = g[:, :, :hs].swapaxes(0, 1)
-        g_steps[1] = g[:, ::-1, hs:].swapaxes(0, 1)
-        dgx = np.empty((2, batch, t_steps, 3 * hs))  # input-time order, rows as in xs
-        dgh = np.empty((2, t_steps, batch, 3 * hs))  # step order, rows as in states
-        wh_t = wh.swapaxes(1, 2)
-        dh = np.zeros((2, batch, hs))
-        for s in range(t_steps - 1, -1, -1):
-            g_s = g_steps[:, s] + dh
-            g_in = g_s if valid is None else np.where(valid[s], g_s, 0.0)
-            h_prev = states[:, s - 1] if s else np.zeros((2, batch, hs))
-            dgx[_DIRS, :, times[s]], dgh[:, s], dh = _gru_gate_grads(
-                g_in, h_prev, *gates[:, :, s])
-            dh = dh + dgh[:, s] @ wh_t
-            if valid is not None:
-                dh = np.where(valid[s], dh, g_s)
-        # Weight gradients: one product per direction over all T*B rows (the
-        # first step's h_prev is zero, so its rows drop out of dwh).
-        rows_gx = dgx.reshape(2, batch * t_steps, 3 * hs)
-        dwx = xs.reshape(batch * t_steps, -1).T @ rows_gx
-        dwh = (states[:, :-1].reshape(2, -1, hs).swapaxes(1, 2)
-               @ dgh[:, 1:].reshape(2, -1, 3 * hs))
-        db = rows_gx.sum(axis=1)
-        for (wx_d, wh_d, b_d), gwx, gwh, gb in zip(weights, dwx, dwh, db):
-            wx_d._accum(gwx)
-            wh_d._accum(gwh)
-            b_d._accum(gb)
-        x._accum(dgx[0] @ wx[0].T + dgx[1] @ wx[1].T)
-
-    params = tuple(t for triple in weights for t in triple)
-    return Tensor(out, (x, *params), backward)
+    return out, ((xs, wx, wh, times, valid, states, gates) if keep else None)
 
 
-def _encode_steps(pt: dict[str, Tensor], arch: ArchConfig, feats: np.ndarray | Tensor,
-                  lens: list[int]) -> tuple[Tensor, list[int]]:
+def _bigru_backward(cache, g: np.ndarray, need_dx: bool):
+    """Backward through time of ``_bigru_layer`` for the output gradient ``g``.
+
+    Returns the input gradient (None unless ``need_dx``) and the
+    (wx, wh, b) gradients of the forward and the backward direction.
+    """
+    xs, wx, wh, times, valid, states, gates = cache
+    batch, t_steps, _ = xs.shape
+    hs = wh.shape[1]
+    g_steps = np.empty((2, t_steps, batch, hs))
+    g_steps[0] = g[:, :, :hs].swapaxes(0, 1)
+    g_steps[1] = g[:, ::-1, hs:].swapaxes(0, 1)
+    dgx = np.empty((2, batch, t_steps, 3 * hs))  # input-time order, rows as in xs
+    dgh = np.empty((2, t_steps, batch, 3 * hs))  # step order, rows as in states
+    wh_t = wh.swapaxes(1, 2)
+    dh = np.zeros((2, batch, hs))
+    for s in range(t_steps - 1, -1, -1):
+        g_s = g_steps[:, s] + dh
+        g_in = g_s if valid is None else np.where(valid[s], g_s, 0.0)
+        h_prev = states[:, s - 1] if s else np.zeros((2, batch, hs))
+        dgx[_DIRS, :, times[s]], dgh[:, s], dh = _gru_gate_grads(
+            g_in, h_prev, *gates[:, :, s])
+        dh = dh + dgh[:, s] @ wh_t
+        if valid is not None:
+            dh = np.where(valid[s], dh, g_s)
+    # Weight gradients: one product per direction over all T*B rows (the
+    # first step's h_prev is zero, so its rows drop out of dwh).
+    rows_gx = dgx.reshape(2, batch * t_steps, 3 * hs)
+    dwx = xs.reshape(batch * t_steps, -1).T @ rows_gx
+    dwh = (states[:, :-1].reshape(2, -1, hs).swapaxes(1, 2)
+           @ dgh[:, 1:].reshape(2, -1, 3 * hs))
+    dx = dgx[0] @ wx[0].T + dgx[1] @ wx[1].T if need_dx else None
+    return dx, list(zip(dwx, dwh, rows_gx.sum(axis=1)))
+
+
+def _encode_steps(p: Params, arch: ArchConfig, feats: np.ndarray, lens: list[int],
+                  keep: bool):
     """Run the encoder stack over a padded batch-major (B, L, input_dim) batch.
 
-    Returns the (B, K, annotation_dim) annotation tensor and per-sample
-    annotation counts. Padded positions carry junk values; callers mask them.
+    Returns the (B, K, annotation_dim) annotations, per-sample annotation
+    counts and the cache: per layer, its own cache and its input length before
+    subsampling (None for an unpooled layer). Padded positions carry junk
+    values; callers mask them.
     """
-    cur = as_tensor(feats)
+    cur = feats
     cur_lens = np.asarray(lens)
+    caches = []
     for layer in range(arch.enc_layers):
+        pooled_from = None
         if layer >= arch.enc_layers - arch.enc_pool:
+            pooled_from = cur.shape[1]
             cur = cur[:, ::2]
             cur_lens = (cur_lens + 1) // 2
-        weights = [tuple(pt[f"enc{layer}_{d}_{w}"] for w in ("wx", "wh", "b"))
+        weights = [tuple(p[f"enc{layer}_{d}_{w}"] for w in ("wx", "wh", "b"))
                    for d in ("fwd", "bwd")]
-        cur = _bigru_layer(cur, weights, None if cur_lens.min() == cur.shape[1] else cur_lens)
-    return cur, cur_lens.tolist()
+        cur, cache = _bigru_layer(cur, weights,
+                                  None if cur_lens.min() == cur.shape[1] else cur_lens, keep)
+        caches.append((cache, pooled_from))
+    return cur, cur_lens.tolist(), (caches if keep else None)
 
 
-def _attention_mask_bias(klens: list[int], k_max: int) -> np.ndarray | None:
-    if min(klens) == k_max:
-        return None
-    return np.where(np.arange(k_max) < np.asarray(klens)[:, None], 0.0, MASK_NEG)
+def _encode_backward(caches, g: np.ndarray) -> dict[str, np.ndarray]:
+    """Encoder weight gradients for the annotation gradient ``g``, top layer
+    first; a subsampled layer's input gradient lands on the kept steps."""
+    grads: dict[str, np.ndarray] = {}
+    for layer in range(len(caches) - 1, -1, -1):
+        cache, pooled_from = caches[layer]
+        dx, dirs = _bigru_backward(cache, g, need_dx=layer > 0)
+        for d, triple in zip(("fwd", "bwd"), dirs):
+            for w, grad in zip(("wx", "wh", "b"), triple):
+                grads[f"enc{layer}_{d}_{w}"] = grad
+        g = dx
+        if layer > 0 and pooled_from is not None:
+            g = np.zeros((dx.shape[0], pooled_from, dx.shape[2]))
+            g[:, ::2] = dx
+    return grads
 
 
-def _init_decoder_state(pt: dict[str, Tensor], arch: ArchConfig, ann: Tensor,
-                        klens: list[int]) -> tuple[Tensor, Tensor]:
-    batch, k_max, _ = ann.shape
-    if min(klens) == k_max:
-        mean = ann.sum(axis=1) * (1.0 / k_max)
-    else:
-        valid = np.arange(k_max)[:, None] < np.asarray(klens)[:, None, None]
-        inv = (1.0 / np.asarray(klens, dtype=np.float64))[:, None]
-        mean = (ann * valid).sum(axis=1) * inv
-    s0 = (mean @ pt["dec_init_w"] + pt["dec_init_b"]).tanh()
-    return s0, Tensor(np.zeros((batch, k_max)))
+def _decoder_start(p: Params, ann: np.ndarray, klens: list[int]):
+    """Per-batch decoder constants, the initial state, and the mean cache.
 
-
-def _coverage_features(pt: dict[str, Tensor], arch: ArchConfig, cov_acc: Tensor) -> Tensor:
-    """Coverage term of the attention energy: each width-W window of the
-    zero-padded accumulated attention times the folded (W, att_dim) kernel
-    ``cov_k @ cov_w``, as one (B, K, W) product."""
-    k_max = cov_acc.shape[1]
-    zeros = Tensor(np.zeros((cov_acc.shape[0], arch.cov_kernel // 2)))
-    padded = concat([zeros, cov_acc, zeros], axis=1)
-    windows = padded[:, np.arange(k_max)[:, None] + np.arange(arch.cov_kernel)]
-    return windows @ (pt["cov_k"] @ pt["cov_w"])
-
-
-def _decode_step_core(pt: dict[str, Tensor], arch: ArchConfig, prev_emb: Tensor,
-                      s_prev: Tensor, ann: Tensor, keys: Tensor,
-                      mask_bias: np.ndarray | None, cov_acc: Tensor):
-    batch, k_max, a_dim = ann.shape
-    query = (s_prev @ pt["att_ws"]).reshape(batch, 1, arch.att_dim)
-    cov = _coverage_features(pt, arch, cov_acc)
-    act = (keys + query + cov).tanh()
-    energy = (act * pt["att_v"]).sum(axis=2)
-    if mask_bias is not None:
-        energy = energy + mask_bias
-    alpha = log_softmax(energy, axis=1).exp()
-    ctx = (alpha.reshape(batch, 1, k_max) @ ann).reshape(batch, a_dim)
-    x = concat([prev_emb, ctx], axis=1)
-    s = _gru_cell(x, s_prev, pt["dec_wx"], pt["dec_wh"], pt["dec_b"])
-    logits = s @ pt["out_ws"] + ctx @ pt["out_wc"] + prev_emb @ pt["out_we"] + pt["out_b"]
-    return logits, s, alpha, cov_acc + alpha
-
-
-def _teacher_forced_steps(pt: dict[str, Tensor], arch: ArchConfig, ann: Tensor,
-                          klens: list[int], feed: np.ndarray, targets: np.ndarray,
-                          collect_argmax: bool = False):
-    """Per-step log-probabilities of ``targets`` when ``feed`` is fed stepwise.
-
-    ``feed``/``targets`` are (B, T) int arrays; returns a (B, T) tensor of
-    log P(targets[:, t]) and optionally the per-step argmax indices.
+    The constants are the attention keys, the additive mask bias that zeroes
+    padded positions, and the folded (W, att_dim) coverage kernel
+    ``cov_k @ cov_w``. The initial state reads the masked mean of the
+    annotations; the mean cache holds its (B, K) weights and the mean itself.
     """
-    batch, t_steps = feed.shape
-    keys = _attention_keys(pt, ann)
-    mask_bias = _attention_mask_bias(klens, ann.shape[1])
-    s, cov = _init_decoder_state(pt, arch, ann, klens)
-    rows = np.arange(batch)
-    cols: list[Tensor] = []
-    argmax = np.zeros((batch, t_steps), dtype=np.int64) if collect_argmax else None
-    for t in range(t_steps):
-        prev_emb = pt["emb"][feed[:, t]]
-        logits, s, _, cov = _decode_step_core(pt, arch, prev_emb, s, ann, keys, mask_bias, cov)
-        ls = log_softmax(logits, axis=1)
-        if collect_argmax:
-            argmax[:, t] = ls.data.argmax(axis=1)
-        cols.append(ls[rows, targets[:, t]].reshape(batch, 1))
-    return concat(cols, axis=1), argmax
+    valid = np.arange(ann.shape[1]) < np.asarray(klens)[:, None]
+    inv = 1.0 / np.asarray(klens, dtype=np.float64)
+    mean = (ann * valid[:, :, None]).sum(axis=1) * inv[:, None]
+    s0 = np.tanh(mean @ p["dec_init_w"] + p["dec_init_b"])
+    consts = (ann @ p["att_ua"] + p["att_b"], np.where(valid, 0.0, MASK_NEG),
+              p["cov_k"] @ p["cov_w"])
+    return consts, s0, (valid * inv[:, None], mean)
 
 
-def _attention_keys(pt: dict[str, Tensor], ann: Tensor) -> Tensor:
-    return ann @ pt["att_ua"] + pt["att_b"]
+def _decode_step(p: Params, ann: np.ndarray, consts, prev_emb: np.ndarray,
+                 s_prev: np.ndarray, cov_acc: np.ndarray):
+    """One decoder step over a (B, K, a) annotation batch.
+
+    The attention energy adds the coverage term: each width-W window of the
+    zero-padded accumulated attention times the folded kernel. Returns the
+    output logits, the new state, the new accumulated attention and the step
+    cache (decoder input, coverage windows, attention activations, attention
+    weights, recurrent gates).
+    """
+    keys, mask_bias, kw = consts
+    k_max = ann.shape[1]
+    pad = kw.shape[0] // 2
+    padded = np.pad(cov_acc, ((0, 0), (pad, pad)))
+    windows = padded[:, np.arange(k_max)[:, None] + np.arange(kw.shape[0])]
+    act = np.tanh(keys + (s_prev @ p["att_ws"])[:, None, :] + windows @ kw)
+    energy = (act * p["att_v"]).sum(axis=2) + mask_bias
+    alpha = np.exp(_log_softmax(energy))
+    ctx = (alpha[:, None, :] @ ann)[:, 0]
+    x = np.concatenate([prev_emb, ctx], axis=1)
+    s, gates = _gru_gates(x @ p["dec_wx"] + p["dec_b"], s_prev, p["dec_wh"])
+    logits = s @ p["out_ws"] + ctx @ p["out_wc"] + prev_emb @ p["out_we"] + p["out_b"]
+    return logits, s, cov_acc + alpha, (x, windows, act, alpha, gates)
+
+
+def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np.ndarray,
+                          targets: np.ndarray, keep: bool):
+    """Feed ``feed`` stepwise against a padded annotation batch.
+
+    ``feed``/``targets`` are (B, T) int arrays. Returns the (B, T)
+    log-probabilities of ``targets``, the (B, T) per-step argmax and the cache
+    ``_teacher_forced_backward`` reads.
+    """
+    consts, s, mean_cache = _decoder_start(p, ann, klens)
+    cov = np.zeros(ann.shape[:2])
+    rows = np.arange(feed.shape[0])
+    lp = np.empty(feed.shape)
+    argmax = np.empty(feed.shape, dtype=np.int64)
+    kept = []
+    for t in range(feed.shape[1]):
+        logits, s_new, cov, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov)
+        ls = _log_softmax(logits)
+        argmax[:, t] = ls.argmax(axis=1)
+        lp[:, t] = ls[rows, targets[:, t]]
+        if keep:
+            kept.append((s, s_new, ls, *step))
+        s = s_new
+    return lp, argmax, ((consts[2], mean_cache, kept) if keep else None)
+
+
+def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
+                             targets: np.ndarray, g_lp: np.ndarray, cache):
+    """Backpropagation through time over ``_teacher_forced_steps`` for the
+    gradient ``g_lp`` of its (B, T) log-probabilities.
+
+    The state and the accumulated attention carry gradient from each step to
+    the one before. Returns the annotation gradient and the gradients of every
+    decoder tensor.
+    """
+    kw, (mean_w, mean), kept = cache
+    # Per-step values stacked on a leading T axis.
+    s_prev, s_new, ls, x, windows, act, alpha, gates = (np.stack(v) for v in zip(*kept))
+    t_steps, batch, _ = ls.shape
+    e_dim, width, k_max = p["emb"].shape[1], kw.shape[0], ann.shape[1]
+    pad = width // 2
+
+    # log_softmax then the pick of each target: softmax times -g, plus g at the target.
+    g_logits = np.exp(ls) * -g_lp.T[:, :, None]
+    g_logits[np.arange(t_steps)[:, None], np.arange(batch), targets.T] += g_lp.T
+    g_emb = g_logits @ p["out_we"].T
+    g_ctx = g_logits @ p["out_wc"].T
+    g_out_s = g_logits @ p["out_ws"].T
+
+    dgx = np.empty((t_steps, batch, p["dec_wx"].shape[1]))
+    dgh = np.empty_like(dgx)
+    g_energy = np.empty(alpha.shape)
+    g_pre = np.empty(act.shape)
+    g_s = np.zeros(s_prev.shape[1:])
+    g_cov = np.zeros((batch, k_max + 2 * pad))  # gradient of the padded accumulator
+    for t in range(t_steps - 1, -1, -1):
+        dgx[t], dgh[t], dh = _gru_gate_grads(g_s + g_out_s[t], s_prev[t], *gates[t])
+        g_x = dgx[t] @ p["dec_wx"].T
+        g_emb[t] += g_x[:, :e_dim]
+        g_ctx[t] += g_x[:, e_dim:]
+        g_alpha = (ann @ g_ctx[t][:, :, None])[:, :, 0] + g_cov[:, pad:pad + k_max]
+        g_energy[t] = alpha[t] * (g_alpha - (alpha[t] * g_alpha).sum(axis=1, keepdims=True))
+        g_pre[t] = g_energy[t][:, :, None] * p["att_v"] * (1.0 - act[t] * act[t])
+        g_s = dh + dgh[t] @ p["dec_wh"].T + g_pre[t].sum(axis=1) @ p["att_ws"].T
+        g_win = g_pre[t] @ kw.T
+        for w in range(width):
+            g_cov[:, w:w + k_max] += g_win[:, :, w]
+
+    g_init = g_s * (1.0 - s_prev[0] * s_prev[0])
+    g_keys = g_pre.sum(axis=0)
+    g_ann = (mean_w[:, :, None] * (g_init @ p["dec_init_w"].T)[:, None, :]
+             + alpha.transpose(1, 2, 0) @ g_ctx.transpose(1, 0, 2)
+             + g_keys @ p["att_ua"].T)
+    g_kw = _rows(windows).T @ _rows(g_pre)
+    g_out = _rows(g_logits)
+    grads = {
+        "dec_init_w": mean.T @ g_init,
+        "dec_init_b": g_init.sum(axis=0),
+        "dec_wx": _rows(x).T @ _rows(dgx),
+        "dec_wh": _rows(s_prev).T @ _rows(dgh),
+        "dec_b": dgx.sum(axis=(0, 1)),
+        "att_ws": _rows(s_prev).T @ _rows(g_pre.sum(axis=2)),
+        "att_ua": _rows(ann).T @ _rows(g_keys),
+        "att_b": g_keys.sum(axis=(0, 1)),
+        "att_v": g_energy.reshape(-1) @ _rows(act),
+        "cov_k": g_kw @ p["cov_w"].T,
+        "cov_w": p["cov_k"].T @ g_kw,
+        "out_ws": _rows(s_new).T @ g_out,
+        "out_wc": _rows(x[:, :, e_dim:]).T @ g_out,
+        "out_we": _rows(x[:, :, :e_dim]).T @ g_out,
+        "out_b": g_out.sum(axis=0),
+        "emb": np.zeros_like(p["emb"]),
+    }
+    np.add.at(grads["emb"], feed.T, g_emb)
+    return g_ann, grads
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix of its last-axis rows."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def _pad(arrays: list[np.ndarray], dim: int) -> tuple[np.ndarray, list[int]]:
@@ -423,13 +506,12 @@ def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Anno
         if feats.shape[1] != arch.input_dim:
             raise ModelError(f"feature dim {feats.shape[1]}, expected {arch.input_dim}")
     out: list[Annotations] = []
-    with no_grad():
-        pt = _wrap(params)
-        for start in range(0, len(feats_list), INFER_CHUNK):
-            chunk = feats_list[start:start + INFER_CHUNK]
-            ann, klens = _encode_steps(pt, arch, *_pad(chunk, arch.input_dim))
-            out.extend(Annotations(vectors=ann.data[i, :k], source_len=len(f))
-                       for i, (k, f) in enumerate(zip(klens, chunk)))
+    for start in range(0, len(feats_list), INFER_CHUNK):
+        chunk = feats_list[start:start + INFER_CHUNK]
+        ann, klens, _ = _encode_steps(params.tensors, arch, *_pad(chunk, arch.input_dim),
+                                      keep=False)
+        out.extend(Annotations(vectors=ann[i, :k], source_len=len(f))
+                   for i, (k, f) in enumerate(zip(klens, chunk)))
     return out
 
 
@@ -453,6 +535,7 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
     if len(anns) > INFER_CHUNK:
         return [d for start in range(0, len(anns), INFER_CHUNK)
                 for d in greedy_decode_batch(params, anns[start:start + INFER_CHUNK], max_len)]
+    p = params.tensors
     padded, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
     batch = len(anns)
     tokens = np.zeros((batch, max_len), dtype=np.int64)
@@ -460,22 +543,17 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
     lengths = np.zeros(batch, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     prev = np.full(batch, SOS_INDEX)
-    with no_grad():
-        pt = _wrap(params)
-        ann_t = as_tensor(padded)
-        keys = _attention_keys(pt, ann_t)
-        mask_bias = _attention_mask_bias(klens, padded.shape[1])
-        s, cov = _init_decoder_state(pt, arch, ann_t, klens)
-        for t in range(max_len):
-            logits, s, _, cov = _decode_step_core(pt, arch, pt["emb"][prev], s, ann_t, keys,
-                                                  mask_bias, cov)
-            ls = log_softmax(logits, axis=1).data
-            prev = ls.argmax(axis=1)
-            live &= prev != EOS_INDEX
-            lengths += live
-            tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
-            if not live.any():
-                break
+    consts, s, _ = _decoder_start(p, padded, klens)
+    cov = np.zeros(padded.shape[:2])
+    for t in range(max_len):
+        logits, s, cov, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov)
+        ls = _log_softmax(logits)
+        prev = ls.argmax(axis=1)
+        live &= prev != EOS_INDEX
+        lengths += live
+        tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
+        if not live.any():
+            break
     # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
     return [ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
                          truncated=bool(live[i])) for i, n in enumerate(lengths)]
@@ -494,21 +572,19 @@ def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
             raise ModelError("token index out of range")
 
 
-def _teacher_forced(pt: dict[str, Tensor], arch: ArchConfig, anns: list[Annotations],
-                    token_seqs: list[list[int]]):
+def _teacher_forced(params: ModelParams, anns: list[Annotations], token_seqs: list[list[int]]):
     """Per-step log-probabilities (B, T) and validity mask of each non-empty
     ``token_seqs[i]`` teacher-forced against ``anns[i]``, as one padded batch."""
-    ann, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
+    ann, klens = _pad([a.vectors for a in anns], params.arch.annotation_dim)
     feed, targets, mask = _batch_tokens(token_seqs, extra_eos=False)
-    lp, _ = _teacher_forced_steps(pt, arch, as_tensor(ann), klens, feed, targets)
-    return lp.data, mask
+    lp, _, _ = _teacher_forced_steps(params.tensors, ann, klens, feed, targets, keep=False)
+    return lp, mask
 
 
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
     """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
     _check_tokens(params, [tokens])
-    with no_grad():
-        return _teacher_forced(_wrap(params), params.arch, [ann], [tokens])[0][0]
+    return _teacher_forced(params, [ann], [tokens])[0][0]
 
 
 def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
@@ -525,47 +601,45 @@ def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
     seq_of = np.repeat(order, len(anns))
     ann_of = np.tile(np.arange(len(anns)), len(token_seqs))
     sums = np.zeros((len(anns), len(token_seqs)))
-    with no_grad():
-        pt = _wrap(params)
-        for start in range(0, len(seq_of), CROSS_CHUNK):
-            c, q = ann_of[start:start + CROSS_CHUNK], seq_of[start:start + CROSS_CHUNK]
-            lp, mask = _teacher_forced(pt, params.arch, [anns[i] for i in c],
-                                       [token_seqs[i] for i in q])
-            sums[c, q] = (lp * mask).sum(axis=1)
+    for start in range(0, len(seq_of), CROSS_CHUNK):
+        c, q = ann_of[start:start + CROSS_CHUNK], seq_of[start:start + CROSS_CHUNK]
+        lp, mask = _teacher_forced(params, [anns[i] for i in c], [token_seqs[i] for i in q])
+        sums[c, q] = (lp * mask).sum(axis=1)
     return sums
+
+
+def _forward_batch(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]], keep: bool):
+    """Encode a training batch and teacher-force its labels, end token included.
+
+    Returns the (B, T) log-probabilities and argmax, the targets and mask,
+    and what the backward pass reads.
+    """
+    if not batch:
+        raise ModelError("empty batch")
+    arch, p = params.arch, params.tensors
+    ann, klens, enc_cache = _encode_steps(p, arch, *_pad(
+        [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim), keep)
+    feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
+    lp, argmax, dec_cache = _teacher_forced_steps(p, ann, klens, feed, targets, keep)
+    return lp, argmax, targets, mask, (ann, feed, enc_cache, dec_cache)
 
 
 def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]):
     """Mean token-level cross-entropy (end token included) and exact gradients."""
-    if not batch:
-        raise ModelError("empty batch")
-    pt = _wrap(params)
-    arch = params.arch
-    ann, klens = _encode_steps(pt, arch, *_pad(
-        [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
-    feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
-    lp, _ = _teacher_forced_steps(pt, arch, ann, klens, feed, targets)
-    total_tokens = int(mask.sum())
-    loss_t = -((lp * mask).sum() / float(total_tokens))
-    loss = float(loss_t.data)
+    lp, _, targets, mask, (ann, feed, enc_cache, dec_cache) = _forward_batch(
+        params, batch, keep=True)
+    total_tokens = float(mask.sum())
+    loss = float(-((lp * mask).sum() / total_tokens))
     if not math.isfinite(loss):
         raise ModelError(f"non-finite training loss {loss!r} on batch of {len(batch)}")
-    loss_t.backward()
-    grads = {name: (pt[name].grad if pt[name].grad is not None else np.zeros_like(arr))
-             for name, arr in params.tensors.items()}
-    return loss, grads
+    g_ann, grads = _teacher_forced_backward(params.tensors, ann, feed, targets,
+                                            mask * (-1.0 / total_tokens), dec_cache)
+    grads.update(_encode_backward(enc_cache, g_ann))
+    return loss, {name: grads[name] for name in params.tensors}
 
 
 def teacher_forced_accuracy(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]) -> float:
     """Fraction of target tokens (end token included) predicted by argmax."""
-    if not batch:
-        raise ModelError("empty batch")
-    with no_grad():
-        pt = _wrap(params)
-        arch = params.arch
-        ann, klens = _encode_steps(pt, arch, *_pad(
-            [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim))
-        feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
-        _, argmax = _teacher_forced_steps(pt, arch, ann, klens, feed, targets, collect_argmax=True)
+    _, argmax, targets, mask, _ = _forward_batch(params, batch, keep=False)
     hits = ((argmax == targets) & (mask > 0)).sum()
     return float(hits) / float(mask.sum())

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ..ink import RawInk, extract_features, resample_and_normalize
-from .model import (ArchConfig, ModelParams, init_params, loss_and_gradients,
+from .model import (ArchConfig, ModelError, ModelParams, init_params, loss_and_gradients,
                     teacher_forced_accuracy)
 from .vocab import build_vocabulary
 
@@ -128,7 +128,7 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
             chunk = [samples[train_idx[j]] for j in order[start : start + config.batch_size]]
             try:
                 loss, grads = loss_and_gradients(params, chunk)
-            except Exception as exc:
+            except ModelError as exc:  # raised here only for a non-finite loss
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             norms.append(_clip_gradients(grads, config.clip_norm))
             opt.step(params.tensors, grads)

@@ -126,7 +126,9 @@ def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.
     seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
     self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
     sums = seq2seq.cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)
-    f[np.ix_(rows, rows)] = sums[:, which].T - self_sums[:, None]
+    cross = sums[:, which].T
+    cross -= self_sums[:, None]
+    f[np.ix_(rows, rows)] = cross
     f[rows, rows] = 0.0
     return f
 

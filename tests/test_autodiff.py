@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gssf.seq2seq.autodiff import Tensor, concat, log_softmax, no_grad
+from tape import Tensor, concat, log_softmax, no_grad
 
 
 def fd_check(build, shapes, seed=0, h=1e-6, tol=1e-6):

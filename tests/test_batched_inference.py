@@ -253,11 +253,11 @@ class TestChunkedCrossScoreMatrix:
         steps = []
         real = model._teacher_forced_steps
 
-        def spy(pt, arch, ann, klens, feed, targets, *args, **kwargs):
+        def spy(p, ann, klens, feed, targets, *args, **kwargs):
             # Decoded tokens never include the end marker, so it marks padding.
             longest = int((targets != model.EOS_INDEX).sum(axis=1).max())
             steps.append((feed.shape[1], longest))
-            return real(pt, arch, ann, klens, feed, targets, *args, **kwargs)
+            return real(p, ann, klens, feed, targets, *args, **kwargs)
 
         monkeypatch.setattr(model, "_teacher_forced_steps", spy)
         cross_score_matrix(answers, params)

@@ -1,6 +1,7 @@
 """Recognizer unit tests: vocabulary, encoder/decoder laws, training, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           cross_logprob_sums, encode, greedy_decode, init_params,
                           load_checkpoint, loss_and_gradients, save_checkpoint,
                           teacher_forced_logprobs, train, zero_params)
-from gssf.seq2seq.autodiff import as_tensor, log_softmax, no_grad
-from gssf.seq2seq.model import (_attention_keys, _decode_step_core, _init_decoder_state,
-                                _wrap)
 from gssf.seq2seq.vocab import EOS_INDEX, SOS_INDEX
+from tape import as_tensor, log_softmax, no_grad
+from tape_model import attention_keys, decode_step_core, wrap
+from tape_model import init_decoder_state as tape_init_decoder_state
 
 SMALL = ArchConfig(enc_hidden=5, dec_hidden=6, embed_dim=4, att_dim=4,
                    cov_channels=3, cov_kernel=3, max_decode_len=10)
@@ -33,8 +34,8 @@ def random_feats(length, seed=0):
 def init_decoder_state(params, ann):
     """Oracle: initial decoder state and zero coverage for one annotation set."""
     with no_grad():
-        s0, cov = _init_decoder_state(_wrap(params), params.arch, as_tensor(ann.vectors[None]),
-                                      [len(ann.vectors)])
+        s0, cov = tape_init_decoder_state(wrap(params), params.arch,
+                                          as_tensor(ann.vectors[None]), [len(ann.vectors)])
     return s0.data[0], cov.data[0]
 
 
@@ -44,11 +45,11 @@ def decode_step(params, prev_token, state, ann, coverage_acc):
     Returns (symbol distribution, new state, attention, new coverage).
     """
     with no_grad():
-        pt = _wrap(params)
+        pt = wrap(params)
         ann_t = as_tensor(ann.vectors[None])
-        logits, s, alpha, cov = _decode_step_core(
+        logits, s, alpha, cov = decode_step_core(
             pt, params.arch, pt["emb"][np.asarray([prev_token])], as_tensor(state[None]),
-            ann_t, _attention_keys(pt, ann_t), None, as_tensor(coverage_acc[None]))
+            ann_t, attention_keys(pt, ann_t), None, as_tensor(coverage_acc[None]))
         dist = np.exp(log_softmax(logits, axis=1).data[0])
     return dist, s.data[0], alpha.data[0], cov.data[0]
 
@@ -322,6 +323,16 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train([], TrainConfig(), seed=0)
 
+    def test_internal_error_is_not_relabelled(self, monkeypatch):
+        ink, label, config = memorization_fixture()
+
+        def broken(params, batch):
+            raise IndexError("internal bug")
+
+        monkeypatch.setattr("gssf.seq2seq.training.loss_and_gradients", broken)
+        with pytest.raises(IndexError, match="internal bug"):
+            train([(ink, label)], config, seed=0)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -355,6 +366,21 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         data = bytearray(path.read_bytes())
         data[4] = 99
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", ["token_0xff", "emb_2**62x4", "emb_2**63x2"])
+    def test_corruption_raises_checkpoint_error(self, tmp_path, corrupt):
+        data = bytearray(checkpoint_bytes(small_model()))
+        if corrupt == "token_0xff":
+            data[16] = 0xFF  # first byte of the first token, after magic, version, count, length
+        else:
+            dims = (2 ** 62, 4) if corrupt == "emb_2**62x4" else (2 ** 63, 2)
+            name = data.index(struct.pack("<I", 3) + b"emb") + 4
+            assert struct.unpack_from("<I", data, name + 3)[0] == 2  # rank
+            struct.pack_into("<2Q", data, name + 7, *dims)
+        path = tmp_path / "model.ckpt"
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
