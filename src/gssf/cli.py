@@ -29,7 +29,7 @@ from .sbr import (SbRMatrix, build_sbr_matrix, load_csv, normalize_unit_interval
 from .seq2seq import (ArchConfig, CheckpointError, ModelError, TrainConfig,
                       TrainingError, VocabularyError, checkpoint_bytes,
                       load_checkpoint, save_checkpoint, train)
-from .similarity import (GSSF_FAMILY, SimilarityKind, UnscorableAnswer,
+from .similarity import (GSSF_FAMILY, SYMMETRIC_KINDS, SimilarityKind, UnscorableAnswer,
                          cross_score_matrix, score_answers)
 from .synthgen import SynthesisError
 
@@ -45,12 +45,10 @@ KIND_ALIASES = {
     "edit": SimilarityKind.NEG_EDIT_DISTANCE,
 }
 METHODS = ("m3", "m4", "m5")
-M3_KINDS = {SimilarityKind.GSSF, SimilarityKind.MIN, SimilarityKind.MAX}
+M3_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
 
 CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "normalization",
                "num_seeds", "arch", "train"}
-TRAIN_KEYS = {"learning_rate", "clip_norm", "batch_size", "max_epochs", "patience",
-              "val_fraction"}
 
 
 class UsageError(ValueError):
@@ -93,13 +91,11 @@ def _arch_config(config: dict) -> ArchConfig:
 
 
 def _train_config(config: dict) -> TrainConfig:
-    section = config.get("train", {})
-    unknown = set(section) - TRAIN_KEYS
-    if unknown:
-        raise UsageError(f"unknown training config keys {sorted(unknown)}")
     try:
-        return TrainConfig(arch=_arch_config(config), **section)
-    except TypeError as exc:
+        tconf = TrainConfig(arch=_arch_config(config), **config.get("train", {}))
+        tconf.validate()
+        return tconf
+    except (TypeError, ModelError) as exc:
         raise UsageError(f"bad training config: {exc}") from exc
 
 
@@ -342,7 +338,7 @@ def cmd_compare(args) -> int:
     # One cross-score pass feeds every F-family kind.
     f_shared = (cross_score_matrix(answers, params)
                 if any(kind in GSSF_FAMILY for kind, _ in cells) else None)
-    rows = []
+    rows, summary = [], []
     matrices: dict[SimilarityKind, tuple[SbRMatrix, SbRMatrix]] = {}
     for kind, method in cells:
         if kind not in matrices:
@@ -350,14 +346,13 @@ def cmd_compare(args) -> int:
             raw = build_sbr_matrix(answers, kind, params, f=f)
             matrices[kind] = (raw, normalize_unit_interval(raw, mode=normalization))
         raw, norm = matrices[kind]
-        for i in range(num_seeds):
-            assignment = _cluster_once(method, raw, norm, k, base_seed + i, restarts)
-            ev = evaluate(assignment.labels, categories)
-            rows.append({"kind": kind.value, "method": method, "seed": base_seed + i,
-                         "purity": ev.purity, "mc": ev.mc})
-    summary = []
-    for kind, method in cells:
-        cell = [r for r in rows if r["kind"] == kind.value and r["method"] == method]
+        # Only k-means reads the seed; a linkage cell is clustered once.
+        runs = num_seeds if method == "m5" else 1
+        evs = [evaluate(_cluster_once(method, raw, norm, k, base_seed + i, restarts).labels,
+                        categories) for i in range(runs)] * (num_seeds // runs)
+        cell = [{"kind": kind.value, "method": method, "seed": base_seed + i,
+                 "purity": ev.purity, "mc": ev.mc} for i, ev in enumerate(evs)]
+        rows += cell
         purities = np.array([r["purity"] for r in cell])
         mcs = np.array([r["mc"] for r in cell])
         summary.append({

@@ -161,14 +161,9 @@ def euclidean_distance_matrix(rows: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(values=values + values.T)
 
 
-def assignment_to_csv(assignment: Assignment, ids: list[str],
-                      categories: list[str | None]) -> str:
+def save_assignment_csv(path: str | Path, assignment: Assignment, ids: list[str],
+                        categories: list[str | None]) -> None:
     lines = ["id,cluster_label,category"]
     for sample_id, label, category in zip(ids, assignment.labels, categories):
         lines.append(f"{sample_id},{label},{category if category is not None else ''}")
-    return "\n".join(lines) + "\n"
-
-
-def save_assignment_csv(path: str | Path, assignment: Assignment, ids: list[str],
-                        categories: list[str | None]) -> None:
-    Path(path).write_text(assignment_to_csv(assignment, ids, categories), encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -149,8 +149,13 @@ def load_jsonl(path: str | Path) -> list[RawInk]:
                     strokes=[np.asarray(s, dtype=np.float64) for s in obj["strokes"]],
                     id=str(obj["id"]),
                     category=obj.get("category"),
-                    label=list(obj["label"]) if obj.get("label") is not None else None,
+                    label=obj.get("label"),
                 )
+                if not (ink.label is None or isinstance(ink.label, list)
+                        and all(isinstance(t, str) for t in ink.label)):
+                    raise ValueError("label must be null or a list of strings")
+                if not (ink.category is None or isinstance(ink.category, str)):
+                    raise ValueError("category must be null or a string")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc
             ink.validate()

@@ -93,6 +93,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: bad vocabulary block ({exc})") from exc
     try:
         arch = ArchConfig(**json.loads(reader.text()))
+        arch.validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     tensors: dict[str, np.ndarray] = {}

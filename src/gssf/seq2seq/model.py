@@ -14,6 +14,8 @@ implemented forward pass.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +57,26 @@ class ArchConfig:
             self.embed_dim, self.att_dim, self.cov_channels, self.cov_kernel,
             self.max_decode_len,
         )
+        if not all(_is_int(s) for s in (*sizes, self.enc_pool)):
+            raise ModelError("architecture sizes must be integers")
         if any(s <= 0 for s in sizes):
             raise ModelError("architecture sizes must be positive")
         if not 0 <= self.enc_pool <= self.enc_layers:
             raise ModelError("enc_pool must lie in [0, enc_layers]")
         if self.cov_kernel % 2 != 1:
             raise ModelError("cov_kernel must be odd")
-        if self.resample_spacing <= 0:
-            raise ModelError("resample_spacing must be positive")
+        if not _is_real(self.resample_spacing) or not self.resample_spacing > 0:
+            raise ModelError("resample_spacing must be a positive number")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite real number that fits a float64 (not a bool, NaN or infinity)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def param_shapes(arch: ArchConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -114,9 +128,6 @@ class ModelParams:
                 raise ModelError(f"tensor {name}: shape {t.shape}, expected {shape}")
             if not np.isfinite(t).all():
                 raise ModelError(f"tensor {name}: non-finite values")
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.vocab, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def init_params(arch: ArchConfig, vocab: Vocabulary, seed: int) -> ModelParams:
@@ -211,13 +222,13 @@ _DIRS = np.arange(2)
 
 
 def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 lens: np.ndarray | None, keep: bool):
+                 lens: np.ndarray, keep: bool):
     """Both directions of one bidirectional encoder layer.
 
     ``xs`` is a batch-major (B, T, in) array and ``weights`` holds the
     (wx, wh, b) triples of the forward and the backward direction. Returns the
     (B, T, 2h) output (forward states, then backward states) and the cache.
-    With ``lens``, a row stops updating past its length (the forward state
+    A row stops updating past its length in ``lens`` (the forward state
     carries over, the backward state stays zero).
 
     Step s advances the forward direction at time s and the backward one at
@@ -230,7 +241,7 @@ def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.
     hs = wh.shape[1]
     b = b[:, None, :]
     times = np.stack([np.arange(t_steps), np.arange(t_steps - 1, -1, -1)], axis=1)
-    valid = None if lens is None else times[:, :, None, None] < lens[:, None]
+    valid = times[:, :, None, None] < lens[:, None]
     x_tm = xs.swapaxes(0, 1)
     states = np.empty((2, t_steps, batch, hs))  # step order
     gates = np.empty((4, 2, t_steps, batch, hs)) if keep else None
@@ -239,7 +250,7 @@ def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.
         h_new, step_gates = _gru_gates(x_tm[times[s]] @ wx + b, h, wh)
         if keep:
             gates[:, :, s] = step_gates
-        h = h_new if valid is None else np.where(valid[s], h_new, h)
+        h = np.where(valid[s], h_new, h)
         states[:, s] = h
     out = np.empty((batch, t_steps, 2 * hs))
     out[:, :, :hs] = states[0].swapaxes(0, 1)
@@ -265,13 +276,10 @@ def _bigru_backward(cache, g: np.ndarray, need_dx: bool):
     dh = np.zeros((2, batch, hs))
     for s in range(t_steps - 1, -1, -1):
         g_s = g_steps[:, s] + dh
-        g_in = g_s if valid is None else np.where(valid[s], g_s, 0.0)
         h_prev = states[:, s - 1] if s else np.zeros((2, batch, hs))
         dgx[_DIRS, :, times[s]], dgh[:, s], dh = _gru_gate_grads(
-            g_in, h_prev, *gates[:, :, s])
-        dh = dh + dgh[:, s] @ wh_t
-        if valid is not None:
-            dh = np.where(valid[s], dh, g_s)
+            np.where(valid[s], g_s, 0.0), h_prev, *gates[:, :, s])
+        dh = np.where(valid[s], dh + dgh[:, s] @ wh_t, g_s)
     # Weight gradients: one product per direction over all T*B rows (the
     # first step's h_prev is zero, so its rows drop out of dwh).
     rows_gx = dgx.reshape(2, batch * t_steps, 3 * hs)
@@ -302,8 +310,7 @@ def _encode_steps(p: Params, arch: ArchConfig, feats: np.ndarray, lens: list[int
             cur_lens = (cur_lens + 1) // 2
         weights = [tuple(p[f"enc{layer}_{d}_{w}"] for w in ("wx", "wh", "b"))
                    for d in ("fwd", "bwd")]
-        cur, cache = _bigru_layer(cur, weights,
-                                  None if cur_lens.min() == cur.shape[1] else cur_lens, keep)
+        cur, cache = _bigru_layer(cur, weights, cur_lens, keep)
         caches.append((cache, pooled_from))
     return cur, cur_lens.tolist(), (caches if keep else None)
 
@@ -520,32 +527,28 @@ def encode(params: ModelParams, feats: np.ndarray) -> Annotations:
     return encode_batch(params, [feats])[0]
 
 
-def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
-                        max_len: int | None = None) -> list[ScoredDecode]:
+def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[ScoredDecode]:
     """Greedy argmax decoding of many annotation sets in padded batches of
     ``INFER_CHUNK``; ties break to the lowest index. A row stops collecting
     tokens once it emits the end marker, and is ``truncated`` if it never
-    does within ``max_len`` steps."""
+    does within ``arch.max_decode_len`` steps."""
     arch = params.arch
-    max_len = arch.max_decode_len if max_len is None else max_len
-    if max_len < 1:
-        raise ModelError("max_len must be at least 1")
     if not anns:
         return []
     if len(anns) > INFER_CHUNK:
         return [d for start in range(0, len(anns), INFER_CHUNK)
-                for d in greedy_decode_batch(params, anns[start:start + INFER_CHUNK], max_len)]
+                for d in greedy_decode_batch(params, anns[start:start + INFER_CHUNK])]
     p = params.tensors
     padded, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
     batch = len(anns)
-    tokens = np.zeros((batch, max_len), dtype=np.int64)
-    logprobs = np.zeros((batch, max_len))
+    tokens = np.zeros((batch, arch.max_decode_len), dtype=np.int64)
+    logprobs = np.zeros((batch, arch.max_decode_len))
     lengths = np.zeros(batch, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     prev = np.full(batch, SOS_INDEX)
     consts, s, _ = _decoder_start(p, padded, klens)
     cov = np.zeros(padded.shape[:2])
-    for t in range(max_len):
+    for t in range(arch.max_decode_len):
         logits, s, cov, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov)
         ls = _log_softmax(logits)
         prev = ls.argmax(axis=1)
@@ -559,9 +562,9 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations],
                          truncated=bool(live[i])) for i, n in enumerate(lengths)]
 
 
-def greedy_decode(params: ModelParams, ann: Annotations, max_len: int | None = None) -> ScoredDecode:
+def greedy_decode(params: ModelParams, ann: Annotations) -> ScoredDecode:
     """Greedy argmax decoding from the start token; ties break to the lowest index."""
-    return greedy_decode_batch(params, [ann], max_len)[0]
+    return greedy_decode_batch(params, [ann])[0]
 
 
 def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:

@@ -10,8 +10,8 @@ from typing import Callable
 import numpy as np
 
 from ..ink import RawInk, extract_features, resample_and_normalize
-from .model import (ArchConfig, ModelError, ModelParams, init_params, loss_and_gradients,
-                    teacher_forced_accuracy)
+from .model import (ArchConfig, ModelError, ModelParams, _is_int, _is_real, init_params,
+                    loss_and_gradients, teacher_forced_accuracy)
 from .vocab import build_vocabulary
 
 
@@ -29,26 +29,37 @@ class TrainConfig:
     patience: int = 20
     val_fraction: float = 0.2
 
+    def validate(self) -> None:
+        counts = (self.batch_size, self.max_epochs, self.patience)
+        if not all(_is_int(n) for n in counts) or self.batch_size < 1 or min(counts) < 0:
+            raise ModelError("need integers batch_size >= 1, max_epochs >= 0 and patience >= 0")
+        lr, clip, val = self.learning_rate, self.clip_norm, self.val_fraction
+        if not all(_is_real(x) for x in (lr, clip, val)):
+            raise ModelError("learning_rate, clip_norm and val_fraction must be finite numbers")
+        if not (lr > 0 and clip >= 0 and 0 <= val <= 1):
+            raise ModelError("need learning_rate > 0, clip_norm >= 0 and val_fraction in [0, 1]")
+
 
 class _Adam:
     """Adaptive moment estimation over the named parameter tensors."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.t = 0
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name in tensors:
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            tensors[name] -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
+            tensors[name] -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.EPS)
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
@@ -95,6 +106,7 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
     per epoch: the token-weighted training loss, the held-out token accuracy,
     the mean pre-clip global gradient norm over its batches and its wall time.
     """
+    config.validate()
     if not dataset:
         raise TrainingError("empty dataset")
     if any(label is None or ink is None for ink, label in dataset):

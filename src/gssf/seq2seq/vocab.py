@@ -42,9 +42,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.index(t) for t in tokens]
 
-    def decode(self, indices: list[int]) -> list[str]:
-        return [self.tokens[i] for i in indices]
-
 
 def build_vocabulary(label_sequences: list[list[str]]) -> Vocabulary:
     """Deterministic vocabulary over a label corpus: reserved markers, then sorted symbols."""

@@ -61,7 +61,7 @@ def score_answers(params: ModelParams, inks: list[RawInk]) -> list[AnswerScoring
     feats = [extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
              for ink in inks]
     anns = seq2seq.encode_batch(params, feats)
-    decodes = seq2seq.greedy_decode_batch(params, anns, params.arch.max_decode_len)
+    decodes = seq2seq.greedy_decode_batch(params, anns)
     return [AnswerScoring(id=ink.id, annotations=ann, decode=decode)
             for ink, ann, decode in zip(inks, anns, decodes)]
 

@@ -124,22 +124,6 @@ class AnswerSetSpec:
             raise SynthesisError("seed must be non-negative")
         self.jitter.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "spacing": self.spacing,
-            "jitter": {
-                "sigma": self.jitter.sigma,
-                "scale": self.jitter.scale,
-                "rotation_deg": self.jitter.rotation_deg,
-                "shear": self.jitter.shear,
-            },
-            "categories": [
-                {"label": list(c.label), "count": c.count, **({"id": c.id} if c.id else {})}
-                for c in self.categories
-            ],
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "AnswerSetSpec":
         try:
@@ -199,16 +183,14 @@ def render_expression(tokens: list[str], templates: dict[str, SymbolTemplate],
     return RawInk(strokes=strokes)
 
 
-def generate_answer_set(spec: AnswerSetSpec,
-                        templates: dict[str, SymbolTemplate] | None = None) -> list[RawInk]:
+def generate_answer_set(spec: AnswerSetSpec) -> list[RawInk]:
     """Render every category's samples, resample, label and shuffle them.
 
     Deterministic for a fixed spec: sample i draws from a generator seeded by
     (spec.seed, i), so parallel or partial generation cannot change output.
     """
     spec.validate()
-    if templates is None:
-        templates = default_templates()
+    templates = default_templates()
     for cat in spec.categories:
         for tok in cat.label:
             if tok not in templates:

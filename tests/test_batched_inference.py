@@ -33,7 +33,7 @@ def per_answer_scoring(params, inks):
         feats = extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
         ann = encode(params, feats)
         out.append(AnswerScoring(id=ink.id, annotations=ann,
-                                 decode=greedy_decode(params, ann, params.arch.max_decode_len)))
+                                 decode=greedy_decode(params, ann)))
     return out
 
 

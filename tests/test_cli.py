@@ -281,6 +281,33 @@ class TestCompare:
         kinds = {r["kind"] for r in table["rows"]}
         assert kinds == {"gssf", "min", "max"}
 
+    def test_linkage_cells_clustered_once(self, tiny_pipeline, tmp_path, monkeypatch):
+        import gssf.cli
+
+        calls = []
+        cluster_once = gssf.cli._cluster_once
+
+        def counting(method, *args):
+            calls.append(method)
+            return cluster_once(method, *args)
+
+        monkeypatch.setattr(gssf.cli, "_cluster_once", counting)
+        out = tmp_path / "cmp_all"
+        code = main(["compare", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
+                     "--config", str(tiny_pipeline["config"]),
+                     "--methods", "m3,m4,m5", "--num-seeds", "3", "--seed", "4"])
+        assert code == 0
+        # 13 cells (m3 needs a symmetric F kind): 5 k-means cells x 3 seeds + 8 linkage.
+        assert sorted(calls) == ["m3"] * 3 + ["m4"] * 5 + ["m5"] * 15
+        table = json.loads((out / "compare.json").read_text())
+        assert len(table["rows"]) == 39
+        for start in range(0, 39, 3):
+            cell = table["rows"][start:start + 3]
+            assert [r["seed"] for r in cell] == [4, 5, 6]
+            if cell[0]["method"] != "m5":
+                assert len({(r["purity"], r["mc"]) for r in cell}) == 1
+
 
 class TestHeatmap:
     def test_csv_to_pgm(self, tiny_pipeline, tmp_path):
@@ -307,6 +334,25 @@ class TestUsage:
         assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("section,values", [
+        ("train", {"weird": 1}), ("train", {"arch": {}}),
+        ("train", {"batch_size": -1}), ("train", {"batch_size": 2.5}),
+        ("train", {"learning_rate": "x"}), ("train", {"clip_norm": "a"}),
+        ("arch", {"enc_layers": 2.5}), ("arch", {"max_decode_len": 2.5}),
+    ])
+    def test_bad_training_config_exit_2(self, tiny_pipeline, tmp_path, capsys,
+                                        section, values):
+        config = {"arch": dict(TINY_CONFIG["arch"]),
+                  "train": {"max_epochs": 1, "patience": 1}}
+        config[section].update(values)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(ckpt),
+                     "--config", str(path)]) == 2
+        assert "config" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_unknown_config_key_exit_2(self, tiny_pipeline, tmp_path):
         config = tmp_path / "bad.json"

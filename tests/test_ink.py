@@ -210,6 +210,18 @@ class TestJsonl:
         with pytest.raises(InkError, match="duplicate"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("label", "12"), ("label", [1, "+", 2]), ("label", {"a": 1}), ("label", 7),
+        ("category", ["c"]), ("category", 5), ("category", {"c": 1}),
+    ])
+    def test_label_and_category_types_checked(self, tmp_path, field, value):
+        sample = {"id": "x", "category": None, "label": None,
+                  "strokes": [[[0.0, 0.0], [1.0, 1.0]]], field: value}
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(sample) + "\n")
+        with pytest.raises(InkError, match=f"{field} must be"):
+            load_jsonl(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json\n")

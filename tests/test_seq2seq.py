@@ -1,5 +1,7 @@
 """Recognizer unit tests: vocabulary, encoder/decoder laws, training, checkpoints."""
 
+import dataclasses
+import json
 import math
 import struct
 
@@ -29,6 +31,12 @@ def small_model(seed=7, vocab_tokens=(("a", "b"), ("c",))):
 
 def random_feats(length, seed=0):
     return np.random.default_rng(seed).normal(0, 1, (length, 8))
+
+
+def with_max_decode_len(params, n):
+    """``params`` with the decode cap set to ``n``; tensors are shared."""
+    arch = dataclasses.replace(params.arch, max_decode_len=n)
+    return ModelParams(arch, params.vocab, params.tensors)
 
 
 def init_decoder_state(params, ann):
@@ -82,7 +90,7 @@ class TestVocabulary:
 
     def test_roundtrip_encode_decode(self):
         v = build_vocabulary([["a", "b", "c"]])
-        assert v.decode(v.encode(["c", "a"])) == ["c", "a"]
+        assert [v.tokens[i] for i in v.encode(["c", "a"])] == ["c", "a"]
 
 
 class TestInitParams:
@@ -160,7 +168,7 @@ class TestGreedyDecode:
     def test_zero_params_tie_rule(self):
         p = zero_params(SMALL, build_vocabulary([["a", "b"]]))
         ann = encode(p, random_feats(4))
-        dec = greedy_decode(p, ann, max_len=5)
+        dec = greedy_decode(with_max_decode_len(p, 5), ann)
         # uniform distribution: lowest index (the start marker) wins every tie
         assert dec.tokens == [SOS_INDEX] * 5
         assert dec.truncated
@@ -169,14 +177,14 @@ class TestGreedyDecode:
     def test_max_len_one(self):
         p = small_model()
         ann = encode(p, random_feats(4))
-        dec = greedy_decode(p, ann, max_len=1)
+        dec = greedy_decode(with_max_decode_len(p, 1), ann)
         assert len(dec.tokens) <= 1
         assert dec.truncated == (len(dec.tokens) == 1)
 
     def test_greedy_maximality(self):
         p = small_model(seed=9)
         ann = encode(p, random_feats(6, seed=2))
-        dec = greedy_decode(p, ann, max_len=6)
+        dec = greedy_decode(with_max_decode_len(p, 6), ann)
         state, cov = init_decoder_state(p, ann)
         prev = SOS_INDEX
         for tok, lp in zip(dec.tokens, dec.self_logprobs):
@@ -187,16 +195,18 @@ class TestGreedyDecode:
             prev = tok
 
     def test_bad_max_len(self):
-        p = small_model()
+        # The cap is an architecture size, so no decodable model can carry 0.
         with pytest.raises(ModelError):
-            greedy_decode(p, encode(p, random_feats(3)), max_len=0)
+            dataclasses.replace(SMALL, max_decode_len=0).validate()
+        with pytest.raises(ModelError):
+            with_max_decode_len(small_model(), 0).validate()
 
 
 class TestTeacherForcing:
     def test_matches_greedy_on_own_decode(self):
         p = small_model(seed=11)
         ann = encode(p, random_feats(8, seed=3))
-        dec = greedy_decode(p, ann, max_len=6)
+        dec = greedy_decode(with_max_decode_len(p, 6), ann)
         if not dec.tokens:
             pytest.skip("decode empty for this seed")
         lp = teacher_forced_logprobs(p, ann, dec.tokens)
@@ -300,7 +310,7 @@ class TestTrain:
         assert history[-1]["loss"] < 0.01
         feats = extract_features(resample_and_normalize(ink, config.arch.resample_spacing))
         dec = greedy_decode(params, encode(params, feats))
-        assert params.vocab.decode(dec.tokens) == label
+        assert [params.vocab.tokens[i] for i in dec.tokens] == label
 
     def test_deterministic_for_fixed_seed(self):
         ink, label, config = memorization_fixture()
@@ -323,6 +333,11 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train([], TrainConfig(), seed=0)
 
+    def test_bad_config_rejected_before_training(self):
+        ink, label, config = memorization_fixture()
+        with pytest.raises(ModelError, match="batch_size"):
+            train([(ink, label)], dataclasses.replace(config, batch_size=-1), seed=0)
+
     def test_internal_error_is_not_relabelled(self, monkeypatch):
         ink, label, config = memorization_fixture()
 
@@ -332,6 +347,41 @@ class TestTrain:
         monkeypatch.setattr("gssf.seq2seq.training.loss_and_gradients", broken)
         with pytest.raises(IndexError, match="internal bug"):
             train([(ink, label)], config, seed=0)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("enc_layers", 2.5), ("max_decode_len", 2.5), ("dec_hidden", "6"),
+        ("enc_pool", True), ("cov_kernel", None),
+        ("resample_spacing", "x"), ("resample_spacing", math.inf),
+        ("resample_spacing", math.nan), ("resample_spacing", 0.0),
+    ])
+    def test_arch_rejects(self, field, value):
+        with pytest.raises(ModelError):
+            dataclasses.replace(SMALL, **{field: value}).validate()
+
+    def test_arch_accepts_numpy_integers(self):
+        dataclasses.replace(SMALL, enc_layers=np.int64(2),
+                            resample_spacing=np.float64(0.1)).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", -1), ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True),
+        ("max_epochs", -1), ("max_epochs", 3.0), ("patience", -1), ("patience", "5"),
+        ("learning_rate", "x"), ("learning_rate", 0.0), ("learning_rate", math.nan),
+        pytest.param("learning_rate", 10 ** 400, id="learning_rate-huge_int"),
+        ("clip_norm", "a"), ("clip_norm", -1.0),
+        ("clip_norm", math.inf), ("val_fraction", 1.5), ("val_fraction", -0.1),
+        ("val_fraction", math.nan), ("val_fraction", None),
+    ])
+    def test_train_rejects(self, field, value):
+        with pytest.raises(ModelError):
+            TrainConfig(**{field: value}).validate()
+
+    def test_train_accepts_boundaries(self):
+        TrainConfig().validate()
+        TrainConfig(learning_rate=1e300, clip_norm=0, batch_size=np.int64(1), max_epochs=0,
+                    patience=0, val_fraction=1).validate()
+        TrainConfig(val_fraction=0.0).validate()
 
 
 class TestCheckpoint:
@@ -368,6 +418,17 @@ class TestCheckpoint:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_integer_config_size_raises_checkpoint_error(self, tmp_path):
+        data = checkpoint_bytes(small_model())
+        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+        bad = cfg.replace(b'"dec_hidden": 6', b'"dec_hidden": "6"')
+        assert bad != cfg
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
+                                      struct.pack("<I", len(bad)) + bad))
+        with pytest.raises(CheckpointError, match="bad config block"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt", ["token_0xff", "emb_2**62x4", "emb_2**63x2"])

@@ -135,7 +135,12 @@ class TestGenerateAnswerSet:
         path = tmp_path / "spec.json"
         import json
 
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps({
+            "seed": 21, "spacing": 0.1,
+            "jitter": {"sigma": 0.02, "scale": 0.05, "rotation_deg": 5.0},
+            "categories": [{"label": ["1", "+", "2"], "count": 3},
+                           {"label": ["x", "=", "7"], "count": 3}],
+        }))
         assert load_spec(path) == spec
 
     def test_malformed_spec_file(self, tmp_path):
