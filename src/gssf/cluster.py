@@ -95,7 +95,7 @@ def kmeans_single(rows: np.ndarray, k: int, rng: np.random.Generator):
                 centroids[c] = members.mean(axis=0)
         # Empty clusters, in ascending order, seize the points currently
         # farthest from their centroids.
-        empty = np.setdiff1d(np.arange(k), labels)
+        empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
         if len(empty):
             order = np.argsort(-point_cost, kind="stable")
             centroids[empty] = rows[order[:len(empty)]]

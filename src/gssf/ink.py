@@ -15,6 +15,9 @@ from pathlib import Path
 import numpy as np
 
 
+MAX_POINTS = 32_768  # resampled points per answer; ~300x a typical answer, bounds encoder cost
+
+
 class InkError(ValueError):
     """Raised for structurally invalid or degenerate ink."""
 
@@ -49,36 +52,43 @@ class RawInk:
         """Flattened (L, 2) points and their (L,) stroke indices, writing order."""
         self.validate()
         pts = np.concatenate(self.strokes, axis=0)
-        sidx = np.concatenate(
-            [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(self.strokes)]
-        )
+        sidx = np.repeat(np.arange(len(self.strokes)), [len(s) for s in self.strokes])
         return pts, sidx
 
 
-def _resample_stroke(pts: np.ndarray, step: float) -> np.ndarray:
+def _resample(pts: np.ndarray, starts: np.ndarray, step: float):
     """Split every polyline segment into equal chords of roughly ``step``.
 
-    Original vertices are kept (corners are never cut), so the output traces
-    the same curve; consecutive duplicate points collapse. A second pass at
-    the same step subdivides nothing, which makes resampling idempotent.
+    ``pts`` holds all strokes' vertices in writing order and ``starts`` the
+    index of each stroke's first vertex; no segment joins two strokes. Each
+    stroke keeps its first vertex and every other original vertex (corners are
+    never cut), so the output traces the same curves; consecutive duplicate
+    points collapse, and a zero-length stroke keeps only its first point. A
+    second pass at the same step subdivides nothing, which makes resampling
+    idempotent. Returns the resampled points and each stroke's start in them.
     """
-    seg = np.diff(pts, axis=0)
+    seg = np.diff(pts, axis=0, prepend=pts[:1])  # seg[v] is the segment into vertex v
     seglen = np.hypot(seg[:, 0], seg[:, 1])
-    if len(pts) == 1 or float(seglen.sum()) == 0.0:
-        return pts[:1].copy()
     keep = seglen > 0.0
-    a, b = pts[:-1][keep], pts[1:][keep]
-    # Segment i yields the points a + (b - a) * (j / pieces) for j = 1..pieces,
-    # the last of which is b itself.
-    pieces = np.maximum(1, np.rint(seglen[keep] / step).astype(np.int64))
-    seg = np.repeat(np.arange(len(a)), pieces)
-    ends = np.cumsum(pieces)
-    j = np.arange(1, len(seg) + 1) - np.repeat(ends - pieces, pieces)
-    out = np.empty((len(seg) + 1, 2))
-    out[0] = pts[0]
-    out[1:] = a[seg] + (b - a)[seg] * (j / pieces[seg])[:, None]
-    out[ends] = b
-    return out
+    # counts[v] is the number of output points vertex v ends: 1 for a stroke
+    # start (whose incoming segment, joining two strokes, is dropped), else the
+    # pieces of the segment into v (0 if it has zero length).
+    counts = np.zeros(len(pts))
+    counts[keep] = np.maximum(1.0, np.rint(seglen[keep] / step))
+    counts[starts] = 1.0
+    total = counts.sum()
+    if not total <= MAX_POINTS:
+        raise InkError(f"resamples to {total:.3g} points, over the {MAX_POINTS} cap")
+    counts = counts.astype(np.int64)
+    ends = np.cumsum(counts)
+    vert = np.repeat(np.arange(len(pts)), counts)  # the vertex each output point ends
+    # The segment into vertex v yields pts[v-1] + seg[v] * (j / counts[v]) for
+    # j = 1..counts[v]; its last piece, and each stroke start, is pts[v].
+    j = np.arange(1, len(vert) + 1) - (ends - counts)[vert]
+    out = pts[vert - 1] + seg[vert] * (j / counts[vert])[:, None]
+    ended = counts > 0
+    out[ends[ended] - 1] = pts[ended]
+    return out, (ends - counts)[starts]
 
 
 def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
@@ -96,20 +106,26 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
     if spacing <= 0:
         raise InkError("spacing must be positive")
     pts = np.concatenate(ink.strokes, axis=0)
-    extent = pts.max(axis=0) - pts.min(axis=0)
+    with np.errstate(over="ignore"):
+        extent = pts.max(axis=0) - pts.min(axis=0)
     if extent[0] == 0.0 and extent[1] == 0.0:
         raise InkError(f"ink {ink.id!r}: degenerate extent")
+    if not np.isfinite(extent).all():
+        raise InkError(f"ink {ink.id!r}: coordinate range overflows")
     # Height-zero ink (a horizontal line) falls back to width scaling.
     ref = extent[1] if extent[1] > 0.0 else extent[0]
-    strokes = [_resample_stroke(s, spacing * ref) for s in ink.strokes]
-    rpts = np.concatenate(strokes, axis=0)
+    lens = [len(s) for s in ink.strokes]
+    try:
+        rpts, starts = _resample(pts, np.cumsum(lens) - lens, spacing * ref)
+    except InkError as exc:
+        raise InkError(f"ink {ink.id!r}: {exc}") from None
     mins = rpts.min(axis=0)
     rext = rpts.max(axis=0) - mins
     if rext[0] == 0.0 and rext[1] == 0.0:
         raise InkError(f"ink {ink.id!r}: degenerate extent")
     # True division keeps the attained extremes exactly at 0 and 1.
     denom = rext[1] if rext[1] > 0.0 else rext[0]
-    strokes = [(s - mins) / denom for s in strokes]
+    strokes = np.split((rpts - mins) / denom, starts[1:])
     return RawInk(strokes=strokes, id=ink.id, category=ink.category, label=ink.label)
 
 

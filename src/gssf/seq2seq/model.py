@@ -25,6 +25,7 @@ from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
 INFER_CHUNK = 32  # answers per padded encoder or decoder batch; bounds inference memory
 CROSS_CHUNK = 64  # (decode, annotation set) pairs per teacher-forced scoring batch
+MAX_ARCH_SIZE = 4096  # upper bound on every architecture size, decode length included
 
 
 class ModelError(ValueError):
@@ -59,8 +60,8 @@ class ArchConfig:
         )
         if not all(_is_int(s) for s in (*sizes, self.enc_pool)):
             raise ModelError("architecture sizes must be integers")
-        if any(s <= 0 for s in sizes):
-            raise ModelError("architecture sizes must be positive")
+        if any(not 0 < s <= MAX_ARCH_SIZE for s in sizes):
+            raise ModelError(f"architecture sizes must lie in [1, {MAX_ARCH_SIZE}]")
         if not 0 <= self.enc_pool <= self.enc_layers:
             raise ModelError("enc_pool must lie in [0, enc_layers]")
         if self.cov_kernel % 2 != 1:
@@ -333,20 +334,26 @@ def _encode_backward(caches, g: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _decoder_start(p: Params, ann: np.ndarray, klens: list[int]):
-    """Per-batch decoder constants, the initial state, and the mean cache.
+    """Per-batch decoder constants, the initial state and coverage, and the
+    mean cache.
 
     The constants are the attention keys, the additive mask bias that zeroes
-    padded positions, and the folded (W, att_dim) coverage kernel
-    ``cov_k @ cov_w``. The initial state reads the masked mean of the
-    annotations; the mean cache holds its (B, K) weights and the mean itself.
+    padded positions, the folded (W, att_dim) coverage kernel
+    ``cov_k @ cov_w`` and the (K, W) index of every coverage window. The
+    coverage accumulator starts at zero, padded by W // 2 on each side. The
+    initial state reads the masked mean of the annotations; the mean cache
+    holds its (B, K) weights and the mean itself.
     """
-    valid = np.arange(ann.shape[1]) < np.asarray(klens)[:, None]
+    batch, k_max = ann.shape[:2]
+    width = p["cov_k"].shape[0]
+    valid = np.arange(k_max) < np.asarray(klens)[:, None]
     inv = 1.0 / np.asarray(klens, dtype=np.float64)
     mean = (ann * valid[:, :, None]).sum(axis=1) * inv[:, None]
     s0 = np.tanh(mean @ p["dec_init_w"] + p["dec_init_b"])
     consts = (ann @ p["att_ua"] + p["att_b"], np.where(valid, 0.0, MASK_NEG),
-              p["cov_k"] @ p["cov_w"])
-    return consts, s0, (valid * inv[:, None], mean)
+              p["cov_k"] @ p["cov_w"], np.arange(k_max)[:, None] + np.arange(width))
+    cov0 = np.zeros((batch, k_max + width - 1))
+    return consts, s0, cov0, (valid * inv[:, None], mean)
 
 
 def _decode_step(p: Params, ann: np.ndarray, consts, prev_emb: np.ndarray,
@@ -354,24 +361,25 @@ def _decode_step(p: Params, ann: np.ndarray, consts, prev_emb: np.ndarray,
     """One decoder step over a (B, K, a) annotation batch.
 
     The attention energy adds the coverage term: each width-W window of the
-    zero-padded accumulated attention times the folded kernel. Returns the
-    output logits, the new state, the new accumulated attention and the step
-    cache (decoder input, coverage windows, attention activations, attention
+    zero-padded accumulated attention ``cov_acc`` times the folded kernel.
+    This step's attention weights are added to the interior of ``cov_acc`` in
+    place. Returns the output logits, the new state and the step cache
+    (decoder input, coverage windows, attention activations, attention
     weights, recurrent gates).
     """
-    keys, mask_bias, kw = consts
-    k_max = ann.shape[1]
+    keys, mask_bias, kw, win = consts
+    windows = cov_acc[:, win]
+    act = keys + (s_prev @ p["att_ws"])[:, None, :]
+    act += windows @ kw
+    np.tanh(act, out=act)
+    alpha = np.exp(_log_softmax(act @ p["att_v"] + mask_bias))
     pad = kw.shape[0] // 2
-    padded = np.pad(cov_acc, ((0, 0), (pad, pad)))
-    windows = padded[:, np.arange(k_max)[:, None] + np.arange(kw.shape[0])]
-    act = np.tanh(keys + (s_prev @ p["att_ws"])[:, None, :] + windows @ kw)
-    energy = (act * p["att_v"]).sum(axis=2) + mask_bias
-    alpha = np.exp(_log_softmax(energy))
+    cov_acc[:, pad:pad + ann.shape[1]] += alpha
     ctx = (alpha[:, None, :] @ ann)[:, 0]
     x = np.concatenate([prev_emb, ctx], axis=1)
     s, gates = _gru_gates(x @ p["dec_wx"] + p["dec_b"], s_prev, p["dec_wh"])
     logits = s @ p["out_ws"] + ctx @ p["out_wc"] + prev_emb @ p["out_we"] + p["out_b"]
-    return logits, s, cov_acc + alpha, (x, windows, act, alpha, gates)
+    return logits, s, (x, windows, act, alpha, gates)
 
 
 def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np.ndarray,
@@ -382,14 +390,13 @@ def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np
     log-probabilities of ``targets``, the (B, T) per-step argmax and the cache
     ``_teacher_forced_backward`` reads.
     """
-    consts, s, mean_cache = _decoder_start(p, ann, klens)
-    cov = np.zeros(ann.shape[:2])
+    consts, s, cov, mean_cache = _decoder_start(p, ann, klens)
     rows = np.arange(feed.shape[0])
     lp = np.empty(feed.shape)
     argmax = np.empty(feed.shape, dtype=np.int64)
     kept = []
     for t in range(feed.shape[1]):
-        logits, s_new, cov, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov)
+        logits, s_new, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov)
         ls = _log_softmax(logits)
         argmax[:, t] = ls.argmax(axis=1)
         lp[:, t] = ls[rows, targets[:, t]]
@@ -546,10 +553,9 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[Sc
     lengths = np.zeros(batch, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     prev = np.full(batch, SOS_INDEX)
-    consts, s, _ = _decoder_start(p, padded, klens)
-    cov = np.zeros(padded.shape[:2])
+    consts, s, cov, _ = _decoder_start(p, padded, klens)
     for t in range(arch.max_decode_len):
-        logits, s, cov, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov)
+        logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov)
         ls = _log_softmax(logits)
         prev = ls.argmax(axis=1)
         live &= prev != EOS_INDEX

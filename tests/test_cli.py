@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -340,6 +341,7 @@ class TestUsage:
         ("train", {"batch_size": -1}), ("train", {"batch_size": 2.5}),
         ("train", {"learning_rate": "x"}), ("train", {"clip_norm": "a"}),
         ("arch", {"enc_layers": 2.5}), ("arch", {"max_decode_len": 2.5}),
+        ("arch", {"max_decode_len": 10 ** 12}),
     ])
     def test_bad_training_config_exit_2(self, tiny_pipeline, tmp_path, capsys,
                                         section, values):
@@ -353,6 +355,17 @@ class TestUsage:
                      "--config", str(path)]) == 2
         assert "config" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("height", [1e-6, 1e-300])
+    def test_oversampled_ink_exit_2(self, tiny_pipeline, tmp_path, capsys, height):
+        data = tmp_path / "thin.jsonl"
+        save_jsonl(data, [RawInk(strokes=[np.array([[0.0, 0.0], [1.0, height]])], id="thin"),
+                          RawInk(strokes=[np.array([[0.0, 0.0], [1.0, 1.0]])], id="ok")])
+        start = time.perf_counter()
+        assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "'thin'" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tiny_pipeline, tmp_path):
         config = tmp_path / "bad.json"

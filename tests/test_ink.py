@@ -1,14 +1,21 @@
 """Trajectory preprocessing and point-feature extraction."""
 
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssf.ink import (InkError, RawInk, _resample_stroke, extract_features, load_jsonl,
+from gssf.ink import (MAX_POINTS, InkError, RawInk, _resample, extract_features, load_jsonl,
                       resample_and_normalize, save_jsonl)
+
+
+def _resample_stroke(pts, step):
+    """The whole-answer resampler run on one stroke."""
+    return _resample(pts, np.array([0]), step)[0]
 
 
 def vertical_two_point():
@@ -136,6 +143,107 @@ class TestResampleStrokeOracle:
             for stroke in ink.strokes:
                 assert_bit_equal(_resample_stroke(stroke, step),
                                  loop_resample_stroke(stroke, step))
+
+
+def loop_resample_answer(strokes, step):
+    """Oracle: ``loop_resample_stroke`` per stroke, concatenated, with each
+    stroke's start in the result."""
+    parts = [loop_resample_stroke(s, step) for s in strokes]
+    lens = [len(p) for p in parts]
+    return np.concatenate(parts), np.cumsum(lens) - lens
+
+
+def assert_answer_matches_loop(strokes, step):
+    lens = [len(s) for s in strokes]
+    got, starts = _resample(np.concatenate(strokes), np.cumsum(lens) - lens, step)
+    want, want_starts = loop_resample_answer(strokes, step)
+    assert_bit_equal(got, want)
+    np.testing.assert_array_equal(starts, want_starts)
+
+
+class TestWholeAnswerResample:
+    @given(st.lists(st.tuples(polylines, st.booleans()), min_size=1, max_size=5),
+           st.floats(0.05, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_stroke_loop(self, strokes, step):
+        # A true flag starts the stroke where the previous one ended.
+        arrays = []
+        for points, joined in strokes:
+            pts = np.array(points, dtype=np.float64)
+            if joined and arrays:
+                pts[0] = arrays[-1][-1]
+            arrays.append(pts)
+        assert_answer_matches_loop(arrays, step)
+
+    def test_seeded_answers_with_dots_and_zero_length_strokes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            strokes = []
+            for _ in range(int(rng.integers(1, 6))):
+                kind = rng.random()
+                if kind < 0.15:  # a dot
+                    pts = rng.normal(0, 1, (1, 2))
+                elif kind < 0.3:  # a zero-length stroke: one vertex repeated
+                    pts = np.repeat(rng.normal(0, 1, (1, 2)), int(rng.integers(2, 5)), axis=0)
+                else:
+                    pts = rng.normal(0, 1, (int(rng.integers(2, 15)), 2))
+                    dup = rng.random(len(pts)) < 0.3
+                    dup[0] = False
+                    pts[dup] = pts[np.flatnonzero(dup) - 1]
+                if strokes and rng.random() < 0.3:  # start where the last stroke ended
+                    pts[0] = strokes[-1][-1]
+                strokes.append(pts)
+            step = float(rng.choice([0.01, 0.05, 0.08, 0.3]))
+            assert_answer_matches_loop(strokes, step)
+
+    def test_half_integer_piece_counts_round_to_even(self):
+        strokes = [np.array([[0.0, 0.0], [2.5, 0.0]]), np.array([[2.5, 0.0], [2.5, 3.5]]),
+                   np.array([[0.0, 1.0], [0.5, 1.0]])]
+        got, starts = _resample(np.concatenate(strokes), np.array([0, 2, 4]), 1.0)
+        np.testing.assert_array_equal(starts, [0, 3, 8])
+        assert len(got) == (1 + 2) + (1 + 4) + (1 + 1)
+        assert_answer_matches_loop(strokes, 1.0)
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.05, 0.08, 0.3])
+    def test_benchmark_answers(self, benchmark_inks, spacing):
+        for ink in benchmark_inks:
+            pts = np.concatenate(ink.strokes)
+            extent = pts.max(axis=0) - pts.min(axis=0)
+            step = spacing * (extent[1] if extent[1] > 0.0 else extent[0])
+            assert_answer_matches_loop(ink.strokes, step)
+
+    def test_points_stroke_ids(self):
+        strokes = [np.zeros((3, 2)), np.ones((1, 2)), np.zeros((2, 2))]
+        _, sidx = RawInk(strokes=strokes, id="i").points()
+        np.testing.assert_array_equal(sidx, [0, 0, 0, 1, 2, 2])
+        assert sidx.dtype == np.int64
+
+
+class TestBoundedResampling:
+    @pytest.mark.parametrize("height", [1e-6, 1e-300])
+    def test_thin_stroke_rejected_fast(self, height):
+        ink = RawInk(strokes=[np.array([[0.0, 0.0], [1.0, height]])], id="thin")
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflowing cast on the way
+            with pytest.raises(InkError, match="'thin'.*cap"):
+                resample_and_normalize(ink)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_boundary(self):
+        # (0, 0)-(0, 1) at spacing 1/n resamples to n + 1 points.
+        n = MAX_POINTS - 1
+        out = resample_and_normalize(vertical_two_point(), spacing=1.0 / n)
+        assert len(out.strokes[0]) == MAX_POINTS
+        with pytest.raises(InkError, match="cap"):
+            resample_and_normalize(vertical_two_point(), spacing=1.0 / MAX_POINTS)
+
+    def test_overflowing_coordinate_range_rejected(self):
+        ink = RawInk(strokes=[np.array([[-1e308, 0.0], [1e308, 1.0]])], id="wide")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InkError, match="overflows"):
+                resample_and_normalize(ink)
 
 
 class TestExtractFeatures:

@@ -15,6 +15,7 @@ from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           cross_logprob_sums, encode, greedy_decode, init_params,
                           load_checkpoint, loss_and_gradients, save_checkpoint,
                           teacher_forced_logprobs, train, zero_params)
+from gssf.seq2seq.model import MAX_ARCH_SIZE
 from gssf.seq2seq.vocab import EOS_INDEX, SOS_INDEX
 from tape import as_tensor, log_softmax, no_grad
 from tape_model import attention_keys, decode_step_core, wrap
@@ -360,6 +361,18 @@ class TestConfigValidation:
         with pytest.raises(ModelError):
             dataclasses.replace(SMALL, **{field: value}).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_decode_len", 10 ** 12), ("enc_hidden", MAX_ARCH_SIZE + 1),
+        ("enc_layers", MAX_ARCH_SIZE + 1), ("cov_kernel", 2 * MAX_ARCH_SIZE + 1),
+    ])
+    def test_arch_rejects_oversized(self, field, value):
+        with pytest.raises(ModelError, match=str(MAX_ARCH_SIZE)):
+            dataclasses.replace(SMALL, **{field: value}).validate()
+
+    def test_arch_accepts_the_size_cap(self):
+        dataclasses.replace(SMALL, max_decode_len=MAX_ARCH_SIZE, att_dim=MAX_ARCH_SIZE,
+                            cov_kernel=MAX_ARCH_SIZE - 1).validate()
+
     def test_arch_accepts_numpy_integers(self):
         dataclasses.replace(SMALL, enc_layers=np.int64(2),
                             resample_spacing=np.float64(0.1)).validate()
@@ -425,6 +438,18 @@ class TestCheckpoint:
         cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
         bad = cfg.replace(b'"dec_hidden": 6', b'"dec_hidden": "6"')
         assert bad != cfg
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
+                                      struct.pack("<I", len(bad)) + bad))
+        with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(path)
+
+    def test_oversized_config_size_raises_checkpoint_error(self, tmp_path):
+        data = checkpoint_bytes(small_model())
+        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+        field = f'"max_decode_len": {SMALL.max_decode_len}'.encode()
+        assert field in cfg
+        bad = cfg.replace(field, b'"max_decode_len": 1000000000000')
         path = tmp_path / "model.ckpt"
         path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
                                       struct.pack("<I", len(bad)) + bad))
