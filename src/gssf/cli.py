@@ -24,8 +24,8 @@ from .cluster import (Assignment, ClusteringError, complete_linkage,
                       save_assignment_csv)
 from .ink import InkError, load_jsonl, save_jsonl
 from .metrics import MetricsError, adjusted_rand_index, evaluate, normalized_mutual_info
-from .sbr import (SbRMatrix, build_sbr_matrix, load_csv, normalize_unit_interval,
-                  save_csv, save_pgm)
+from .sbr import (SbRError, SbRMatrix, build_sbr_matrix, load_csv,
+                  normalize_unit_interval, save_csv, save_pgm)
 from .seq2seq import (ArchConfig, CheckpointError, ModelError, TrainConfig,
                       TrainingError, VocabularyError, checkpoint_bytes,
                       load_checkpoint, save_checkpoint, train)
@@ -81,6 +81,19 @@ def _pick(flag_value, config: dict, key: str, default):
     return flag_value if flag_value is not None else config.get(key, default)
 
 
+def _pick_int(flag_value, config: dict, key: str, default: int | None,
+              minimum: int) -> int | None:
+    """An integer setting of at least ``minimum``: the flag, else the config key,
+    else ``default``. Anything else raises ``UsageError``; None comes back only
+    as an unset setting whose default is None."""
+    value = _pick(flag_value, config, key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UsageError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _arch_config(config: dict) -> ArchConfig:
     try:
         arch = ArchConfig(**config.get("arch", {}))
@@ -100,7 +113,7 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _parse_kind(name: str) -> SimilarityKind:
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     if key in KIND_ALIASES:
         return KIND_ALIASES[key]
     try:
@@ -218,7 +231,7 @@ def cmd_train(args) -> int:
     inks = load_jsonl(args.data)
     if any(ink.label is None for ink in inks):
         raise UsageError("training data must carry a label on every sample")
-    seed = int(_pick(args.seed, config, "seed", 0))
+    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     tconf = _train_config(config)
 
     def on_epoch(record: dict) -> None:
@@ -237,10 +250,8 @@ def cmd_train(args) -> int:
 def _score_stage(args, config: dict):
     inks = load_jsonl(args.data)
     params = load_checkpoint(args.ckpt)
-    threads = _pick(args.threads, config, "threads", None)
-    if threads is not None:  # accepted and validated, but scoring no longer uses it
-        if int(threads) < 1:
-            raise UsageError("--threads must be at least 1")
+    if _pick_int(args.threads, config, "threads", None, minimum=1) is not None:
+        # accepted and validated, but scoring no longer uses it
         log.warning("--threads and config key 'threads' are deprecated and ignored")
     t0 = time.perf_counter()
     answers = score_answers(params, inks)
@@ -255,8 +266,8 @@ def cmd_cluster(args) -> int:
     method = str(_pick(args.method, config, "method", "m5"))
     _check_compatibility(method, kind)
     normalization = str(_pick(args.normalization, config, "normalization", "global"))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    restarts = int(_pick(args.restarts, config, "restarts", 10))
+    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
+    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
 
     inks, params, answers, categories, score_s = _score_stage(args, config)
     k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
@@ -311,11 +322,9 @@ def cmd_compare(args) -> int:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
     normalization = str(_pick(args.normalization, config, "normalization", "global"))
-    base_seed = int(_pick(args.seed, config, "seed", 0))
-    restarts = int(_pick(args.restarts, config, "restarts", 10))
-    num_seeds = int(_pick(args.num_seeds, config, "num_seeds", 3))
-    if num_seeds < 1:
-        raise UsageError("--num-seeds must be at least 1")
+    base_seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
+    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
+    num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
 
     # Sweep only the compatible cells; m3 over a non-symmetric kind is skipped.
     cells = []
@@ -457,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (UsageError, InkError, SynthesisError, CheckpointError, ClusteringError,
-            MetricsError, ModelError, VocabularyError, ValueError, OSError) as exc:
+            MetricsError, ModelError, SbRError, VocabularyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,6 +21,10 @@ from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
 log = logging.getLogger(__name__)
 
 
+class SbRError(ValueError):
+    """An input the similarity matrix cannot be built, read or written from."""
+
+
 @dataclass
 class SbRMatrix:
     values: np.ndarray
@@ -32,9 +36,9 @@ class SbRMatrix:
     def validate(self) -> None:
         n = len(self.ids)
         if self.values.shape != (n, n):
-            raise ValueError("matrix shape does not match the id list")
+            raise SbRError("matrix shape does not match the id list")
         if not np.isfinite(self.values).all():
-            raise ValueError("matrix contains non-finite entries")
+            raise SbRError("matrix contains non-finite entries")
         if self.normalized and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise ValueError("normalized matrix has entries outside [0, 1]")
 
@@ -50,7 +54,7 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     """
     n = len(answers)
     if n < 2:
-        raise ValueError("need at least two answers")
+        raise SbRError("need at least two answers")
     kind = SimilarityKind(kind)
     ids = [a.id for a in answers]
 
@@ -121,13 +125,13 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
         if degenerate:
             log.warning("degenerate row(s) in per-row normalization")
         return replace(m, values=out, normalized=True, degenerate=degenerate)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise SbRError(f"unknown normalization mode {mode!r}")
 
 
 def to_csv(m: SbRMatrix) -> str:
     for sample_id in m.ids:
         if "," in sample_id or "\n" in sample_id:
-            raise ValueError(f"id {sample_id!r} cannot be written to CSV")
+            raise SbRError(f"id {sample_id!r} cannot be written to CSV")
     lines = ["id," + ",".join(m.ids)]
     for sample_id, row in zip(m.ids, m.values):
         lines.append(sample_id + "," + ",".join(repr(float(v)) for v in row))
@@ -142,15 +146,15 @@ def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read back a matrix CSV as (ids, values); kind/normalization are not stored."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("id,"):
-        raise ValueError(f"{path}: not a similarity-matrix CSV")
+        raise SbRError(f"{path}: not a similarity-matrix CSV")
     ids = lines[0].split(",")[1:]
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append([float(v) for v in parts[1:]])
-    values = np.asarray(rows, dtype=np.float64)
+    try:
+        values = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]],
+                          dtype=np.float64)
+    except ValueError as exc:  # a non-numeric entry or rows of unequal length
+        raise SbRError(f"{path}: malformed matrix ({exc})") from None
     if values.shape != (len(ids), len(ids)):
-        raise ValueError(f"{path}: matrix is not square")
+        raise SbRError(f"{path}: matrix is not square")
     return ids, values
 
 

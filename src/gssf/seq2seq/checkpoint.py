@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ArchConfig, ModelParams
+from .model import ArchConfig, ModelParams, param_shapes
 from .vocab import Vocabulary
 
 MAGIC = b"GSSF"
@@ -93,7 +93,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: bad vocabulary block ({exc})") from exc
     try:
         arch = ArchConfig(**json.loads(reader.text()))
-        arch.validate()
+        param_shapes(arch, vocab.size)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     tensors: dict[str, np.ndarray] = {}

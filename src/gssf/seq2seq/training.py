@@ -113,6 +113,7 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
         raise TrainingError("every sample needs ink and a label")
     vocab = build_vocabulary([list(label) for _, label in dataset])
     arch = config.arch
+    params = init_params(arch, vocab, seed)  # checks the parameter count first
     samples = []
     for ink, label in dataset:
         feats = extract_features(resample_and_normalize(ink, arch.resample_spacing))
@@ -122,7 +123,6 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
     train_idx, val_idx = _stratified_split(label_keys, config.val_fraction, split_rng)
     val_batch = [samples[i] for i in val_idx]
 
-    params = init_params(arch, vocab, seed)
     opt = _Adam(params.tensors, config.learning_rate)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     best_key = (-1.0, -math.inf)

@@ -324,6 +324,18 @@ class TestHeatmap:
         assert main(["heatmap", "--matrix", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "x.pgm")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "id,a,b\na,0,x\nb,1,0\n", "id,a,b\na,0\nb,1,0\n", "id,a,b\na,0,1\n",
+        "id,a,b\na,0,nan\nb,1,0\n", "a,b\n",
+    ], ids=["non_numeric", "ragged", "not_square", "non_finite", "no_header"])
+    def test_malformed_matrix_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        out = tmp_path / "x.pgm"
+        assert main(["heatmap", "--matrix", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
@@ -373,3 +385,47 @@ class TestUsage:
         assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]),
                      "--out", str(tmp_path / "o"), "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("cluster", "seed", "3"), ("cluster", "seed", -1), ("cluster", "seed", 1.5),
+        ("cluster", "restarts", 0), ("cluster", "restarts", True),
+        ("cluster", "threads", "x"), ("compare", "num_seeds", 2.0),
+        ("compare", "seed", None), ("train", "seed", [1]),
+    ])
+    def test_bad_integer_setting_exit_2(self, tiny_pipeline, tmp_path, capsys,
+                                        command, key, value):
+        config = {**json.loads(tiny_pipeline["config"].read_text()), key: value}
+        config["train"] = {"max_epochs": 1, "patience": 1}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        args = ["--data", str(tiny_pipeline["dataset"]), "--config", str(path)]
+        if command == "train":
+            args += ["--out", str(tmp_path / "m.ckpt")]
+        else:
+            args += ["--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o")]
+        assert main([command, *args]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_oversized_architecture_exit_2_fast(self, tiny_pipeline, tmp_path, capsys):
+        """405M parameters: every size is within its cap, the count is not."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"arch": {"enc_hidden": 4096}}))
+        ckpt = tmp_path / "m.ckpt"
+        start = time.perf_counter()
+        assert main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(ckpt),
+                     "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "parameters" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_internal_value_error_is_not_a_usage_error(self, tiny_pipeline, tmp_path,
+                                                       monkeypatch):
+        import gssf.cli
+
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(gssf.cli, "score_answers", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["cluster", "--data", str(tiny_pipeline["dataset"]),
+                  "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o")])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gssf.seq2seq import Annotations, ScoredDecode
-from gssf.sbr import (SbRMatrix, build_sbr_matrix, load_csv, normalize_unit_interval,
-                      save_csv, save_pgm, to_csv, to_pgm)
+from gssf.sbr import (SbRError, SbRMatrix, build_sbr_matrix, load_csv,
+                      normalize_unit_interval, save_csv, save_pgm, to_csv, to_pgm)
 from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer, edit_distance
 
 
@@ -126,11 +126,11 @@ class TestNormalize:
             normalize_unit_interval(out)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SbRError):
             normalize_unit_interval(matrix([[0.0, np.inf], [0.0, 0.0]]))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(SbRError, match="mode"):
             normalize_unit_interval(matrix([[0.0, -1.0], [-1.0, 0.0]]), mode="rows")
 
 
@@ -198,7 +198,7 @@ class TestBuild:
 
     def test_too_few_answers(self, tiny_scored):
         params, _, answers = tiny_scored
-        with pytest.raises(ValueError):
+        with pytest.raises(SbRError):
             build_sbr_matrix(answers[:1], SimilarityKind.GSSF, params)
 
 
@@ -262,8 +262,18 @@ class TestExport:
 
     def test_csv_rejects_commas_in_ids(self):
         m = SbRMatrix(values=np.zeros((2, 2)), ids=["a,b", "c"], kind=SimilarityKind.GSSF)
-        with pytest.raises(ValueError):
+        with pytest.raises(SbRError):
             to_csv(m)
+
+    @pytest.mark.parametrize("text", [
+        "", "a,b\n", "id,a,b\na,0,x\nb,1,0\n", "id,a,b\na,0\nb,1,0\n",
+        "id,a,b\na,0,1\n", "id,a\na,0,1\n",
+    ], ids=["empty", "no_header", "non_numeric", "ragged", "missing_row", "wide_row"])
+    def test_csv_rejects_malformed_files(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(SbRError):
+            load_csv(path)
 
     def test_pgm_format(self, tmp_path):
         norm = normalize_unit_interval(matrix([[0.0, -2.0], [-4.0, 0.0]]))

@@ -13,8 +13,9 @@ from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           ModelParams, TrainConfig, TrainingError, Vocabulary,
                           VocabularyError, build_vocabulary, checkpoint_bytes,
                           cross_logprob_sums, encode, greedy_decode, init_params,
-                          load_checkpoint, loss_and_gradients, save_checkpoint,
-                          teacher_forced_logprobs, train, zero_params)
+                          load_checkpoint, loss_and_gradients, param_shapes,
+                          save_checkpoint, teacher_forced_logprobs, train, zero_params)
+from gssf.seq2seq import model
 from gssf.seq2seq.model import MAX_ARCH_SIZE
 from gssf.seq2seq.vocab import EOS_INDEX, SOS_INDEX
 from tape import as_tensor, log_softmax, no_grad
@@ -369,6 +370,15 @@ class TestConfigValidation:
         with pytest.raises(ModelError, match=str(MAX_ARCH_SIZE)):
             dataclasses.replace(SMALL, **{field: value}).validate()
 
+    def test_param_count_cap(self, monkeypatch):
+        with pytest.raises(ModelError, match="parameters"):
+            param_shapes(dataclasses.replace(SMALL, enc_hidden=MAX_ARCH_SIZE), 20)
+        count = sum(math.prod(s) for s in param_shapes(SMALL, 20).values())
+        monkeypatch.setattr(model, "MAX_PARAMS", count)
+        param_shapes(SMALL, 20)
+        with pytest.raises(ModelError, match="parameters"):
+            param_shapes(SMALL, 21)
+
     def test_arch_accepts_the_size_cap(self):
         dataclasses.replace(SMALL, max_decode_len=MAX_ARCH_SIZE, att_dim=MAX_ARCH_SIZE,
                             cov_kernel=MAX_ARCH_SIZE - 1).validate()
@@ -454,6 +464,20 @@ class TestCheckpoint:
         path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
                                       struct.pack("<I", len(bad)) + bad))
         with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(path)
+
+    def test_oversized_param_count_raises_checkpoint_error(self, tmp_path):
+        """Every size within MAX_ARCH_SIZE, but 405M parameters: rejected before
+        any tensor is read."""
+        data = checkpoint_bytes(small_model())
+        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+        field = f'"enc_hidden": {SMALL.enc_hidden}'.encode()
+        assert field in cfg
+        bad = cfg.replace(field, b'"enc_hidden": 4096')
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
+                                      struct.pack("<I", len(bad)) + bad))
+        with pytest.raises(CheckpointError, match="parameters"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt", ["token_0xff", "emb_2**62x4", "emb_2**63x2"])
