@@ -136,10 +136,12 @@ def _resolve_k(policy, categories: list[str | None], n: int) -> int:
         if any(c is None for c in categories):
             raise UsageError("k policy 'categories' needs a category on every sample")
         return len(set(categories))
-    try:
-        k = int(policy)
-    except (TypeError, ValueError):
-        raise UsageError(f"k must be an integer or 'categories', got {policy!r}") from None
+    try:  # an integer string, from --k or the config
+        k = int(policy) if isinstance(policy, str) else policy
+    except ValueError:
+        k = None
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise UsageError(f"k must be an integer or 'categories', got {policy!r}")
     if not 1 <= k <= n:
         raise UsageError(f"k={k} out of range for {n} answers")
     return k

@@ -187,38 +187,57 @@ class ScoredDecode:
 Params = dict[str, np.ndarray]
 
 
-def _gru_gates(gx: np.ndarray, h: np.ndarray, wh: np.ndarray):
-    """One gated recurrent step from its input projection ``gx = x @ wx + b``.
+def _gate_major(a: np.ndarray) -> np.ndarray:
+    """(..., B, 3h) array as a (3, ..., B, h) view, one slot per gate."""
+    return np.moveaxis(a.reshape(*a.shape[:-1], 3, a.shape[-1] // 3), -2, 0)
 
-    Works on (..., B, h) stacks. Returns the new state and the gate values
-    (r, z, n, ghn) its backward pass needs, where ghn is the candidate slice
-    of ``h @ wh``.
+
+def _gru_step(gx_gates: np.ndarray, gh_gates: np.ndarray, slots: np.ndarray,
+              h: np.ndarray, out: np.ndarray) -> None:
+    """One gated recurrent step on (..., B, h) stacks, in place, from the
+    gate-major views of ``x @ wx + b`` and ``h @ wh``. The gates go into the
+    (4, ..., B, h) ``slots`` in the order (r ghn, n, r, z), ghn being the
+    candidate slice of ``h @ wh``, and the new state into ``out``. Keeping
+    r ghn, a term of n, rather than ghn spares inference a copy per step.
     """
-    hs = h.shape[-1]
-    gh = h @ wh
-    rz = 1.0 / (1.0 + np.exp(-(gx[..., :2 * hs] + gh[..., :2 * hs])))
-    r, z = rz[..., :hs], rz[..., hs:]
-    ghn = gh[..., 2 * hs:]
-    n = np.tanh(gx[..., 2 * hs:] + r * ghn)
-    return n + z * (h - n), (r, z, n, ghn)
+    rz = slots[2:]
+    np.add(gx_gates[:2], gh_gates[:2], out=rz)
+    np.negative(rz, out=rz)
+    np.exp(rz, out=rz)
+    rz += 1.0
+    np.divide(1.0, rz, out=rz)
+    np.multiply(slots[2], gh_gates[2], out=slots[0])
+    n = slots[1]
+    np.add(slots[0], gx_gates[2], out=n)
+    np.tanh(n, out=n)
+    np.subtract(h, n, out=out)
+    out *= slots[3]
+    out += n
 
 
-def _gru_gate_grads(g: np.ndarray, h: np.ndarray, r: np.ndarray, z: np.ndarray,
-                    n: np.ndarray, ghn: np.ndarray):
-    """Backward of ``_gru_gates`` for the gradient ``g`` of the new state.
+def _gru_factors(gates: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    """Turn a (T, 4, ..., B, h) cache of ``_gru_step`` slots, in place, into
+    gate-gradient factors; ``h_prev`` holds each step's input state.
 
-    Returns the gradients w.r.t. ``gx`` and ``h @ wh`` and the direct
-    (non-matmul) part of the gradient w.r.t. ``h``.
+    The slots become F_r = A (r ghn)(1-r), F_z = (h_prev - n) z(1-z) and
+    F_n = A r, in the gate order of ``h @ wh``, and z stays; A = (1-z)(1-n^2)
+    is returned. For the gradient g of a step's new state, g times the factors
+    is the gradient of ``h @ wh``, that of ``x @ wx + b`` differs only in its
+    candidate slice, g A, and g z is the direct part of the gradient of h.
     """
-    hs = h.shape[-1]
-    dgx = np.empty(g.shape[:-1] + (3 * hs,))
-    dn = g * (1.0 - z) * (1.0 - n * n)
-    dgx[..., :hs] = dn * ghn * r * (1.0 - r)
-    dgx[..., hs:2 * hs] = g * (h - n) * z * (1.0 - z)
-    dgx[..., 2 * hs:] = dn
-    dgh = dgx.copy()
-    dgh[..., 2 * hs:] *= r
-    return dgx, dgh, g * z
+    rghn, n, r, z = gates.swapaxes(0, 1)
+    scratch = 1.0 - z
+    cand = n * n
+    np.subtract(1.0, cand, out=cand)
+    cand *= scratch
+    np.subtract(h_prev, n, out=n)
+    n *= z
+    n *= scratch
+    np.subtract(1.0, r, out=scratch)
+    rghn *= cand
+    rghn *= scratch
+    r *= cand
+    return cand
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -239,12 +258,11 @@ def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.
     carries over, the backward state stays zero).
 
     Step s advances the forward direction at time s and the backward one at
-    time T-1-s as one (2, B, .) stack. With ``keep`` the cache holds the
-    (2, T, B, h) states in step order and the step-major (T, 4, 2, B, h)
-    gates in slot order (ghn, n, r, z), ghn being the candidate slice of
-    ``h @ wh``. Each gate is computed straight into its slot; the slot order
-    is the one ``_bigru_backward`` turns into its factors in place. The
-    padding mask is applied only on steps where some row is padded.
+    time T-1-s as one (2, B, .) stack. The (2, T+1, B, h) states hold the
+    zero initial state and then each step's new state, in step order. With
+    ``keep`` the cache holds the states and the step-major (T, 4, 2, B, h)
+    ``_gru_step`` slots (inference reuses the first step's slots). The padding
+    mask is applied only on steps where some row is padded.
 
     The input projection stays per step. Hoisting it for all T steps makes a
     (T, 2, B, in) temporary (458 KB at B = 32) whose release raises glibc's
@@ -261,46 +279,24 @@ def _bigru_layer(xs: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray, np.
     valid = times[:, :, None, None] < lens[:, None]
     padded = ~valid.all(axis=(1, 2, 3))
     x_tm = xs.swapaxes(0, 1)
-    states = np.empty((2, t_steps, batch, hs))  # step order
-    gates = np.empty((t_steps, 4, 2, batch, hs)) if keep else None
-    step_gates = None if keep else np.empty((4, 2, batch, hs))
-    gx = np.empty((2, batch, 3 * hs))
-    gh = np.empty_like(gx)
+    states = np.zeros((2, t_steps + 1, batch, hs))
+    gates = np.empty((t_steps if keep else 1, 4, 2, batch, hs))
+    gx, gh = np.empty((2, 2, batch, 3 * hs))
     gx_gates, gh_gates = _gate_major(gx), _gate_major(gh)  # (3, 2, B, h) views
-    h = np.zeros((2, batch, hs))
+    h = states[:, 0]
     for s in range(t_steps):
+        h_new = states[:, s + 1]
         np.matmul(x_tm[times[s]], wx, out=gx)
         gx += b
         np.matmul(h, wh, out=gh)
-        slots = gates[s] if keep else step_gates
-        rz = slots[2:]
-        np.add(gx_gates[:2], gh_gates[:2], out=rz)
-        np.negative(rz, out=rz)
-        np.exp(rz, out=rz)
-        rz += 1.0
-        np.divide(1.0, rz, out=rz)
-        if keep:
-            slots[0] = gh_gates[2]
-        n = slots[1]
-        np.multiply(slots[2], gh_gates[2], out=n)
-        n += gx_gates[2]
-        np.tanh(n, out=n)
-        h_new = states[:, s]
-        np.subtract(h, n, out=h_new)
-        h_new *= slots[3]
-        h_new += n
+        _gru_step(gx_gates, gh_gates, gates[s if keep else 0], h, h_new)
         if padded[s]:
             np.copyto(h_new, h, where=~valid[s])
         h = h_new
     out = np.empty((batch, t_steps, 2 * hs))
-    out[:, :, :hs] = states[0].swapaxes(0, 1)
-    out[:, :, hs:] = states[1, ::-1].swapaxes(0, 1)
+    out[:, :, :hs] = states[0, 1:].swapaxes(0, 1)
+    out[:, :, hs:] = states[1, :0:-1].swapaxes(0, 1)
     return out, ((xs, wx, wh, valid, padded, states, gates) if keep else None)
-
-
-def _gate_major(a: np.ndarray) -> np.ndarray:
-    """(..., B, 3h) array as a (3, ..., B, h) view, one slot per gate."""
-    return np.moveaxis(a.reshape(*a.shape[:-1], 3, a.shape[-1] // 3), -2, 0)
 
 
 def _bigru_backward(cache, g: np.ndarray, need_dx: bool):
@@ -309,36 +305,18 @@ def _bigru_backward(cache, g: np.ndarray, need_dx: bool):
     Returns the input gradient (None unless ``need_dx``) and the
     (wx, wh, b) gradients of the forward and the backward direction.
 
-    The pass consumes its cache. Before the time loop it turns the cached
-    gates, in place and for all steps at once, into the gate-gradient
-    factors F_r = A ghn r(1-r), F_z = (h_prev - n) z(1-z) and F_n = A r,
-    with A = (1-z)(1-n^2) kept for the candidate slice of dgx. Each step
-    adds the incoming state gradient g, masks it, writes g times the three
-    factors into its ``dgh`` slot and carries g z + dgh @ wh^T back; both
-    masks are skipped on steps where no row is padded. After the loop dwh
-    comes from ``dgh``, and then the candidate slice of ``dgh`` is
-    overwritten with g A, which makes it dgx with no copy. ``dgh`` is
-    direction-major like the states, so both weight products read views.
+    The pass consumes its cache: ``_gru_factors`` turns the cached gates into
+    factors before the time loop. Each step masks its state gradient g (the
+    masks are skipped on steps where no row is padded) and writes g times the
+    factors into ``dgh``. After the loop dwh comes from ``dgh``, whose
+    candidate slice then becomes g A, which makes it dgx with no copy.
+    ``dgh`` is direction-major like the states, so both products read views.
     """
     xs, wx, wh, valid, padded, states, gates = cache
     batch, t_steps, in_dim = xs.shape
     hs = wh.shape[1]
-    ghn, n, r, z = gates.swapaxes(0, 1)  # (T, 2, B, h) views
-    scratch = 1.0 - z
-    cand = n * n
-    np.subtract(1.0, cand, out=cand)
-    cand *= scratch
-    # h_prev - n; the state before step 0 is zero.
-    np.subtract(states[:, :-1].swapaxes(0, 1), n[1:], out=n[1:])
-    np.negative(n[0], out=n[0])
-    n *= z
-    n *= scratch
-    np.subtract(1.0, r, out=scratch)
-    ghn *= cand
-    ghn *= r
-    ghn *= scratch
-    r *= cand
-    factors = gates[:, :3]  # (F_r, F_z, F_n), the gate order of dgh
+    cand = _gru_factors(gates, states[:, :-1].swapaxes(0, 1))
+    factors, z = gates[:, :3], gates[:, 3]  # (F_r, F_z, F_n) is the gate order of dgh
 
     g_steps = np.empty((2, t_steps, batch, hs))  # masked state gradients, step order
     g_steps[0] = g[:, :, :hs].swapaxes(0, 1)
@@ -361,7 +339,7 @@ def _bigru_backward(cache, g: np.ndarray, need_dx: bool):
             dh = np.where(valid[s], dh, total)
     # Weight gradients: one product per direction over all T*B rows (the
     # first step's h_prev is zero, so its rows drop out of dwh).
-    dwh = (states[:, :-1].reshape(2, -1, hs).swapaxes(1, 2)
+    dwh = (states[:, 1:-1].reshape(2, -1, hs).swapaxes(1, 2)
            @ dgh[:, 1:].reshape(2, -1, 3 * hs))
     np.multiply(g_steps, cand.swapaxes(0, 1), out=dgh[..., 2 * hs:])
     # dgh now holds dgx. The backward direction's rows run in reverse time,
@@ -424,10 +402,11 @@ def _decoder_start(p: Params, ann: np.ndarray, klens: list[int]):
 
     The constants are the attention keys, the additive mask bias that zeroes
     padded positions, the folded (W, att_dim) coverage kernel
-    ``cov_k @ cov_w`` and the (K, W) index of every coverage window. The
-    coverage accumulator starts at zero, padded by W // 2 on each side. The
-    initial state reads the masked mean of the annotations; the mean cache
-    holds its (B, K) weights and the mean itself.
+    ``cov_k @ cov_w``, the (K, W) index of every coverage window and the
+    cell's input buffers ``gx`` and ``gh``, reused by every step, with their
+    gate-major views. The coverage accumulator starts at zero, padded by
+    W // 2 on each side. The initial state reads the masked mean of the
+    annotations; the mean cache holds its (B, K) weights and the mean itself.
     """
     batch, k_max = ann.shape[:2]
     width = p["cov_k"].shape[0]
@@ -435,24 +414,26 @@ def _decoder_start(p: Params, ann: np.ndarray, klens: list[int]):
     inv = 1.0 / np.asarray(klens, dtype=np.float64)
     mean = (ann * valid[:, :, None]).sum(axis=1) * inv[:, None]
     s0 = np.tanh(mean @ p["dec_init_w"] + p["dec_init_b"])
+    gx, gh = np.empty((2, batch, p["dec_wx"].shape[1]))
     consts = (ann @ p["att_ua"] + p["att_b"], np.where(valid, 0.0, MASK_NEG),
-              p["cov_k"] @ p["cov_w"], np.arange(k_max)[:, None] + np.arange(width))
+              p["cov_k"] @ p["cov_w"], np.arange(k_max)[:, None] + np.arange(width),
+              (gx, gh, _gate_major(gx), _gate_major(gh)))
     cov0 = np.zeros((batch, k_max + width - 1))
     return consts, s0, cov0, (valid * inv[:, None], mean)
 
 
 def _decode_step(p: Params, ann: np.ndarray, consts, prev_emb: np.ndarray,
-                 s_prev: np.ndarray, cov_acc: np.ndarray):
+                 s_prev: np.ndarray, cov_acc: np.ndarray, slots: np.ndarray):
     """One decoder step over a (B, K, a) annotation batch.
 
     The attention energy adds the coverage term: each width-W window of the
     zero-padded accumulated attention ``cov_acc`` times the folded kernel.
     This step's attention weights are added to the interior of ``cov_acc`` in
-    place. Returns the output logits, the new state and the step cache
-    (decoder input, coverage windows, attention activations, attention
-    weights, recurrent gates).
+    place. The recurrent gates go into the (4, B, h) ``slots`` (``_gru_step``).
+    Returns the output logits, the new state and the step cache (decoder
+    input, coverage windows, attention activations, attention weights).
     """
-    keys, mask_bias, kw, win = consts
+    keys, mask_bias, kw, win, (gx, gh, gx_gates, gh_gates) = consts
     windows = cov_acc[:, win]
     act = keys + (s_prev @ p["att_ws"])[:, None, :]
     act += windows @ kw
@@ -462,9 +443,13 @@ def _decode_step(p: Params, ann: np.ndarray, consts, prev_emb: np.ndarray,
     cov_acc[:, pad:pad + ann.shape[1]] += alpha
     ctx = (alpha[:, None, :] @ ann)[:, 0]
     x = np.concatenate([prev_emb, ctx], axis=1)
-    s, gates = _gru_gates(x @ p["dec_wx"] + p["dec_b"], s_prev, p["dec_wh"])
+    np.matmul(x, p["dec_wx"], out=gx)
+    gx += p["dec_b"]
+    np.matmul(s_prev, p["dec_wh"], out=gh)
+    s = np.empty_like(s_prev)
+    _gru_step(gx_gates, gh_gates, slots, s_prev, s)
     logits = s @ p["out_ws"] + ctx @ p["out_wc"] + prev_emb @ p["out_we"] + p["out_b"]
-    return logits, s, (x, windows, act, alpha, gates)
+    return logits, s, (x, windows, act, alpha)
 
 
 def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np.ndarray,
@@ -473,22 +458,24 @@ def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np
 
     ``feed``/``targets`` are (B, T) int arrays. Returns the (B, T)
     log-probabilities of ``targets``, the (B, T) per-step argmax and the cache
-    ``_teacher_forced_backward`` reads.
+    ``_teacher_forced_backward`` reads, with the (T, 4, B, h) recurrent gates.
     """
     consts, s, cov, mean_cache = _decoder_start(p, ann, klens)
     rows = np.arange(feed.shape[0])
     lp = np.empty(feed.shape)
     argmax = np.empty(feed.shape, dtype=np.int64)
+    gates = np.empty((feed.shape[1] if keep else 1, 4, *s.shape))
     kept = []
     for t in range(feed.shape[1]):
-        logits, s_new, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov)
+        logits, s_new, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov,
+                                           gates[t if keep else 0])
         ls = _log_softmax(logits)
         argmax[:, t] = ls.argmax(axis=1)
         lp[:, t] = ls[rows, targets[:, t]]
         if keep:
             kept.append((s, s_new, ls, *step))
         s = s_new
-    return lp, argmax, ((consts[2], mean_cache, kept) if keep else None)
+    return lp, argmax, ((consts[2], mean_cache, gates, kept) if keep else None)
 
 
 def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
@@ -497,12 +484,12 @@ def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
     gradient ``g_lp`` of its (B, T) log-probabilities.
 
     The state and the accumulated attention carry gradient from each step to
-    the one before. Returns the annotation gradient and the gradients of every
-    decoder tensor.
+    the one before; ``_gru_factors`` consumes the cached gates. Returns the
+    annotation gradient and the gradients of every decoder tensor.
     """
-    kw, (mean_w, mean), kept = cache
+    kw, (mean_w, mean), gates, kept = cache
     # Per-step values stacked on a leading T axis.
-    s_prev, s_new, ls, x, windows, act, alpha, gates = (np.stack(v) for v in zip(*kept))
+    s_prev, s_new, ls, x, windows, act, alpha = (np.stack(v) for v in zip(*kept))
     t_steps, batch, _ = ls.shape
     e_dim, width, k_max = p["emb"].shape[1], kw.shape[0], ann.shape[1]
     pad = width // 2
@@ -514,21 +501,26 @@ def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
     g_ctx = g_logits @ p["out_wc"].T
     g_out_s = g_logits @ p["out_ws"].T
 
-    dgx = np.empty((t_steps, batch, p["dec_wx"].shape[1]))
-    dgh = np.empty_like(dgx)
+    cand = _gru_factors(gates, s_prev)
+    factors, z = gates[:, :3], gates[:, 3]
+    dgx, dgh = np.empty((2, t_steps, batch, p["dec_wx"].shape[1]))
+    dgx_gates, dgh_gates = (np.moveaxis(_gate_major(d), 1, 0) for d in (dgx, dgh))
     g_energy = np.empty(alpha.shape)
     g_pre = np.empty(act.shape)
     g_s = np.zeros(s_prev.shape[1:])
     g_cov = np.zeros((batch, k_max + 2 * pad))  # gradient of the padded accumulator
     for t in range(t_steps - 1, -1, -1):
-        dgx[t], dgh[t], dh = _gru_gate_grads(g_s + g_out_s[t], s_prev[t], *gates[t])
+        g_new = g_s + g_out_s[t]
+        np.multiply(g_new, factors[t], out=dgh_gates[t])
+        dgx[t] = dgh[t]
+        np.multiply(g_new, cand[t], out=dgx_gates[t, 2])
         g_x = dgx[t] @ p["dec_wx"].T
         g_emb[t] += g_x[:, :e_dim]
         g_ctx[t] += g_x[:, e_dim:]
         g_alpha = (ann @ g_ctx[t][:, :, None])[:, :, 0] + g_cov[:, pad:pad + k_max]
         g_energy[t] = alpha[t] * (g_alpha - (alpha[t] * g_alpha).sum(axis=1, keepdims=True))
         g_pre[t] = g_energy[t][:, :, None] * p["att_v"] * (1.0 - act[t] * act[t])
-        g_s = dh + dgh[t] @ p["dec_wh"].T + g_pre[t].sum(axis=1) @ p["att_ws"].T
+        g_s = g_new * z[t] + dgh[t] @ p["dec_wh"].T + g_pre[t].sum(axis=1) @ p["att_ws"].T
         g_win = g_pre[t] @ kw.T
         for w in range(width):
             g_cov[:, w:w + k_max] += g_win[:, :, w]
@@ -639,8 +631,9 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[Sc
     live = np.ones(batch, dtype=bool)
     prev = np.full(batch, SOS_INDEX)
     consts, s, cov, _ = _decoder_start(p, padded, klens)
+    slots = np.empty((4, *s.shape))
     for t in range(arch.max_decode_len):
-        logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov)
+        logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov, slots)
         ls = _log_softmax(logits)
         prev = ls.argmax(axis=1)
         live &= prev != EOS_INDEX

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ink import RawInk, resample_and_normalize
+from .seq2seq.model import _is_int, _is_real
 
 GLYPH_GAP = 0.15
 SHUFFLE_STREAM = 999983  # sub-stream tag for the final sample shuffle
@@ -90,8 +91,8 @@ class JitterParams:
     shear: float = 0.0          # per-glyph horizontal shear range
 
     def validate(self) -> None:
-        if min(self.sigma, self.scale, self.rotation_deg, self.shear) < 0:
-            raise SynthesisError("jitter ranges must be non-negative")
+        if not all(_is_real(v) and v >= 0 for v in vars(self).values()):
+            raise SynthesisError("jitter ranges must be non-negative numbers")
 
 
 @dataclass(frozen=True)
@@ -111,33 +112,36 @@ class AnswerSetSpec:
     def validate(self) -> None:
         if len(self.categories) < 2:
             raise SynthesisError("need at least two categories")
-        if any(c.count < 1 for c in self.categories):
-            raise SynthesisError("category counts must be at least 1")
-        if any(len(c.label) == 0 for c in self.categories):
-            raise SynthesisError("category labels must be non-empty")
+        if not all(_is_int(c.count) and c.count >= 1 for c in self.categories):
+            raise SynthesisError("category counts must be integers of at least 1")
+        if not all(isinstance(c.label, tuple) and c.label
+                   and all(isinstance(t, str) for t in c.label) for c in self.categories):
+            raise SynthesisError("category labels must be non-empty lists of token strings")
         ids = [c.id for c in self.categories if c.id]
         if len(ids) != len(set(ids)):
             raise SynthesisError("category ids must be distinct")
-        if self.spacing <= 0:
-            raise SynthesisError("spacing must be positive")
-        if self.seed < 0:
-            raise SynthesisError("seed must be non-negative")
+        if not _is_real(self.spacing) or not self.spacing > 0:
+            raise SynthesisError("spacing must be a positive number")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise SynthesisError("seed must be a non-negative integer")
         self.jitter.validate()
 
     @staticmethod
-    def from_dict(obj: dict) -> "AnswerSetSpec":
+    def from_dict(obj) -> "AnswerSetSpec":
         try:
+            if not isinstance(obj, dict):
+                raise TypeError("expected a JSON object")
             jitter = JitterParams(**obj.get("jitter", {}))
-            categories = tuple(
-                CategorySpec(label=tuple(c["label"]), count=int(c["count"]),
-                             id=str(c.get("id", "")))
+            categories = tuple(  # a label that is not a list fails validation as None
+                CategorySpec(label=tuple(c["label"]) if isinstance(c["label"], list) else None,
+                             count=c["count"], id=str(c.get("id", "")))
                 for c in obj["categories"]
             )
             spec = AnswerSetSpec(
                 categories=categories,
                 jitter=jitter,
-                spacing=float(obj.get("spacing", 0.05)),
-                seed=int(obj.get("seed", 0)),
+                spacing=obj.get("spacing", 0.05),
+                seed=obj.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SynthesisError(f"malformed answer-set spec: {exc}") from exc

@@ -1,6 +1,8 @@
 """The bidirectional encoder layer as it was before its backward pass made
 the gate-gradient factors once per layer: the reference the current
-``model.bigru_layer`` and ``model.bigru_backward`` are tested against.
+``model._bigru_layer`` and ``model._bigru_backward`` are tested against.
+Its per-step cell ``gru_gates`` is also the decoder step's reference
+(``test_decode_step.py``).
 
 Gates are stacked per step into a (4, 2, T, B, h) cache, every backward step
 derives its gate gradients from the gate values, and ``np.where`` masks every

@@ -1,9 +1,11 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import gzip
 import json
 import logging
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,22 @@ class TestSynth:
         bad.write_text("{nope")
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[1]", json.dumps({**TINY_SPEC, "jitter": {"sigma": "a"}}),
+        json.dumps({**TINY_SPEC, "seed": 2.5}), json.dumps({**TINY_SPEC, "spacing": "0.1"}),
+        json.dumps({**TINY_SPEC, "categories": [{"label": ["1"], "count": 2.7},
+                                                {"label": ["2"], "count": 3}]}),
+        json.dumps({**TINY_SPEC, "categories": [{"label": "12", "count": 3},
+                                                {"label": ["2"], "count": 3}]}),
+    ], ids=["list", "text_sigma", "float_seed", "text_spacing", "float_count", "text_label"])
+    def test_malformed_spec_contents_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "o.jsonl"
+        assert main(["synth", "--spec", str(bad), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -154,6 +172,35 @@ class TestCluster:
 
     def test_k_too_large_exit_2(self, tiny_pipeline, tmp_path):
         assert self.run(tiny_pipeline, tmp_path / "x", ("--k", "13")) == 2
+
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    @pytest.mark.parametrize("k", [2.5, True, 3.0, [3], "three"])
+    def test_non_integer_config_k_exit_2(self, tiny_pipeline, tmp_path, capsys, command, k):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({**json.loads(tiny_pipeline["config"].read_text()), "k": k}))
+        assert main([command, "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o"),
+                     "--config", str(path)]) == 2
+        assert "k must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,config_k,want", [
+        ("2", None, 2), (" 2 ", None, 2), (None, 2, 2), (None, "2", 2),
+        ("categories", 2, 3), (None, None, 3),
+    ])
+    def test_k_policies(self, tiny_pipeline, tmp_path, flag, config_k, want):
+        """Integer strings (from ``--k`` or the config), integers and the
+        'categories' policy, which the flag overrides from the config."""
+        config = json.loads(tiny_pipeline["config"].read_text())
+        if config_k is not None:
+            config["k"] = config_k
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        extra = ("--k", flag) if flag is not None else ()
+        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
+                     "--config", str(path), *extra]) == 0
+        assert json.loads((out / "report.json").read_text())["k"] == want
 
     def test_k_equals_n_perfect_purity_and_unit_cost(self, tiny_pipeline, tmp_path):
         out = tmp_path / "kn"
@@ -429,3 +476,25 @@ class TestUsage:
         with pytest.raises(ValueError, match="internal fault"):
             main(["cluster", "--data", str(tiny_pipeline["dataset"]),
                   "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o")])
+
+
+class TestReference:
+    def test_pinned_checkpoint_reproduces_benchmark_reference(self, benchmark_inks, tmp_path):
+        """``gssf cluster --kind gssf --method m5`` with the benchmark's pinned
+        checkpoint on the pinned set (the benchmark's default seed) writes the
+        benchmark's reference assignment, and its SbR matrix within 1e-9."""
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        data, out = tmp_path / "answers.jsonl", tmp_path / "run"
+        save_jsonl(data, benchmark_inks)
+        assert main(["cluster", "--data", str(data),
+                     "--ckpt", str(perfbench / "models" / "pinned.ckpt"), "--out", str(out),
+                     "--kind", "gssf", "--method", "m5", "--k", "categories"]) == 0
+        reference = perfbench / "reference"
+        assert ((out / "assignment.csv").read_bytes()
+                == (reference / "mark-shared.assignment.csv").read_bytes())
+        ref_sbr = tmp_path / "reference.sbr.csv"
+        ref_sbr.write_bytes(gzip.decompress((reference / "mark-shared.sbr.csv.gz").read_bytes()))
+        ids, values = load_csv(out / "sbr.csv")
+        ref_ids, ref_values = load_csv(ref_sbr)
+        assert ids == ref_ids
+        np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-9)

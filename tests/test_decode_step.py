@@ -1,16 +1,20 @@
 """The decoder step against the formulation it replaced.
 
 ``earlier_decode_step`` is the earlier step: it zero-pads the accumulated
-attention with ``np.pad`` on every call, builds the window index each time and
-sums the attention energy elementwise. The current step keeps the accumulator
-padded, reuses the index from ``_decoder_start`` and takes the energy as one
-product, so values may differ only in the last bits: within 1e-12 per step,
-equal greedy decodes, and cross scores within 1e-9.
+attention with ``np.pad`` on every call, builds the window index each time,
+sums the attention energy elementwise and runs the recurrent cell as
+``bigru_oracle.gru_gates``, which allocates its gates. The current step keeps
+the accumulator padded, reuses the index from ``_decoder_start``, takes the
+energy as one product and writes the gates into their slots in place
+(``model._gru_step``), so values may differ only in the last bits: within
+1e-12 per step (gate slots included), equal greedy decodes, and cross scores
+within 1e-9.
 """
 
 import numpy as np
 import pytest
 
+import bigru_oracle
 from gssf.sbr import build_sbr_matrix
 from gssf.seq2seq import ArchConfig, build_vocabulary, init_params, model
 from gssf.similarity import SimilarityKind, cross_score_matrix, score_answers
@@ -31,19 +35,20 @@ def earlier_decode_step(p, ann, consts, prev_emb, s_prev, cov_acc):
     alpha = np.exp(model._log_softmax(energy))
     ctx = (alpha[:, None, :] @ ann)[:, 0]
     x = np.concatenate([prev_emb, ctx], axis=1)
-    s, gates = model._gru_gates(x @ p["dec_wx"] + p["dec_b"], s_prev, p["dec_wh"])
+    s, gates = bigru_oracle.gru_gates(x @ p["dec_wx"] + p["dec_b"], s_prev, p["dec_wh"])
     logits = s @ p["out_ws"] + ctx @ p["out_wc"] + prev_emb @ p["out_we"] + p["out_b"]
     return logits, s, cov_acc + alpha, (x, windows, act, alpha, gates)
 
 
-def oracle_in_place_step(p, ann, consts, prev_emb, s_prev, cov_acc):
+def oracle_in_place_step(p, ann, consts, prev_emb, s_prev, cov_acc, slots):
     """``earlier_decode_step`` behind the current step's signature."""
     pad = consts[2].shape[0] // 2
     interior = cov_acc[:, pad:pad + ann.shape[1]]
-    logits, s, new_cov, cache = earlier_decode_step(p, ann, consts[:3], prev_emb, s_prev,
-                                                   interior.copy())
+    logits, s, new_cov, (*cache, (r, z, n, ghn)) = earlier_decode_step(
+        p, ann, consts[:3], prev_emb, s_prev, interior.copy())
     interior[...] = new_cov
-    return logits, s, cache
+    slots[...] = (r * ghn, n, r, z)
+    return logits, s, tuple(cache)
 
 
 def random_decoder(kernel, seed):
@@ -68,12 +73,15 @@ def test_step_matches_earlier(kernel, klens):
     s_o, cov_o = s.copy(), np.zeros(ann.shape[:2])
     pad = kernel // 2
     assert cov.shape == (len(klens), max(klens) + 2 * pad)
+    slots = np.empty((4, *s.shape))
     for t in range(6):
         emb = p["emb"][rng.integers(0, params.vocab.size, len(klens))]
-        logits, s, (_, windows, act, alpha, _) = model._decode_step(p, ann, consts, emb, s, cov)
-        logits_o, s_o, cov_o, (_, windows_o, act_o, alpha_o, _) = earlier_decode_step(
-            p, ann, consts[:3], emb, s_o, cov_o)
+        logits, s, (_, windows, act, alpha) = model._decode_step(p, ann, consts, emb, s,
+                                                                 cov, slots)
+        logits_o, s_o, cov_o, (_, windows_o, act_o, alpha_o, (r, z, n, ghn)) = (
+            earlier_decode_step(p, ann, consts[:3], emb, s_o, cov_o))
         for got, want in ((logits, logits_o), (s, s_o), (alpha, alpha_o),
+                          (slots, np.stack([r * ghn, n, r, z])),
                           (cov[:, pad:pad + ann.shape[1]], cov_o), (act, act_o),
                           (windows, windows_o)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)

@@ -83,23 +83,68 @@ def assert_matches_tape_model(params, lens):
 # -- differential tests ---------------------------------------------------------
 
 
+def assert_cell_matches_tape(stack, batch):
+    """Three ``_gru_step`` steps from a nonzero state, and the gradients their
+    ``_gru_factors`` give, against the tape cell run per stacked direction."""
+    rng = np.random.default_rng(batch + len(stack))
+    hs, in_dim, t_steps = 4, 6, 3
+    xs = rng.normal(0, 1, (t_steps, *stack, batch, in_dim))
+    wx = rng.normal(0, 0.5, (*stack, in_dim, 3 * hs))
+    wh = rng.normal(0, 0.5, (*stack, hs, 3 * hs))
+    b = rng.normal(0, 0.3, (*stack, 1, 3 * hs))
+    weight = rng.normal(0, 1, (t_steps, *stack, batch, hs))
+    states = np.empty((t_steps + 1, *stack, batch, hs))
+    states[0] = rng.normal(0, 1, states.shape[1:])
+    gates = np.empty((t_steps, 4, *stack, batch, hs))
+    gx = np.empty((*stack, batch, 3 * hs))
+    gh = np.empty_like(gx)
+    for t in range(t_steps):
+        np.matmul(xs[t], wx, out=gx)
+        gx += b
+        np.matmul(states[t], wh, out=gh)
+        model._gru_step(model._gate_major(gx), model._gate_major(gh), gates[t],
+                        states[t], states[t + 1])
+
+    # Backward through time from the factors, for the loss sum(weight * states).
+    cand = model._gru_factors(gates, states[:-1])
+    factors, z = gates[:, :3], gates[:, 3]
+    dx = np.empty_like(xs)
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dh = np.zeros(states.shape[1:])
+    for t in range(t_steps - 1, -1, -1):
+        g = weight[t] + dh
+        dgh = np.concatenate(list(g * factors[t]), axis=-1)
+        dgx = np.concatenate([*(g * factors[t, :2]), g * cand[t]], axis=-1)
+        dh = g * z[t] + dgh @ wh.swapaxes(-1, -2)
+        dx[t] = dgx @ wx.swapaxes(-1, -2)
+        dwx += xs[t].swapaxes(-1, -2) @ dgx
+        dwh += states[t].swapaxes(-1, -2) @ dgh
+        db += dgx.sum(axis=-2, keepdims=True)
+
+    for d in range(2 if stack else 1):
+        def sel(a):
+            return a[d] if stack else a
+        params = [Tensor(sel(a).copy()) for a in (states[0], wx, wh, b)]
+        steps = [Tensor(sel(xs[t]).copy()) for t in range(t_steps)]
+        h, loss = params[0], None
+        for t in range(t_steps):
+            h = tape_model.gru_cell(steps[t], h, *params[1:], hs)
+            assert_close(h.data, sel(states[t + 1]), FWD_TOL)
+            term = (h * sel(weight[t])).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        for got, want in zip((dh, dwx, dwh, db), params):
+            assert_close(sel(got), want.grad, GRAD_TOL)
+        for t in range(t_steps):
+            assert_close(sel(dx[t]), steps[t].grad, GRAD_TOL)
+
+
 @pytest.mark.parametrize("batch", [1, 4])
 def test_gru_cell_matches_oracle(batch):
-    rng = np.random.default_rng(batch)
-    hs, in_dim = 4, 6
-    x, h, wx, wh, b = [rng.normal(0, 1, s) for s in
-                       [(batch, in_dim), (batch, hs), (in_dim, 3 * hs), (hs, 3 * hs), (3 * hs,)]]
-    weight = rng.normal(0, 1, (batch, hs))
-    h_new, gates = model._gru_gates(x @ wx + b, h, wh)
-    dgx, dgh, dh = model._gru_gate_grads(weight, h, *gates)
-
-    oracle_in = [Tensor(a.copy()) for a in (x, h, wx, wh, b)]
-    oracle = tape_model.gru_cell(*oracle_in, hs)
-    assert_close(h_new, oracle.data, FWD_TOL)
-    (oracle * weight).sum().backward()
-    fused = [dgx @ wx.T, dh + dgh @ wh.T, x.T @ dgx, h.T @ dgh, dgx.sum(axis=0)]
-    for f, o in zip(fused, oracle_in):
-        assert_close(f, o.grad, GRAD_TOL)
+    """The shared cell on the decoder's (B, h) state and on the encoder's
+    (2, B, h) stack of directions."""
+    assert_cell_matches_tape((), batch)
+    assert_cell_matches_tape((2,), batch)
 
 
 @pytest.mark.parametrize("lengths", sorted(LENGTH_SETS))

@@ -9,6 +9,9 @@ from gssf.synthgen import (AnswerSetSpec, CategorySpec, JitterParams, SynthesisE
                            render_expression)
 
 
+TWO_CATEGORIES = '[{"label": ["1"], "count": 1}, {"label": ["2"], "count": 1}]'
+
+
 def small_spec(**overrides):
     base = dict(
         categories=(CategorySpec(label=("1", "+", "2"), count=3),
@@ -146,6 +149,26 @@ class TestGenerateAnswerSet:
     def test_malformed_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
+        with pytest.raises(SynthesisError):
+            load_spec(path)
+
+    @pytest.mark.parametrize("text", [
+        '"spec"', "[1]",
+        '{"categories": %s, "jitter": {"sigma": "a"}}' % TWO_CATEGORIES,
+        '{"categories": %s, "jitter": {"scale": NaN}}' % TWO_CATEGORIES,
+        '{"categories": %s, "seed": 2.5}' % TWO_CATEGORIES,
+        '{"categories": %s, "spacing": true}' % TWO_CATEGORIES,
+        '{"categories": [{"label": ["1"], "count": 2.7}, {"label": ["2"], "count": 1}]}',
+        '{"categories": [{"label": ["1"], "count": true}, {"label": ["2"], "count": 1}]}',
+        '{"categories": [{"label": "12", "count": 1}, {"label": ["2"], "count": 1}]}',
+        '{"categories": [{"label": [1], "count": 1}, {"label": ["2"], "count": 1}]}',
+    ], ids=["text", "list", "text_sigma", "nan_scale", "float_seed", "bool_spacing",
+            "float_count", "bool_count", "text_label", "int_token"])
+    def test_malformed_spec_values(self, tmp_path, text):
+        """Nothing in a spec is truncated or converted to fit: a float count
+        or seed, a string label, a non-numeric jitter range all fail."""
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(SynthesisError):
             load_spec(path)
 
