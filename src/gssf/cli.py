@@ -2,13 +2,16 @@
 
 Subcommands: ``synth``, ``train``, ``cluster``, ``compare``, ``heatmap``.
 Options can come from a JSON config file (``--config``); explicit flags win.
-Exit codes: 0 success, 2 usage/validation error, 3 runtime failure. The
-``GSSF_LOG`` environment variable (error/info/debug) controls stderr logging.
+Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
+divergence, no scorable answers); any other error is a program fault and ends
+in a traceback. The ``GSSF_LOG`` environment variable (error/info/debug)
+controls stderr logging.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -27,8 +30,8 @@ from .metrics import MetricsError, adjusted_rand_index, evaluate, normalized_mut
 from .sbr import (SbRError, SbRMatrix, build_sbr_matrix, load_csv,
                   normalize_unit_interval, save_csv, save_pgm)
 from .seq2seq import (ArchConfig, CheckpointError, ModelError, TrainConfig,
-                      TrainingError, VocabularyError, checkpoint_bytes,
-                      load_checkpoint, save_checkpoint, train)
+                      TrainingError, VocabularyError, load_checkpoint, save_checkpoint,
+                      train)
 from .similarity import (GSSF_FAMILY, SYMMETRIC_KINDS, SimilarityKind, UnscorableAnswer,
                          cross_score_matrix, score_answers)
 from .synthgen import SynthesisError
@@ -52,10 +55,6 @@ CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "normalizat
 
 
 class UsageError(ValueError):
-    pass
-
-
-class RuntimeFailure(RuntimeError):
     pass
 
 
@@ -184,67 +183,34 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _validate_report(path: Path) -> None:
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    required = {"purity", "mc", "k", "h", "j", "per_cluster", "similarity_kind",
-                "method", "seeds", "normalization"}
-    missing = required - set(obj)
-    if missing:
-        raise RuntimeFailure(f"{path}: report missing keys {sorted(missing)}")
-    if obj["purity"] is not None and not 0.0 < obj["purity"] <= 1.0:
-        raise RuntimeFailure(f"{path}: purity {obj['purity']} outside (0, 1]")
-
-
-def _validate_csv(path: Path, expected_rows: int) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) != expected_rows + 1:
-        raise RuntimeFailure(f"{path}: expected {expected_rows} data rows")
-
-
-def _validate_pgm(path: Path, n: int) -> None:
-    data = path.read_bytes()
-    header = f"P5\n{n} {n}\n255\n".encode("ascii")
-    if not data.startswith(header) or len(data) != len(header) + n * n:
-        raise RuntimeFailure(f"{path}: malformed heatmap")
-
-
 # -- subcommands ------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
     spec = synthgen.load_spec(args.spec)
     if args.seed is not None:
-        spec = synthgen.AnswerSetSpec(categories=spec.categories, jitter=spec.jitter,
-                                      spacing=spec.spacing, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     inks = synthgen.generate_answer_set(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(out, inks)
-    written = load_jsonl(out)
-    expected = sum(c.count for c in spec.categories)
-    if len(written) != expected:
-        raise RuntimeFailure(f"{out}: wrote {len(written)} samples, expected {expected}")
-    log.info("synthesized %d samples into %s", len(written), out)
+    log.info("synthesized %d samples into %s", len(inks), out)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     inks = load_jsonl(args.data)
-    if any(ink.label is None for ink in inks):
-        raise UsageError("training data must carry a label on every sample")
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     tconf = _train_config(config)
 
     def on_epoch(record: dict) -> None:
         print(json.dumps(record, sort_keys=True), flush=True)
 
-    params = train([(ink, list(ink.label)) for ink in inks], tconf, seed, on_epoch=on_epoch)
+    params = train([(ink, ink.label) for ink in inks], tconf, seed, on_epoch=on_epoch)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, params)
-    if checkpoint_bytes(load_checkpoint(out)) != out.read_bytes():
-        raise RuntimeFailure(f"{out}: checkpoint did not round-trip")
     log.info("checkpoint written to %s", out)
     return EXIT_OK
 
@@ -306,10 +272,6 @@ def cmd_cluster(args) -> int:
     # Wall times live outside report.json so repeat runs stay byte-identical.
     _write_json(out_dir / "timings.json",
                 {"score_s": score_s, "sbr_s": sbr_s, "cluster_s": cluster_s})
-    _validate_report(out_dir / "report.json")
-    _validate_csv(out_dir / "assignment.csv", len(inks))
-    _validate_csv(out_dir / "sbr.csv", len(inks))
-    _validate_pgm(out_dir / "sbr.pgm", len(inks))
     log.info("clustered %d answers into %d clusters (purity=%s)", len(inks),
              assignment.k, report.get("purity"))
     return EXIT_OK
@@ -380,7 +342,6 @@ def cmd_compare(args) -> int:
     lines += [f"{r['kind']},{r['method']},{r['seed']},{r['purity']!r},{r['mc']!r}"
               for r in rows]
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _validate_csv(out_dir / "compare.csv", len(rows))
     log.info("compared %d kind/method/seed cells", len(rows))
     return EXIT_OK
 
@@ -392,7 +353,6 @@ def cmd_heatmap(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pgm(out, norm)
-    _validate_pgm(out, len(ids))
     return EXIT_OK
 
 
@@ -464,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UnscorableAnswer, TrainingError, RuntimeFailure) as exc:
+    except (UnscorableAnswer, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (UsageError, InkError, SynthesisError, CheckpointError, ClusteringError,

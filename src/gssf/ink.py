@@ -172,6 +172,9 @@ def load_jsonl(path: str | Path) -> list[RawInk]:
                     raise ValueError("label must be null or a list of strings")
                 if not (ink.category is None or isinstance(ink.category, str)):
                     raise ValueError("category must be null or a string")
+                # Both are written as CSV fields, unquoted.
+                if any(c in f for f in (ink.id, ink.category or "") for c in ",\r\n"):
+                    raise ValueError("id and category may not contain ',', CR or LF")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc
             ink.validate()

@@ -616,39 +616,32 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[Sc
     ``INFER_CHUNK``; ties break to the lowest index. A row stops collecting
     tokens once it emits the end marker, and is ``truncated`` if it never
     does within ``arch.max_decode_len`` steps."""
-    arch = params.arch
-    if not anns:
-        return []
-    if len(anns) > INFER_CHUNK:
-        return [d for start in range(0, len(anns), INFER_CHUNK)
-                for d in greedy_decode_batch(params, anns[start:start + INFER_CHUNK])]
-    p = params.tensors
-    padded, klens = _pad([a.vectors for a in anns], arch.annotation_dim)
-    batch = len(anns)
-    tokens = np.zeros((batch, arch.max_decode_len), dtype=np.int64)
-    logprobs = np.zeros((batch, arch.max_decode_len))
-    lengths = np.zeros(batch, dtype=np.int64)
-    live = np.ones(batch, dtype=bool)
-    prev = np.full(batch, SOS_INDEX)
-    consts, s, cov, _ = _decoder_start(p, padded, klens)
-    slots = np.empty((4, *s.shape))
-    for t in range(arch.max_decode_len):
-        logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov, slots)
-        ls = _log_softmax(logits)
-        prev = ls.argmax(axis=1)
-        live &= prev != EOS_INDEX
-        lengths += live
-        tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
-        if not live.any():
-            break
-    # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
-    return [ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
-                         truncated=bool(live[i])) for i, n in enumerate(lengths)]
-
-
-def greedy_decode(params: ModelParams, ann: Annotations) -> ScoredDecode:
-    """Greedy argmax decoding from the start token; ties break to the lowest index."""
-    return greedy_decode_batch(params, [ann])[0]
+    arch, p = params.arch, params.tensors
+    out: list[ScoredDecode] = []
+    for start in range(0, len(anns), INFER_CHUNK):
+        chunk = anns[start:start + INFER_CHUNK]
+        padded, klens = _pad([a.vectors for a in chunk], arch.annotation_dim)
+        batch = len(chunk)
+        tokens = np.zeros((batch, arch.max_decode_len), dtype=np.int64)
+        logprobs = np.zeros((batch, arch.max_decode_len))
+        lengths = np.zeros(batch, dtype=np.int64)
+        live = np.ones(batch, dtype=bool)
+        prev = np.full(batch, SOS_INDEX)
+        consts, s, cov, _ = _decoder_start(p, padded, klens)
+        slots = np.empty((4, *s.shape))
+        for t in range(arch.max_decode_len):
+            logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov, slots)
+            ls = _log_softmax(logits)
+            prev = ls.argmax(axis=1)
+            live &= prev != EOS_INDEX
+            lengths += live
+            tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
+            if not live.any():
+                break
+        # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
+        out.extend(ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
+                                truncated=bool(live[i])) for i, n in enumerate(lengths))
+    return out
 
 
 def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
@@ -717,8 +710,6 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
         params, batch, keep=True)
     total_tokens = float(mask.sum())
     loss = float(-((lp * mask).sum() / total_tokens))
-    if not math.isfinite(loss):
-        raise ModelError(f"non-finite training loss {loss!r} on batch of {len(batch)}")
     g_ann, grads = _teacher_forced_backward(params.tensors, ann, feed, targets,
                                             mask * (-1.0 / total_tokens), dec_cache)
     grads.update(_encode_backward(enc_cache, g_ann))

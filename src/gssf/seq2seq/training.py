@@ -102,15 +102,15 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
 
     Returns the epoch snapshot with the best held-out token accuracy
     (accuracy ties resolved toward the lower training loss). Raises
-    ``TrainingError`` when the loss diverges. ``on_epoch`` receives one record
+    ``TrainingError`` only when a batch loss is not finite (divergence),
+    ``ModelError`` for a bad config or a sample without ink or label, and
+    ``VocabularyError`` for an empty dataset. ``on_epoch`` receives one record
     per epoch: the token-weighted training loss, the held-out token accuracy,
     the mean pre-clip global gradient norm over its batches and its wall time.
     """
     config.validate()
-    if not dataset:
-        raise TrainingError("empty dataset")
     if any(label is None or ink is None for ink, label in dataset):
-        raise TrainingError("every sample needs ink and a label")
+        raise ModelError("every sample needs ink and a label")
     vocab = build_vocabulary([list(label) for _, label in dataset])
     arch = config.arch
     params = init_params(arch, vocab, seed)  # checks the parameter count first
@@ -138,10 +138,9 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
         norms = []
         for start in range(0, len(order), config.batch_size):
             chunk = [samples[train_idx[j]] for j in order[start : start + config.batch_size]]
-            try:
-                loss, grads = loss_and_gradients(params, chunk)
-            except ModelError as exc:  # raised here only for a non-finite loss
-                raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
+            loss, grads = loss_and_gradients(params, chunk)
+            if not math.isfinite(loss):
+                raise TrainingError(f"training diverged at epoch {epoch}: loss {loss!r}")
             norms.append(_clip_gradients(grads, config.clip_norm))
             opt.step(params.tensors, grads)
             n_tok = sum(len(t) + 1 for _, t in chunk)

@@ -120,6 +120,8 @@ class AnswerSetSpec:
         ids = [c.id for c in self.categories if c.id]
         if len(ids) != len(set(ids)):
             raise SynthesisError("category ids must be distinct")
+        if any(ch in i for i in ids for ch in ",\r\n"):  # ids become sample ids
+            raise SynthesisError("category ids may not contain ',', CR or LF")
         if not _is_real(self.spacing) or not self.spacing > 0:
             raise SynthesisError("spacing must be a positive number")
         if not _is_int(self.seed) or self.seed < 0:

@@ -1,7 +1,7 @@
 """Batched inference against the per-answer code it replaced.
 
-The oracle scores one answer at a time through the B = 1 ``encode`` and
-``greedy_decode`` wrappers, and builds the cross-score matrix from pairwise
+The oracle scores one answer at a time through the B = 1 ``encode``
+wrapper and a B = 1 call of ``greedy_decode_batch``, and builds the cross-score matrix from pairwise
 ``conditional_score`` calls. The batched path must give identical decodes
 and ``truncated`` flags, and values within 1e-9.
 """
@@ -14,8 +14,8 @@ import pytest
 from gssf.ink import extract_features, resample_and_normalize
 from gssf.sbr import build_sbr_matrix
 from gssf.seq2seq import (ArchConfig, Annotations, ModelError, ScoredDecode,
-                          cross_logprob_sums, encode, encode_batch, greedy_decode,
-                          greedy_decode_batch, init_params, model, teacher_forced_logprobs)
+                          cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
+                          init_params, model, teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
 from gssf.similarity import (AnswerScoring, SimilarityKind, conditional_score,
                              cross_score_matrix, distinct_index)
@@ -24,6 +24,11 @@ TOL = 1e-9
 
 RANDOM_ARCH = ArchConfig(enc_hidden=6, dec_hidden=8, embed_dim=6, att_dim=6,
                          cov_channels=3, cov_kernel=3, max_decode_len=12)
+
+
+def greedy_decode(params, ann):
+    """B = 1 greedy decode, the per-answer oracle call."""
+    return greedy_decode_batch(params, [ann])[0]
 
 
 def per_answer_scoring(params, inks):

@@ -13,6 +13,7 @@ import pytest
 from gssf.cli import main
 from gssf.ink import RawInk, save_jsonl
 from gssf.sbr import load_csv
+from gssf.seq2seq import checkpoint_bytes, load_checkpoint
 
 TINY_CONFIG = {
     "arch": {
@@ -80,7 +81,10 @@ class TestSynth:
                                                 {"label": ["2"], "count": 3}]}),
         json.dumps({**TINY_SPEC, "categories": [{"label": "12", "count": 3},
                                                 {"label": ["2"], "count": 3}]}),
-    ], ids=["list", "text_sigma", "float_seed", "text_spacing", "float_count", "text_label"])
+        json.dumps({**TINY_SPEC, "categories": [{"label": ["1"], "count": 2, "id": "a,b"},
+                                                {"label": ["2"], "count": 3}]}),
+    ], ids=["list", "text_sigma", "float_seed", "text_spacing", "float_count", "text_label",
+            "comma_id"])
     def test_malformed_spec_contents_exit_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -113,6 +117,7 @@ class TestTrain:
             assert main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(out),
                          "--config", str(tiny_pipeline["config"]), "--seed", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert checkpoint_bytes(load_checkpoint(a)) == a.read_bytes()
 
     def test_memorization_final_loss(self, tmp_path, capsys):
         stroke = np.array([[0.0, 0.0], [0.4, 1.0], [0.8, 0.2], [1.2, 0.9]])
@@ -148,12 +153,17 @@ class TestCluster:
         out = tmp_path / "run"
         assert self.run(tiny_pipeline, out, ("--seed", "0")) == 0
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == {
+            "k", "h", "objective", "similarity_kind", "method", "seeds", "normalization",
+            "num_unscorable", "num_unique_decodes", "num_truncated_decodes",
+            "degenerate_matrix", "purity", "mc", "j", "per_cluster"}
         assert report["h"] == 12 and report["k"] == 3
         assert report["similarity_kind"] == "gssf" and report["method"] == "m5"
         assert 0.0 < report["purity"] <= 1.0
         assert 0.0 < report["mc"] <= 1.0
         assert sum(c["size"] for c in report["per_cluster"]) == 12
-        assert (out / "assignment.csv").read_text().splitlines()[0] == "id,cluster_label,category"
+        rows = (out / "assignment.csv").read_text().splitlines()
+        assert rows[0] == "id,cluster_label,category" and len(rows) == 1 + 12
         ids, values = load_csv(out / "sbr.csv")
         assert len(ids) == 12
         np.testing.assert_array_equal(np.diag(values), np.zeros(12))
@@ -161,6 +171,29 @@ class TestCluster:
         header = b"P5\n12 12\n255\n"
         assert pgm.startswith(header) and len(pgm) == len(header) + 144
         assert (out / "timings.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("category", "x,y"), ("category", "z\nw"), ("id", "a\rb"), ("id", "a,b"),
+    ])
+    def test_field_separator_in_dataset_exit_2(self, tiny_pipeline, tmp_path, capsys,
+                                               monkeypatch, field, value):
+        """Ids and categories are unquoted CSV fields, so the reader rejects
+        separators in them before any answer is scored."""
+
+        def no_scoring(*args):
+            raise AssertionError("scored a dataset that should have been rejected")
+
+        monkeypatch.setattr("gssf.cli.score_answers", no_scoring)
+        lines = tiny_pipeline["dataset"].read_text().splitlines()
+        first = json.loads(lines[0])
+        first[field] = value
+        data = tmp_path / "answers.jsonl"
+        data.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        out = tmp_path / "run"
+        assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(out)]) == 2
+        assert "may not contain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
         code = self.run(tiny_pipeline, tmp_path / "x",
@@ -365,7 +398,8 @@ class TestHeatmap:
         assert main(["heatmap", "--matrix", str(run_dir / "sbr.csv"),
                      "--out", str(out)]) == 0
         data = out.read_bytes()
-        assert data.startswith(b"P5\n12 12\n255\n")
+        header = b"P5\n12 12\n255\n"
+        assert data.startswith(header) and len(data) == len(header) + 144
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["heatmap", "--matrix", str(tmp_path / "none.csv"),

@@ -12,7 +12,7 @@ from gssf.ink import RawInk, extract_features, resample_and_normalize
 from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           ModelParams, TrainConfig, TrainingError, Vocabulary,
                           VocabularyError, build_vocabulary, checkpoint_bytes,
-                          cross_logprob_sums, encode, greedy_decode, init_params,
+                          cross_logprob_sums, encode, greedy_decode_batch, init_params,
                           load_checkpoint, loss_and_gradients, param_shapes,
                           save_checkpoint, teacher_forced_logprobs, train, zero_params)
 from gssf.seq2seq import model
@@ -24,6 +24,11 @@ from tape_model import init_decoder_state as tape_init_decoder_state
 
 SMALL = ArchConfig(enc_hidden=5, dec_hidden=6, embed_dim=4, att_dim=4,
                    cov_channels=3, cov_kernel=3, max_decode_len=10)
+
+
+def greedy_decode(params, ann):
+    """Greedy decode of one annotation set."""
+    return greedy_decode_batch(params, [ann])[0]
 
 
 def small_model(seed=7, vocab_tokens=(("a", "b"), ("c",))):
@@ -332,8 +337,14 @@ class TestTrain:
             train([(ink, label)], wild, seed=0)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(VocabularyError):
             train([], TrainConfig(), seed=0)
+
+    def test_missing_label_rejected(self):
+        ink, label, config = memorization_fixture()
+        for sample in ((ink, None), (None, label)):
+            with pytest.raises(ModelError, match="ink and a label"):
+                train([(ink, label), sample], config, seed=0)
 
     def test_bad_config_rejected_before_training(self):
         ink, label, config = memorization_fixture()
