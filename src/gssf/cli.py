@@ -93,18 +93,10 @@ def _pick_int(flag_value, config: dict, key: str, default: int | None,
     return value
 
 
-def _arch_config(config: dict) -> ArchConfig:
-    try:
-        arch = ArchConfig(**config.get("arch", {}))
-        arch.validate()
-        return arch
-    except (TypeError, ModelError) as exc:
-        raise UsageError(f"bad architecture config: {exc}") from exc
-
-
 def _train_config(config: dict) -> TrainConfig:
     try:
-        tconf = TrainConfig(arch=_arch_config(config), **config.get("train", {}))
+        tconf = TrainConfig(arch=ArchConfig(**config.get("arch", {})),
+                            **config.get("train", {}))
         tconf.validate()
         return tconf
     except (TypeError, ModelError) as exc:

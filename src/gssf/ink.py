@@ -16,6 +16,8 @@ import numpy as np
 
 
 MAX_POINTS = 32_768  # resampled points per answer; ~300x a typical answer, bounds encoder cost
+FEATURE_DIM = 8  # columns of extract_features' per-point rows, the recognizer's input width
+FIELD_SEPARATORS = ",\r\n"  # ids and categories are written as unquoted CSV fields
 
 
 class InkError(ValueError):
@@ -130,7 +132,7 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
 
 
 def extract_features(ink: RawInk) -> np.ndarray:
-    """Per-point 8-feature matrix: position, first/second forward offsets, pen state.
+    """Per-point (L, FEATURE_DIM) features: position, first/second forward offsets, pen state.
 
     Row i is [x, y, x(i+1)-x, y(i+1)-y, x(i+2)-x, y(i+2)-y, down, up] where
     missing forward neighbours are clamped to the final point (so the offsets
@@ -172,8 +174,7 @@ def load_jsonl(path: str | Path) -> list[RawInk]:
                     raise ValueError("label must be null or a list of strings")
                 if not (ink.category is None or isinstance(ink.category, str)):
                     raise ValueError("category must be null or a string")
-                # Both are written as CSV fields, unquoted.
-                if any(c in f for f in (ink.id, ink.category or "") for c in ",\r\n"):
+                if any(c in f for f in (ink.id, ink.category or "") for c in FIELD_SEPARATORS):
                     raise ValueError("id and category may not contain ',', CR or LF")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc

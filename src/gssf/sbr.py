@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ink import FIELD_SEPARATORS
 from .seq2seq import ModelParams
 from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
                          cross_score_matrix, distinct_index, edit_distance)
@@ -130,7 +131,7 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
 
 def to_csv(m: SbRMatrix) -> str:
     for sample_id in m.ids:
-        if "," in sample_id or "\n" in sample_id:
+        if any(c in sample_id for c in FIELD_SEPARATORS):
             raise SbRError(f"id {sample_id!r} cannot be written to CSV")
     lines = ["id," + ",".join(m.ids)]
     for sample_id, row in zip(m.ids, m.values):
@@ -144,8 +145,9 @@ def save_csv(path: str | Path, m: SbRMatrix) -> None:
 
 def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read back a matrix CSV as (ids, values); kind/normalization are not stored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("id,"):
+    # LF only, as to_csv writes: str.splitlines would also break ids at U+2028, VT, ...
+    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    if not lines[0].startswith("id,"):
         raise SbRError(f"{path}: not a similarity-matrix CSV")
     ids = lines[0].split(",")[1:]
     try:

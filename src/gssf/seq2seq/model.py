@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ink import FEATURE_DIM
 from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
 INFER_CHUNK = 32  # answers per padded encoder or decoder batch; bounds inference memory
-CROSS_CHUNK = 64  # (decode, annotation set) pairs per teacher-forced scoring batch
 MAX_ARCH_SIZE = 4096  # upper bound on every architecture size, decode length included
 MAX_PARAMS = 2 ** 24  # upper bound on the parameter count (128 MiB of float64)
 
@@ -37,7 +37,7 @@ class ModelError(ValueError):
 class ArchConfig:
     """Architecture sizes plus the preprocessing knobs inference depends on."""
 
-    input_dim: int = 8
+    input_dim: int = FEATURE_DIM  # fixed: the width extract_features emits
     enc_layers: int = 2
     enc_hidden: int = 32          # per direction
     enc_pool: int = 1             # top layers whose input is subsampled
@@ -63,6 +63,8 @@ class ArchConfig:
             raise ModelError("architecture sizes must be integers")
         if any(not 0 < s <= MAX_ARCH_SIZE for s in sizes):
             raise ModelError(f"architecture sizes must lie in [1, {MAX_ARCH_SIZE}]")
+        if self.input_dim != FEATURE_DIM:
+            raise ModelError(f"input_dim must be {FEATURE_DIM}, the ink feature width")
         if not 0 <= self.enc_pool <= self.enc_layers:
             raise ModelError("enc_pool must lie in [0, enc_layers]")
         if self.cov_kernel % 2 != 1:
@@ -568,18 +570,16 @@ def _pad(arrays: list[np.ndarray], dim: int) -> tuple[np.ndarray, list[int]]:
     return padded, lens
 
 
-def _batch_tokens(token_seqs: list[list[int]], extra_eos: bool):
-    """Feed/target/mask arrays for teacher forcing, optionally with the end token."""
-    lens = [len(s) + (1 if extra_eos else 0) for s in token_seqs]
-    t_max = max(lens)
+def _batch_tokens(token_seqs: list[list[int]]):
+    """Feed/target/mask arrays for teacher forcing, padded with the end token."""
+    t_max = max(len(s) for s in token_seqs)
     feed = np.full((len(token_seqs), t_max), EOS_INDEX, dtype=np.int64)
-    targets = np.full((len(token_seqs), t_max), EOS_INDEX, dtype=np.int64)
+    targets = feed.copy()
     mask = np.zeros((len(token_seqs), t_max))
     for i, seq in enumerate(token_seqs):
-        full = list(seq) + ([EOS_INDEX] if extra_eos else [])
-        feed[i, : len(full)] = [SOS_INDEX] + full[:-1]
-        targets[i, : len(full)] = full
-        mask[i, : len(full)] = 1.0
+        feed[i, : len(seq)] = [SOS_INDEX, *seq[:-1]]
+        targets[i, : len(seq)] = seq
+        mask[i, : len(seq)] = 1.0
     return feed, targets, mask
 
 
@@ -652,19 +652,19 @@ def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
             raise ModelError("token index out of range")
 
 
-def _teacher_forced(params: ModelParams, anns: list[Annotations], token_seqs: list[list[int]]):
-    """Per-step log-probabilities (B, T) and validity mask of each non-empty
-    ``token_seqs[i]`` teacher-forced against ``anns[i]``, as one padded batch."""
-    ann, klens = _pad([a.vectors for a in anns], params.arch.annotation_dim)
-    feed, targets, mask = _batch_tokens(token_seqs, extra_eos=False)
-    lp, _, _ = _teacher_forced_steps(params.tensors, ann, klens, feed, targets, keep=False)
-    return lp, mask
+def _teacher_forced(p: Params, ann: np.ndarray, klens: list[int], tokens: list[int]) -> np.ndarray:
+    """(B, T) log-probabilities of the non-empty ``tokens``, start token
+    prepended, teacher-forced against every row of a padded (B, K, a)
+    annotation batch. Every row carries the same tokens, so none is padded."""
+    feed = np.broadcast_to([SOS_INDEX, *tokens[:-1]], (len(klens), len(tokens)))
+    targets = np.broadcast_to(tokens, feed.shape)
+    return _teacher_forced_steps(p, ann, klens, feed, targets, keep=False)[0]
 
 
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
     """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
     _check_tokens(params, [tokens])
-    return _teacher_forced(params, [ann], [tokens])[0][0]
+    return _teacher_forced(params.tensors, ann.vectors[None], [len(ann.vectors)], tokens)[0]
 
 
 def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
@@ -672,19 +672,17 @@ def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
     """(len(anns), len(token_seqs)) total teacher-forced log-probability of
     every non-empty sequence against every annotation set.
 
-    The (sequence, annotation set) pairs run in padded batches of
-    ``CROSS_CHUNK``, sequence-major with the shortest sequence first, so a
-    batch is padded only to the lengths of the sequences it holds.
+    The annotation sets are padded in the chunks of ``INFER_CHUNK`` that
+    ``encode_batch`` uses, and each chunk runs against one sequence at a time.
     """
     _check_tokens(params, token_seqs)
-    order = np.argsort([len(s) for s in token_seqs], kind="stable")
-    seq_of = np.repeat(order, len(anns))
-    ann_of = np.tile(np.arange(len(anns)), len(token_seqs))
     sums = np.zeros((len(anns), len(token_seqs)))
-    for start in range(0, len(seq_of), CROSS_CHUNK):
-        c, q = ann_of[start:start + CROSS_CHUNK], seq_of[start:start + CROSS_CHUNK]
-        lp, mask = _teacher_forced(params, [anns[i] for i in c], [token_seqs[i] for i in q])
-        sums[c, q] = (lp * mask).sum(axis=1)
+    for start in range(0, len(anns), INFER_CHUNK):
+        ann, klens = _pad([a.vectors for a in anns[start:start + INFER_CHUNK]],
+                          params.arch.annotation_dim)
+        for q, tokens in enumerate(token_seqs):
+            sums[start:start + len(klens), q] = _teacher_forced(
+                params.tensors, ann, klens, tokens).sum(axis=1)
     return sums
 
 
@@ -699,7 +697,7 @@ def _forward_batch(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]
     arch, p = params.arch, params.tensors
     ann, klens, enc_cache = _encode_steps(p, arch, *_pad(
         [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim), keep)
-    feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
+    feed, targets, mask = _batch_tokens([[*t, EOS_INDEX] for _, t in batch])
     lp, argmax, dec_cache = _teacher_forced_steps(p, ann, klens, feed, targets, keep)
     return lp, argmax, targets, mask, (ann, feed, enc_cache, dec_cache)
 

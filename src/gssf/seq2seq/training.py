@@ -30,6 +30,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def validate(self) -> None:
+        self.arch.validate()
         counts = (self.batch_size, self.max_epochs, self.patience)
         if not all(_is_int(n) for n in counts) or self.batch_size < 1 or min(counts) < 0:
             raise ModelError("need integers batch_size >= 1, max_epochs >= 0 and patience >= 0")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ink import RawInk, resample_and_normalize
+from .ink import FIELD_SEPARATORS, RawInk, resample_and_normalize
 from .seq2seq.model import _is_int, _is_real
 
 GLYPH_GAP = 0.15
@@ -120,7 +120,7 @@ class AnswerSetSpec:
         ids = [c.id for c in self.categories if c.id]
         if len(ids) != len(set(ids)):
             raise SynthesisError("category ids must be distinct")
-        if any(ch in i for i in ids for ch in ",\r\n"):  # ids become sample ids
+        if any(ch in i for i in ids for ch in FIELD_SEPARATORS):  # ids become sample ids
             raise SynthesisError("category ids may not contain ',', CR or LF")
         if not _is_real(self.spacing) or not self.spacing > 0:
             raise SynthesisError("spacing must be a positive number")

@@ -11,6 +11,7 @@ Only the padding helpers are shared with the model.
 import numpy as np
 
 from gssf.seq2seq.model import MASK_NEG, _batch_tokens, _pad
+from gssf.seq2seq.vocab import EOS_INDEX
 from tape import Tensor, as_tensor, concat, log_softmax
 
 
@@ -143,7 +144,7 @@ def loss_and_gradients(params, batch):
     feats, lens = _pad([np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim)
     steps = [np.ascontiguousarray(feats[:, t]) for t in range(feats.shape[1])]
     ann, klens = encode_steps(pt, arch, steps, lens)
-    feed, targets, mask = _batch_tokens([list(t) for _, t in batch], extra_eos=True)
+    feed, targets, mask = _batch_tokens([[*t, EOS_INDEX] for _, t in batch])
     lp = teacher_forced_steps(pt, arch, ann, klens, feed, targets)
     loss_t = -((lp * mask).sum() / float(mask.sum()))
     loss_t.backward()

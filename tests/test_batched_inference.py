@@ -6,6 +6,8 @@ wrapper and a B = 1 call of ``greedy_decode_batch``, and builds the cross-score 
 and ``truncated`` flags, and values within 1e-9.
 """
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -186,9 +188,7 @@ class TestCrossLogprobSums:
         self.check(anns, [[2, 3], [4], [5, 6, 7, 2]])
 
     def test_decode_rows_span_two_chunks(self):
-        columns = 40  # 3 * 40 pairs: the second decode's rows straddle the first seam
-        assert (3 * columns) % model.CROSS_CHUNK != 0
-        assert columns < model.CROSS_CHUNK < 2 * columns
+        columns = model.INFER_CHUNK + 8  # every decode runs on both sides of the chunk seam
         anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 15, columns)))
         self.check(anns, [[3, 4, 5], [2], [6, 6]])
 
@@ -253,26 +253,29 @@ class TestChunkedCrossScoreMatrix:
         assert f[0, 0] == 0.0
         assert np.isnan(f[1:]).all() and np.isnan(f[:, 1:]).all()
 
-    def test_short_decodes_are_not_padded_to_the_long_one(self, answers, monkeypatch):
+    def test_each_batch_runs_one_decode_unpadded(self, answers, monkeypatch):
         params, answers = answers
-        steps = []
+        batches = []
         real = model._teacher_forced_steps
 
         def spy(p, ann, klens, feed, targets, *args, **kwargs):
-            # Decoded tokens never include the end marker, so it marks padding.
-            longest = int((targets != model.EOS_INDEX).sum(axis=1).max())
-            steps.append((feed.shape[1], longest))
+            batches.append((ann.shape[0], feed.copy(), targets.copy()))
             return real(p, ann, klens, feed, targets, *args, **kwargs)
 
         monkeypatch.setattr(model, "_teacher_forced_steps", spy)
         cross_score_matrix(answers, params)
-        # Each batch is padded to its own longest decode. Shortest first puts
-        # the 30-token decode's rows, at most two batches' worth, last.
-        assert all(t == longest for t, longest in steps)
-        long_batches = sum(t == 30 for t, _ in steps)
-        assert 1 <= long_batches <= 2 < len(steps)
-        assert all(t == 30 for t, _ in steps[-long_batches:])
-        assert all(t <= 6 for t, _ in steps[:-long_batches])
+        scorable = sum(a.scorable for a in answers)
+        assert scorable > model.INFER_CHUNK, "fixture must span two chunks"
+        seqs, _ = distinct_index([a.decode.tokens for a in answers if a.scorable])
+        chunks = math.ceil(scorable / model.INFER_CHUNK)
+        assert len(batches) == chunks * len(seqs)
+        # One decode per batch, unpadded: every row feeds and targets exactly its tokens.
+        for rows, feed, targets in batches:
+            assert rows <= model.INFER_CHUNK
+            assert (feed == feed[0]).all() and (targets == targets[0]).all()
+            assert feed[0].tolist() == [model.SOS_INDEX, *targets[0, :-1].tolist()]
+        runs = Counter(tuple(targets[0].tolist()) for _, _, targets in batches)
+        assert runs == {tuple(seq): chunks for seq in seqs}
 
 
 def test_distinct_index_first_seen_order():

@@ -434,7 +434,7 @@ class TestUsage:
         ("train", {"batch_size": -1}), ("train", {"batch_size": 2.5}),
         ("train", {"learning_rate": "x"}), ("train", {"clip_norm": "a"}),
         ("arch", {"enc_layers": 2.5}), ("arch", {"max_decode_len": 2.5}),
-        ("arch", {"max_decode_len": 10 ** 12}),
+        ("arch", {"max_decode_len": 10 ** 12}), ("arch", {"input_dim": 5}),
     ])
     def test_bad_training_config_exit_2(self, tiny_pipeline, tmp_path, capsys,
                                         section, values):

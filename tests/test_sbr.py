@@ -260,8 +260,26 @@ class TestExport:
         assert ids == m.ids
         np.testing.assert_array_equal(values, m.values)
 
+    @pytest.mark.parametrize("sample_id", ["a\u2028b", "a\x85b", "a\vb", "a\x1cb"],
+                             ids=["U+2028", "U+0085", "VT", "0x1C"])
+    def test_csv_round_trip_keeps_ids_splitlines_would_break(self, tmp_path, sample_id):
+        assert len(sample_id.splitlines()) == 2
+        m = SbRMatrix(values=np.array([[0.0, -1.5], [-1.5, 0.0]]), ids=[sample_id, "c"],
+                      kind=SimilarityKind.GSSF)
+        path = tmp_path / "m.csv"
+        save_csv(path, m)
+        ids, values = load_csv(path)
+        assert ids == m.ids
+        np.testing.assert_array_equal(values, m.values)
+
     def test_csv_rejects_commas_in_ids(self):
         m = SbRMatrix(values=np.zeros((2, 2)), ids=["a,b", "c"], kind=SimilarityKind.GSSF)
+        with pytest.raises(SbRError):
+            to_csv(m)
+
+    @pytest.mark.parametrize("sample_id", ["a\nb", "a\rb"], ids=["LF", "CR"])
+    def test_csv_rejects_line_ends_in_ids(self, sample_id):
+        m = SbRMatrix(values=np.zeros((2, 2)), ids=[sample_id, "c"], kind=SimilarityKind.GSSF)
         with pytest.raises(SbRError):
             to_csv(m)
 

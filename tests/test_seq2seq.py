@@ -7,13 +7,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gssf.ink import RawInk, extract_features, resample_and_normalize
+from gssf.ink import FEATURE_DIM, RawInk, extract_features, resample_and_normalize
 from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           ModelParams, TrainConfig, TrainingError, Vocabulary,
                           VocabularyError, build_vocabulary, checkpoint_bytes,
-                          cross_logprob_sums, encode, greedy_decode_batch, init_params,
-                          load_checkpoint, loss_and_gradients, param_shapes,
+                          cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
+                          init_params, load_checkpoint, loss_and_gradients, param_shapes,
                           save_checkpoint, teacher_forced_logprobs, train, zero_params)
 from gssf.seq2seq import model
 from gssf.seq2seq.model import MAX_ARCH_SIZE
@@ -37,7 +39,7 @@ def small_model(seed=7, vocab_tokens=(("a", "b"), ("c",))):
 
 
 def random_feats(length, seed=0):
-    return np.random.default_rng(seed).normal(0, 1, (length, 8))
+    return np.random.default_rng(seed).normal(0, 1, (length, FEATURE_DIM))
 
 
 def with_max_decode_len(params, n):
@@ -368,6 +370,7 @@ class TestConfigValidation:
         ("enc_pool", True), ("cov_kernel", None),
         ("resample_spacing", "x"), ("resample_spacing", math.inf),
         ("resample_spacing", math.nan), ("resample_spacing", 0.0),
+        ("input_dim", FEATURE_DIM - 3), ("input_dim", FEATURE_DIM + 1),
     ])
     def test_arch_rejects(self, field, value):
         with pytest.raises(ModelError):
@@ -410,6 +413,33 @@ class TestConfigValidation:
     def test_train_rejects(self, field, value):
         with pytest.raises(ModelError):
             TrainConfig(**{field: value}).validate()
+
+    def test_train_validates_its_arch(self):
+        with pytest.raises(ModelError, match="input_dim"):
+            TrainConfig(arch=dataclasses.replace(SMALL, input_dim=5)).validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_valid_arch_runs(self, data):
+        """A config either fails ``validate()`` or encodes, decodes and trains
+        on the features the pipeline extracts from ink."""
+        layers = data.draw(st.integers(1, 3), label="enc_layers")
+        arch = dataclasses.replace(
+            SMALL, enc_layers=layers,
+            enc_pool=data.draw(st.integers(0, layers), label="enc_pool"),
+            cov_kernel=data.draw(st.sampled_from([1, 3, 5]), label="cov_kernel"),
+            input_dim=data.draw(st.sampled_from([5, 8, 9]), label="input_dim"),
+            max_decode_len=4)
+        try:
+            arch.validate()
+        except ModelError:
+            return
+        params = init_params(arch, build_vocabulary([["a", "b"]]), seed=0)
+        ink = RawInk(strokes=[np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]]),
+                              np.array([[0.5, 1.0], [1.5, 1.0]])])
+        feats = [extract_features(resample_and_normalize(ink, 0.2)), random_feats(3)]
+        greedy_decode_batch(params, encode_batch(params, feats))
+        loss_and_gradients(params, [(f, [2, 3]) for f in feats])
 
     def test_train_accepts_boundaries(self):
         TrainConfig().validate()
@@ -475,6 +505,18 @@ class TestCheckpoint:
         path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
                                       struct.pack("<I", len(bad)) + bad))
         with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(path)
+
+    def test_other_input_dim_raises_checkpoint_error(self, tmp_path):
+        data = checkpoint_bytes(small_model())
+        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+        field = f'"input_dim": {FEATURE_DIM}'.encode()
+        assert field in cfg
+        bad = cfg.replace(field, b'"input_dim": 5')
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
+                                      struct.pack("<I", len(bad)) + bad))
+        with pytest.raises(CheckpointError, match=r"bad config block \(input_dim"):
             load_checkpoint(path)
 
     def test_oversized_param_count_raises_checkpoint_error(self, tmp_path):
