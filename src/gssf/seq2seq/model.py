@@ -652,19 +652,12 @@ def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
             raise ModelError("token index out of range")
 
 
-def _teacher_forced(p: Params, ann: np.ndarray, klens: list[int], tokens: list[int]) -> np.ndarray:
-    """(B, T) log-probabilities of the non-empty ``tokens``, start token
-    prepended, teacher-forced against every row of a padded (B, K, a)
-    annotation batch. Every row carries the same tokens, so none is padded."""
-    feed = np.broadcast_to([SOS_INDEX, *tokens[:-1]], (len(klens), len(tokens)))
-    targets = np.broadcast_to(tokens, feed.shape)
-    return _teacher_forced_steps(p, ann, klens, feed, targets, keep=False)[0]
-
-
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
     """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
     _check_tokens(params, [tokens])
-    return _teacher_forced(params.tensors, ann.vectors[None], [len(ann.vectors)], tokens)[0]
+    feed, targets = np.array([[SOS_INDEX, *tokens[:-1]]]), np.array([tokens])
+    return _teacher_forced_steps(params.tensors, ann.vectors[None], [len(ann.vectors)],
+                                 feed, targets, keep=False)[0][0]
 
 
 def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
@@ -673,16 +666,45 @@ def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
     every non-empty sequence against every annotation set.
 
     The annotation sets are padded in the chunks of ``INFER_CHUNK`` that
-    ``encode_batch`` uses, and each chunk runs against one sequence at a time.
+    ``encode_batch`` uses. Each chunk gets one ``_decoder_start`` and walks
+    the sequences in sorted order, depth first over their prefix tree. Step
+    t depends only on a sequence's first t tokens (its target just picks a
+    column of the output), so a sequence resumes from the steps of its
+    longest common prefix with the one before, the step after that prefix
+    included when the one before ran it: each distinct prefix that some
+    sequence extends is stepped once per chunk. Each row steps and sums
+    exactly as a chunk teacher-forced against that one sequence would, so
+    the sums are the same bits.
     """
     _check_tokens(params, token_seqs)
+    p = params.tensors
+    order = sorted(range(len(token_seqs)), key=token_seqs.__getitem__)
+    seqs = [token_seqs[q] for q in order]
+    # Common prefix with the sequence before, which in sorted order is all
+    # of that one or ends at a mismatch.
+    shared = [0] + [next((t for t, (a, b) in enumerate(zip(prev, seq)) if a != b), len(prev))
+                    for prev, seq in zip(seqs, seqs[1:])]
+    t_max = max(map(len, token_seqs), default=0)
     sums = np.zeros((len(anns), len(token_seqs)))
     for start in range(0, len(anns), INFER_CHUNK):
         ann, klens = _pad([a.vectors for a in anns[start:start + INFER_CHUNK]],
                           params.arch.annotation_dim)
-        for q, tokens in enumerate(token_seqs):
-            sums[start:start + len(klens), q] = _teacher_forced(
-                params.tensors, ann, klens, tokens).sum(axis=1)
+        consts, s, cov, _ = _decoder_start(p, ann, klens)
+        rows = np.arange(len(klens))
+        slots = np.empty((4, *s.shape))
+        lp = np.empty((len(klens), t_max))  # column t: log-prob of step t's target
+        path = [(None, s, cov)]  # after t steps: the last step's log-softmax, state, coverage
+        for q, tokens, depth in zip(order, seqs, shared):
+            del path[depth + 2:]
+            for t in range(len(path) - 1, len(tokens)):
+                _, s, cov = path[t]
+                cov = cov.copy()  # _decode_step adds this step's attention in place
+                feed = np.full(len(klens), tokens[t - 1] if t else SOS_INDEX)
+                logits, s, _ = _decode_step(p, ann, consts, p["emb"][feed], s, cov, slots)
+                path.append((_log_softmax(logits), s, cov))
+            for t in range(depth, len(tokens)):
+                lp[:, t] = path[t + 1][0][rows, tokens[t]]
+            sums[start:start + len(klens), q] = lp[:, :len(tokens)].sum(axis=1)
     return sums
 
 

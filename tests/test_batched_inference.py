@@ -3,11 +3,11 @@
 The oracle scores one answer at a time through the B = 1 ``encode``
 wrapper and a B = 1 call of ``greedy_decode_batch``, and builds the cross-score matrix from pairwise
 ``conditional_score`` calls. The batched path must give identical decodes
-and ``truncated`` flags, and values within 1e-9.
+and ``truncated`` flags, and values within 1e-9. ``cross_logprob_sums``
+must also equal, bit for bit, the layout it replaced: every chunk
+teacher-forced against one decode at a time.
 """
 
-import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -168,8 +168,25 @@ def pairwise_logprob_sums(params, anns, seqs):
                      for ann in anns])
 
 
+def per_decode_logprob_sums(params, anns, seqs):
+    """Oracle: each chunk of ``INFER_CHUNK`` annotation sets teacher-forced
+    against one sequence at a time, from the start token."""
+    sums = np.zeros((len(anns), len(seqs)))
+    for start in range(0, len(anns), model.INFER_CHUNK):
+        ann, klens = model._pad([a.vectors for a in anns[start:start + model.INFER_CHUNK]],
+                                params.arch.annotation_dim)
+        for q, tokens in enumerate(seqs):
+            feed = np.broadcast_to([model.SOS_INDEX, *tokens[:-1]], (len(klens), len(tokens)))
+            targets = np.broadcast_to(tokens, feed.shape)
+            lp = model._teacher_forced_steps(params.tensors, ann, klens, feed, targets,
+                                             keep=False)[0]
+            sums[start:start + len(klens), q] = lp.sum(axis=1)
+    return sums
+
+
 class TestCrossLogprobSums:
-    """The chunked all-pairs path against pairwise teacher forcing."""
+    """The chunked all-pairs path against pairwise teacher forcing and, bit for
+    bit, against the per-decode layout."""
 
     def setup_method(self):
         self.params = init_params(replace(RANDOM_ARCH, max_decode_len=30),
@@ -181,6 +198,34 @@ class TestCrossLogprobSums:
         assert got.shape == (len(anns), len(seqs))
         np.testing.assert_allclose(got, pairwise_logprob_sums(self.params, anns, seqs),
                                    rtol=0, atol=TOL)
+
+    def check_exact(self, anns, seqs):
+        """The prefix walk gives the per-decode layout's sums bit for bit."""
+        got = cross_logprob_sums(self.params, anns, seqs)
+        assert np.array_equal(got, per_decode_logprob_sums(self.params, anns, seqs))
+
+    def test_exact_on_nested_and_branching_prefixes(self):
+        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 20, 9)))
+        # [7, 6, 5] is a prefix of [7, 6, 5, 4]; the [2, ...] decodes share only their
+        # first token; [7, 6] comes after its extensions in input order.
+        self.check_exact(anns, [[7, 6, 5, 4], [2, 3, 4], [7, 6, 5], [2, 5], [2, 6, 6],
+                                [7, 6], [4]])
+
+    def test_exact_with_long_decode_beside_short_ones(self):
+        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 12, 12)))
+        long_seq = [int(t) for t in self.rng.integers(2, self.params.vocab.size, 30)]
+        # Rows of 8 or more log-probs sum pairwise, so a running total would differ.
+        self.check_exact(anns, [[2, 3], long_seq, long_seq[:9], [4], long_seq[:3] + [5]])
+
+    def test_exact_on_a_single_decode(self):
+        anns = encode_batch(self.params, random_feats(self.rng, [7, 4, 11]))
+        self.check_exact(anns, [[2, 5, 3]])
+        self.check_exact(anns[:1], [[4]])
+
+    def test_exact_across_the_chunk_seam(self):
+        columns = model.INFER_CHUNK + 8
+        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 15, columns)))
+        self.check_exact(anns, [[3, 4, 5], [2], [3, 4], [6, 6], [3, 2, 5, 5]])
 
     def test_mixed_annotation_lengths_in_one_chunk(self):
         anns = encode_batch(self.params, random_feats(self.rng, [1, 3, 9, 17, 2, 30]))
@@ -253,29 +298,35 @@ class TestChunkedCrossScoreMatrix:
         assert f[0, 0] == 0.0
         assert np.isnan(f[1:]).all() and np.isnan(f[:, 1:]).all()
 
-    def test_each_batch_runs_one_decode_unpadded(self, answers, monkeypatch):
+    def test_one_start_per_chunk_and_one_step_per_extended_prefix(self, answers, monkeypatch):
         params, answers = answers
-        batches = []
-        real = model._teacher_forced_steps
+        calls = []
+        real_start, real_step = model._decoder_start, model._decode_step
 
-        def spy(p, ann, klens, feed, targets, *args, **kwargs):
-            batches.append((ann.shape[0], feed.copy(), targets.copy()))
-            return real(p, ann, klens, feed, targets, *args, **kwargs)
+        def start_spy(p, ann, klens):
+            calls.append(("start", ann.shape[0]))
+            return real_start(p, ann, klens)
 
-        monkeypatch.setattr(model, "_teacher_forced_steps", spy)
+        def step_spy(p, ann, *args):
+            calls.append(("step", ann.shape[0]))
+            return real_step(p, ann, *args)
+
+        monkeypatch.setattr(model, "_decoder_start", start_spy)
+        monkeypatch.setattr(model, "_decode_step", step_spy)
         cross_score_matrix(answers, params)
         scorable = sum(a.scorable for a in answers)
         assert scorable > model.INFER_CHUNK, "fixture must span two chunks"
         seqs, _ = distinct_index([a.decode.tokens for a in answers if a.scorable])
-        chunks = math.ceil(scorable / model.INFER_CHUNK)
-        assert len(batches) == chunks * len(seqs)
-        # One decode per batch, unpadded: every row feeds and targets exactly its tokens.
-        for rows, feed, targets in batches:
-            assert rows <= model.INFER_CHUNK
-            assert (feed == feed[0]).all() and (targets == targets[0]).all()
-            assert feed[0].tolist() == [model.SOS_INDEX, *targets[0, :-1].tolist()]
-        runs = Counter(tuple(targets[0].tolist()) for _, _, targets in batches)
-        assert runs == {tuple(seq): chunks for seq in seqs}
+        # Step t of a decode depends on its first t tokens only, so one step
+        # serves every decode that extends the same prefix, the empty one included.
+        prefixes = {tuple(seq[:t]) for seq in seqs for t in range(len(seq))}
+        assert len(prefixes) < sum(map(len, seqs)), "fixture must share a prefix"
+        starts = [i for i, (kind, _) in enumerate(calls) if kind == "start"]
+        chunk_rows = [min(model.INFER_CHUNK, scorable - start)
+                      for start in range(0, scorable, model.INFER_CHUNK)]
+        assert [calls[i][1] for i in starts] == chunk_rows
+        for i, end, rows in zip(starts, [*starts[1:], len(calls)], chunk_rows):
+            assert calls[i + 1:end] == [("step", rows)] * len(prefixes)
 
 
 def test_distinct_index_first_seen_order():
