@@ -17,7 +17,7 @@ import numpy as np
 from .ink import FIELD_SEPARATORS
 from .seq2seq import ModelParams
 from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
-                         cross_score_matrix, distinct_index)
+                         cross_score_matrix, distinct_index, edit_distance)
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,11 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         # Answers with equal decodes share a row of distances: compute each
         # distinct pair once, then scatter.
         seqs, which = distinct_index([a.decode.tokens for a in answers])
-        values = -_edit_distances(seqs)[np.ix_(which, which)]
+        dist = np.zeros((len(seqs), len(seqs)))
+        for p in range(len(seqs)):
+            for q in range(p + 1, len(seqs)):
+                dist[p, q] = dist[q, p] = edit_distance(seqs[p], seqs[q])
+        values = -dist[np.ix_(which, which)]
         np.fill_diagonal(values, 0.0)
         return SbRMatrix(values=values, ids=ids, kind=kind)
 
@@ -92,43 +96,6 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         values[bad, bad] = 0.0
         log.warning("%d unscorable answer(s) assigned the sentinel score %.6g", len(bad), fill)
     return SbRMatrix(values=values, ids=ids, kind=kind)
-
-
-def _edit_distances(seqs: list[list[int]]) -> np.ndarray:
-    """(U, U) Levenshtein distances between the token sequences ``seqs``.
-
-    One dynamic programme runs for every pair p < q at once: the sequences
-    are padded to the longest length L and the loop visits each of the
-    L x L cells once, over the vector of pairs. A pair's distance is the
-    cell at its own lengths, read once the row of its first sequence's
-    length is done; no padded token reaches that cell. Tokens become dense
-    codes and the table the smallest unsigned type that holds L + 1, so
-    1000 distinct 30-token decodes add about 85 MB to the process.
-    """
-    u = len(seqs)
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    width = int(lens.max(initial=0))
-    symbols, codes = np.unique(np.array([t for s in seqs for t in s], dtype=np.int64),
-                               return_inverse=True)
-    tokens = np.zeros((u, width), dtype=np.min_scalar_type(len(symbols)))
-    tokens[np.arange(width) < lens[:, None]] = codes  # row-major, like the flat tokens
-    p, q = np.triu_indices(u, 1)
-    a, b = tokens[p].T, tokens[q].T  # (L, pairs)
-    cell = np.min_scalar_type(width + 1)
-    row = np.repeat(np.arange(width + 1, dtype=cell)[:, None], len(p), axis=1)  # row 0
-    new = np.empty_like(row)
-    found = np.where(lens[p] == 0, lens[q], 0)
-    for i in range(1, width + 1):
-        new[0] = i
-        for j in range(1, width + 1):
-            diag = row[j - 1] + (a[i - 1] != b[j - 1])
-            np.minimum(np.minimum(row[j], new[j - 1]) + 1, diag, out=new[j])
-        row, new = new, row
-        at = np.flatnonzero(lens[p] == i)
-        found[at] = row[lens[q[at]], at]
-    dist = np.zeros((u, u))
-    dist[p, q] = dist[q, p] = found
-    return dist
 
 
 def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
