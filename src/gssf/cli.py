@@ -22,18 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from . import synthgen
-from .cluster import (Assignment, ClusteringError, complete_linkage,
+from .cluster import (DISTANCE_KINDS, Assignment, ClusteringError, complete_linkage,
                       euclidean_distance_matrix, gssf_distance_matrix, kmeans,
                       save_assignment_csv)
 from .ink import InkError, load_jsonl, save_jsonl
 from .metrics import MetricsError, adjusted_rand_index, evaluate, normalized_mutual_info
-from .sbr import (SbRError, SbRMatrix, build_sbr_matrix, load_csv,
+from .sbr import (NORMALIZATIONS, SbRError, SbRMatrix, build_sbr_matrix, load_csv,
                   normalize_unit_interval, save_csv, save_pgm)
 from .seq2seq import (ArchConfig, CheckpointError, ModelError, TrainConfig,
                       TrainingError, VocabularyError, load_checkpoint, save_checkpoint,
                       train)
-from .similarity import (GSSF_FAMILY, SYMMETRIC_KINDS, SimilarityKind, UnscorableAnswer,
-                         cross_score_matrix, score_answers)
+from .similarity import (GSSF_FAMILY, SimilarityKind, UnscorableAnswer, cross_score_matrix,
+                         score_answers)
 from .synthgen import SynthesisError
 
 log = logging.getLogger("gssf")
@@ -48,7 +48,6 @@ KIND_ALIASES = {
     "edit": SimilarityKind.NEG_EDIT_DISTANCE,
 }
 METHODS = ("m3", "m4", "m5")
-M3_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
 
 CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "normalization",
                "num_seeds", "arch", "train"}
@@ -117,9 +116,16 @@ def _parse_kind(name: str) -> SimilarityKind:
 def _check_compatibility(method: str, kind: SimilarityKind) -> None:
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
-    if method == "m3" and kind not in M3_KINDS:
+    if method == "m3" and kind not in DISTANCE_KINDS:
         raise UsageError(f"method m3 clusters |score| distances and needs a symmetric "
                          f"score family kind, not {kind.value!r}")
+
+
+def _pick_normalization(args, config: dict) -> str:
+    mode = _pick(args.normalization, config, "normalization", "global")
+    if mode not in NORMALIZATIONS:
+        raise UsageError(f"normalization must be one of {NORMALIZATIONS}, got {mode!r}")
+    return mode
 
 
 def _resolve_k(policy, categories: list[str | None], n: int) -> int:
@@ -154,17 +160,7 @@ def _evaluation_block(labels: list[int], categories: list[str | None],
                       extra_indices: bool) -> dict:
     if any(c is None for c in categories):
         return {"purity": None, "mc": None, "j": None, "per_cluster": None}
-    ev = evaluate(labels, categories)
-    block = {
-        "purity": ev.purity,
-        "mc": ev.mc,
-        "j": ev.j,
-        "per_cluster": [
-            {"size": r.size, "majority_category": r.majority_category,
-             "majority_size": r.majority_size}
-            for r in ev.per_cluster
-        ],
-    }
+    block = evaluate(labels, categories)
     if extra_indices:
         block["nmi"] = normalized_mutual_info(labels, categories)
         block["ari"] = adjusted_rand_index(labels, categories)
@@ -225,7 +221,7 @@ def cmd_cluster(args) -> int:
     kind = _parse_kind(_pick(args.kind, config, "kind", "gssf"))
     method = str(_pick(args.method, config, "method", "m5"))
     _check_compatibility(method, kind)
-    normalization = str(_pick(args.normalization, config, "normalization", "global"))
+    normalization = _pick_normalization(args, config)
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
 
@@ -277,7 +273,7 @@ def cmd_compare(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
-    normalization = str(_pick(args.normalization, config, "normalization", "global"))
+    normalization = _pick_normalization(args, config)
     base_seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
     num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
@@ -316,7 +312,7 @@ def cmd_compare(args) -> int:
         evs = [evaluate(_cluster_once(method, raw, norm, k, base_seed + i, restarts).labels,
                         categories) for i in range(runs)] * (num_seeds // runs)
         cell = [{"kind": kind.value, "method": method, "seed": base_seed + i,
-                 "purity": ev.purity, "mc": ev.mc} for i, ev in enumerate(evs)]
+                 "purity": ev["purity"], "mc": ev["mc"]} for i, ev in enumerate(evs)]
         rows += cell
         purities = np.array([r["purity"] for r in cell])
         mcs = np.array([r["mc"] for r in cell])
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     common.add_argument("--k", help="cluster count or 'categories'")
-    common.add_argument("--normalization", choices=("global", "per_row"))
+    common.add_argument("--normalization", choices=NORMALIZATIONS)
     common.add_argument("--restarts", type=int)
 
     p = sub.add_parser("cluster", parents=[common], help="score, cluster and evaluate")

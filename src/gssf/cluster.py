@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .sbr import SbRMatrix
-from .similarity import SimilarityKind
+from .similarity import GSSF_FAMILY, SYMMETRIC_KINDS
 
 
 class ClusteringError(ValueError):
@@ -17,6 +17,8 @@ class ClusteringError(ValueError):
 
 
 MAX_LLOYD_ITERATIONS = 300
+#: Kinds whose absolute unnormalized scores form a distance matrix (method m3).
+DISTANCE_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
 
 
 @dataclass
@@ -143,8 +145,8 @@ def complete_linkage(d: DistanceMatrix, k: int) -> Assignment:
 def gssf_distance_matrix(m: SbRMatrix) -> DistanceMatrix:
     """Absolute similarity scores as distances; needs a symmetric F-family
     matrix in its unnormalized form."""
-    if m.kind == SimilarityKind.ASYMMETRIC:
-        raise ClusteringError("asymmetric scores cannot form a distance matrix")
+    if m.kind not in DISTANCE_KINDS:
+        raise ClusteringError(f"{m.kind.value!r} scores cannot form a distance matrix")
     if m.normalized:
         raise ClusteringError("distances come from the unnormalized matrix")
     values = np.abs(m.values)

@@ -12,28 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 
 class MetricsError(ValueError):
     pass
-
-
-@dataclass
-class ClusterReport:
-    size: int
-    majority_category: str
-    majority_size: int
-
-
-@dataclass
-class Evaluation:
-    purity: float
-    mc: float
-    k: int
-    h: int
-    j: int
-    per_cluster: list[ClusterReport]
 
 
 def _check(labels, categories) -> None:
@@ -91,22 +73,20 @@ def marking_cost(labels, categories) -> float:
     return _marking_cost(_cluster_majorities(labels, categories), len(labels))
 
 
-def evaluate(labels, categories) -> Evaluation:
-    """Purity, marking cost and the per-cluster breakdown, ordered by cluster label."""
+def evaluate(labels, categories) -> dict:
+    """The evaluation block of ``report.json``: purity, marking cost, the
+    category count ``j`` and the per-cluster breakdown, ordered by cluster label."""
     _check(labels, categories)
     majorities = _cluster_majorities(labels, categories)
-    reports = [
-        ClusterReport(size=size, majority_category=cat, majority_size=majority)
-        for _, (size, majority, cat) in sorted(majorities.items(), key=lambda kv: str(kv[0]))
-    ]
-    return Evaluation(
-        purity=_purity(majorities, len(labels)),
-        mc=_marking_cost(majorities, len(labels)),
-        k=len(majorities),
-        h=len(labels),
-        j=len(set(categories)),
-        per_cluster=reports,
-    )
+    return {
+        "purity": _purity(majorities, len(labels)),
+        "mc": _marking_cost(majorities, len(labels)),
+        "j": len(set(categories)),
+        "per_cluster": [
+            {"size": size, "majority_category": cat, "majority_size": majority}
+            for _, (size, majority, cat) in sorted(majorities.items(), key=lambda kv: str(kv[0]))
+        ],
+    }
 
 
 def normalized_mutual_info(labels, categories) -> float:

@@ -21,6 +21,9 @@ from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
 
 log = logging.getLogger(__name__)
 
+#: ``normalize_unit_interval`` modes.
+NORMALIZATIONS = ("global", "per_row")
+
 
 class SbRError(ValueError):
     """An input the similarity matrix cannot be built, read or written from."""

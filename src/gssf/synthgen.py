@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,60 +28,43 @@ class SynthesisError(ValueError):
     pass
 
 
-@dataclass
-class SymbolTemplate:
-    """Prototype glyph: polyline strokes inside the unit box, plus the
-    horizontal space the glyph occupies."""
-
-    symbol: str
-    strokes: list[np.ndarray]
-    advance: float
-
-    def __post_init__(self):
-        self.strokes = [np.asarray(s, dtype=np.float64) for s in self.strokes]
-        if not self.strokes:
-            raise SynthesisError(f"template {self.symbol!r}: no strokes")
-        for s in self.strokes:
-            if s.ndim != 2 or s.shape[1] != 2 or len(s) < 2:
-                raise SynthesisError(f"template {self.symbol!r}: bad stroke shape")
-            if s.min() < 0.0 or s.max() > 1.0:
-                raise SynthesisError(f"template {self.symbol!r}: points leave the unit box")
+def _glyph(strokes: list, advance: float) -> tuple[tuple[np.ndarray, ...], float]:
+    arrays = tuple(np.array(s, dtype=np.float64) for s in strokes)
+    for a in arrays:  # the table is shared by every render
+        a.flags.writeable = False
+    return arrays, advance
 
 
-def default_templates() -> dict[str, SymbolTemplate]:
-    raw: dict[str, tuple[list[list[tuple[float, float]]], float]] = {
-        "0": ([[(0.5, 0.95), (0.2, 0.8), (0.1, 0.5), (0.2, 0.2), (0.5, 0.05),
-                (0.8, 0.2), (0.9, 0.5), (0.8, 0.8), (0.5, 0.95)]], 0.75),
-        "1": ([[(0.25, 0.75), (0.5, 0.95), (0.5, 0.05)]], 0.5),
-        "2": ([[(0.15, 0.75), (0.3, 0.95), (0.65, 0.95), (0.8, 0.75), (0.8, 0.55),
-                (0.15, 0.1), (0.15, 0.05), (0.85, 0.05)]], 0.75),
-        "3": ([[(0.15, 0.85), (0.4, 0.95), (0.7, 0.85), (0.7, 0.6), (0.45, 0.5),
-                (0.7, 0.4), (0.7, 0.15), (0.4, 0.05), (0.15, 0.15)]], 0.7),
-        "4": ([[(0.65, 0.95), (0.15, 0.35), (0.85, 0.35)],
-               [(0.65, 0.7), (0.65, 0.05)]], 0.8),
-        "5": ([[(0.8, 0.95), (0.2, 0.95), (0.2, 0.55), (0.55, 0.6), (0.8, 0.45),
-                (0.8, 0.2), (0.55, 0.05), (0.2, 0.1)]], 0.7),
-        "6": ([[(0.75, 0.9), (0.4, 0.7), (0.2, 0.4), (0.25, 0.15), (0.5, 0.05),
-                (0.75, 0.15), (0.8, 0.35), (0.6, 0.5), (0.3, 0.45)]], 0.7),
-        "7": ([[(0.15, 0.95), (0.85, 0.95), (0.4, 0.05)]], 0.7),
-        "8": ([[(0.5, 0.95), (0.25, 0.8), (0.4, 0.55), (0.7, 0.4), (0.75, 0.2),
-                (0.5, 0.05), (0.25, 0.2), (0.3, 0.4), (0.6, 0.55), (0.75, 0.8),
-                (0.5, 0.95)]], 0.75),
-        "9": ([[(0.75, 0.65), (0.5, 0.55), (0.25, 0.65), (0.2, 0.85), (0.45, 0.95),
-                (0.7, 0.9), (0.75, 0.65), (0.7, 0.3), (0.4, 0.05)]], 0.7),
-        "+": ([[(0.5, 0.8), (0.5, 0.2)], [(0.15, 0.5), (0.85, 0.5)]], 0.7),
-        "-": ([[(0.15, 0.5), (0.85, 0.5)]], 0.7),
-        "=": ([[(0.15, 0.62), (0.85, 0.62)], [(0.15, 0.38), (0.85, 0.38)]], 0.7),
-        "x": ([[(0.15, 0.85), (0.85, 0.15)], [(0.85, 0.85), (0.15, 0.15)]], 0.7),
-        "y": ([[(0.15, 0.9), (0.5, 0.45)], [(0.85, 0.9), (0.45, 0.4), (0.2, 0.05)]], 0.7),
-        "(": ([[(0.65, 0.95), (0.45, 0.7), (0.38, 0.5), (0.45, 0.3), (0.65, 0.05)]], 0.45),
-        ")": ([[(0.35, 0.95), (0.55, 0.7), (0.62, 0.5), (0.55, 0.3), (0.35, 0.05)]], 0.45),
-        "frac": ([[(0.05, 0.5), (0.95, 0.5)]], 1.1),
-    }
-    return {
-        sym: SymbolTemplate(symbol=sym, strokes=[np.asarray(s) for s in strokes], advance=adv)
-        for sym, (strokes, adv) in raw.items()
-    }
+#: Glyph prototypes: symbol -> (polyline strokes inside the unit box, advance).
+TEMPLATES = MappingProxyType({
+    "0": _glyph([[(0.5, 0.95), (0.2, 0.8), (0.1, 0.5), (0.2, 0.2), (0.5, 0.05),
+                  (0.8, 0.2), (0.9, 0.5), (0.8, 0.8), (0.5, 0.95)]], 0.75),
+    "1": _glyph([[(0.25, 0.75), (0.5, 0.95), (0.5, 0.05)]], 0.5),
+    "2": _glyph([[(0.15, 0.75), (0.3, 0.95), (0.65, 0.95), (0.8, 0.75), (0.8, 0.55),
+                  (0.15, 0.1), (0.15, 0.05), (0.85, 0.05)]], 0.75),
+    "3": _glyph([[(0.15, 0.85), (0.4, 0.95), (0.7, 0.85), (0.7, 0.6), (0.45, 0.5),
+                  (0.7, 0.4), (0.7, 0.15), (0.4, 0.05), (0.15, 0.15)]], 0.7),
+    "4": _glyph([[(0.65, 0.95), (0.15, 0.35), (0.85, 0.35)],
+                 [(0.65, 0.7), (0.65, 0.05)]], 0.8),
+    "5": _glyph([[(0.8, 0.95), (0.2, 0.95), (0.2, 0.55), (0.55, 0.6), (0.8, 0.45),
+                  (0.8, 0.2), (0.55, 0.05), (0.2, 0.1)]], 0.7),
+    "6": _glyph([[(0.75, 0.9), (0.4, 0.7), (0.2, 0.4), (0.25, 0.15), (0.5, 0.05),
+                  (0.75, 0.15), (0.8, 0.35), (0.6, 0.5), (0.3, 0.45)]], 0.7),
+    "7": _glyph([[(0.15, 0.95), (0.85, 0.95), (0.4, 0.05)]], 0.7),
+    "8": _glyph([[(0.5, 0.95), (0.25, 0.8), (0.4, 0.55), (0.7, 0.4), (0.75, 0.2),
+                  (0.5, 0.05), (0.25, 0.2), (0.3, 0.4), (0.6, 0.55), (0.75, 0.8),
+                  (0.5, 0.95)]], 0.75),
+    "9": _glyph([[(0.75, 0.65), (0.5, 0.55), (0.25, 0.65), (0.2, 0.85), (0.45, 0.95),
+                  (0.7, 0.9), (0.75, 0.65), (0.7, 0.3), (0.4, 0.05)]], 0.7),
+    "+": _glyph([[(0.5, 0.8), (0.5, 0.2)], [(0.15, 0.5), (0.85, 0.5)]], 0.7),
+    "-": _glyph([[(0.15, 0.5), (0.85, 0.5)]], 0.7),
+    "=": _glyph([[(0.15, 0.62), (0.85, 0.62)], [(0.15, 0.38), (0.85, 0.38)]], 0.7),
+    "x": _glyph([[(0.15, 0.85), (0.85, 0.15)], [(0.85, 0.85), (0.15, 0.15)]], 0.7),
+    "y": _glyph([[(0.15, 0.9), (0.5, 0.45)], [(0.85, 0.9), (0.45, 0.4), (0.2, 0.05)]], 0.7),
+    "(": _glyph([[(0.65, 0.95), (0.45, 0.7), (0.38, 0.5), (0.45, 0.3), (0.65, 0.05)]], 0.45),
+    ")": _glyph([[(0.35, 0.95), (0.55, 0.7), (0.62, 0.5), (0.55, 0.3), (0.35, 0.05)]], 0.45),
+    "frac": _glyph([[(0.05, 0.5), (0.95, 0.5)]], 1.1),
+})
 
 
 @dataclass(frozen=True)
@@ -139,12 +123,8 @@ class AnswerSetSpec:
                              count=c["count"], id=str(c.get("id", "")))
                 for c in obj["categories"]
             )
-            spec = AnswerSetSpec(
-                categories=categories,
-                jitter=jitter,
-                spacing=obj.get("spacing", 0.05),
-                seed=obj.get("seed", 0),
-            )
+            spec = AnswerSetSpec(categories=categories, jitter=jitter,
+                                 **{key: obj[key] for key in ("spacing", "seed") if key in obj})
         except (KeyError, TypeError, ValueError) as exc:
             raise SynthesisError(f"malformed answer-set spec: {exc}") from exc
         spec.validate()
@@ -159,9 +139,9 @@ def load_spec(path: str | Path) -> AnswerSetSpec:
     return AnswerSetSpec.from_dict(obj)
 
 
-def render_expression(tokens: list[str], templates: dict[str, SymbolTemplate],
-                      jitter: JitterParams, rng: np.random.Generator) -> RawInk:
-    """Lay glyphs left to right and apply the per-glyph jitter model."""
+def render_expression(tokens: list[str], jitter: JitterParams,
+                      rng: np.random.Generator) -> RawInk:
+    """Lay ``TEMPLATES`` glyphs left to right and apply the per-glyph jitter model."""
     if not tokens:
         raise SynthesisError("cannot render an empty token sequence")
     jitter.validate()
@@ -169,7 +149,7 @@ def render_expression(tokens: list[str], templates: dict[str, SymbolTemplate],
     cursor = 0.0
     for tok in tokens:
         try:
-            tpl = templates[tok]
+            glyph, advance = TEMPLATES[tok]
         except KeyError:
             raise SynthesisError(f"no template for token {tok!r}") from None
         scale = 1.0 + rng.uniform(-jitter.scale, jitter.scale)
@@ -179,13 +159,13 @@ def render_expression(tokens: list[str], templates: dict[str, SymbolTemplate],
         # rotation @ shear @ isotropic scale, applied about the glyph centre
         mat = np.array([[cos_t, -sin_t], [sin_t, cos_t]]) @ np.array([[1.0, shear], [0.0, 1.0]])
         mat *= scale
-        centre = np.array([tpl.advance / 2.0, 0.5])
+        centre = np.array([advance / 2.0, 0.5])
         offset = np.array([cursor, 0.0])
-        for proto in tpl.strokes:
+        for proto in glyph:
             pts = (proto - centre) @ mat.T + centre + offset
             pts = pts + rng.normal(0.0, 1.0, size=pts.shape) * jitter.sigma
             strokes.append(pts)
-        cursor += tpl.advance + GLYPH_GAP
+        cursor += advance + GLYPH_GAP
     return RawInk(strokes=strokes)
 
 
@@ -196,10 +176,9 @@ def generate_answer_set(spec: AnswerSetSpec) -> list[RawInk]:
     (spec.seed, i), so parallel or partial generation cannot change output.
     """
     spec.validate()
-    templates = default_templates()
     for cat in spec.categories:
         for tok in cat.label:
-            if tok not in templates:
+            if tok not in TEMPLATES:
                 raise SynthesisError(f"no template for token {tok!r}")
     samples: list[RawInk] = []
     index = 0
@@ -207,7 +186,7 @@ def generate_answer_set(spec: AnswerSetSpec) -> list[RawInk]:
         cat_id = cat.id or f"c{ci:02d}"
         for si in range(cat.count):
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-            ink = render_expression(list(cat.label), templates, spec.jitter, rng)
+            ink = render_expression(list(cat.label), spec.jitter, rng)
             ink = resample_and_normalize(ink, spec.spacing)
             samples.append(RawInk(strokes=ink.strokes, id=f"{cat_id}_{si:03d}",
                                   category=cat_id, label=list(cat.label)))

@@ -487,6 +487,24 @@ class TestUsage:
         assert main([command, *args]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    @pytest.mark.parametrize("mode", ["bogus", 1, None])
+    def test_bad_config_normalization_exit_2_before_scoring(self, tiny_pipeline, tmp_path,
+                                                            capsys, monkeypatch, command,
+                                                            mode):
+        def no_scoring(*args):
+            raise AssertionError("scored with a normalization that should have been rejected")
+
+        monkeypatch.setattr("gssf.cli.score_answers", no_scoring)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"normalization": mode}))
+        out = tmp_path / "o"
+        assert main([command, "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
+                     "--config", str(path)]) == 2
+        assert "normalization" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_architecture_exit_2_fast(self, tiny_pipeline, tmp_path, capsys):
         """405M parameters: every size is within its cap, the count is not."""
         path = tmp_path / "big.json"
@@ -516,7 +534,8 @@ class TestReference:
     def test_pinned_checkpoint_reproduces_benchmark_reference(self, benchmark_inks, tmp_path):
         """``gssf cluster --kind gssf --method m5`` with the benchmark's pinned
         checkpoint on the pinned set (the benchmark's default seed) writes the
-        benchmark's reference assignment, and its SbR matrix within 1e-9."""
+        benchmark's reference assignment, its SbR matrix within 1e-9, and the
+        golden ``report.json`` byte for byte."""
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
         data, out = tmp_path / "answers.jsonl", tmp_path / "run"
         save_jsonl(data, benchmark_inks)
@@ -532,3 +551,5 @@ class TestReference:
         ref_ids, ref_values = load_csv(ref_sbr)
         assert ids == ref_ids
         np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-9)
+        golden = Path(__file__).resolve().parent / "golden" / "pinned-gssf-m5.report.json"
+        assert (out / "report.json").read_bytes() == golden.read_bytes()

@@ -273,6 +273,14 @@ class TestDistanceMatrices:
         with pytest.raises(ClusteringError):
             gssf_distance_matrix(m)
 
+    def test_edit_kind_rejected(self):
+        """m3 needs a symmetric score-family kind; edit scores are symmetric
+        but are not F scores."""
+        m = SbRMatrix(values=np.array([[0.0, -1.0], [-1.0, 0.0]]), ids=["a", "b"],
+                      kind=SimilarityKind.NEG_EDIT_DISTANCE)
+        with pytest.raises(ClusteringError, match="distance matrix"):
+            gssf_distance_matrix(m)
+
     def test_normalized_matrix_rejected(self):
         m = SbRMatrix(values=np.zeros((2, 2)), ids=["a", "b"],
                       kind=SimilarityKind.GSSF, normalized=True)

@@ -108,21 +108,23 @@ class TestRenamingInvariance:
 class TestEvaluate:
     def test_per_cluster_breakdown(self):
         ev = evaluate(HAND_LABELS, HAND_CATS)
-        assert ev.k == 2 and ev.h == 6 and ev.j == 2
-        assert [(r.size, r.majority_category, r.majority_size) for r in ev.per_cluster] == [
-            (3, "a", 2), (3, "b", 3)]
-        assert ev.purity == pytest.approx(5 / 6)
-        assert ev.mc == pytest.approx(0.75, abs=1e-12)
+        assert set(ev) == {"purity", "mc", "j", "per_cluster"}
+        assert ev["j"] == 2 and len(ev["per_cluster"]) == 2
+        assert ev["per_cluster"] == [
+            {"size": 3, "majority_category": "a", "majority_size": 2},
+            {"size": 3, "majority_category": "b", "majority_size": 3}]
+        assert ev["purity"] == pytest.approx(5 / 6)
+        assert ev["mc"] == pytest.approx(0.75, abs=1e-12)
 
     def test_majority_tie_reports_lexicographically_smallest(self):
         ev = evaluate([0, 0], ["b", "a"])
-        assert ev.per_cluster[0].majority_category == "a"
-        assert ev.per_cluster[0].majority_size == 1
+        assert ev["per_cluster"][0]["majority_category"] == "a"
+        assert ev["per_cluster"][0]["majority_size"] == 1
 
     def test_invariant_sizes_sum_to_h(self):
         ev = evaluate([0, 1, 1, 2, 2, 2], list("abcabc"))
-        assert sum(r.size for r in ev.per_cluster) == ev.h
-        assert all(r.majority_size <= r.size for r in ev.per_cluster)
+        assert sum(r["size"] for r in ev["per_cluster"]) == 6
+        assert all(r["majority_size"] <= r["size"] for r in ev["per_cluster"])
 
 
 class TestOptionalIndices:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gssf.ink import load_jsonl, resample_and_normalize, save_jsonl
-from gssf.synthgen import (AnswerSetSpec, CategorySpec, JitterParams, SynthesisError,
-                           default_templates, generate_answer_set, load_spec,
-                           render_expression)
+from gssf.synthgen import (TEMPLATES, AnswerSetSpec, CategorySpec, JitterParams,
+                           SynthesisError, generate_answer_set, load_spec, render_expression)
 
 
 TWO_CATEGORIES = '[{"label": ["1"], "count": 1}, {"label": ["2"], "count": 1}]'
@@ -26,37 +25,50 @@ def small_spec(**overrides):
 
 class TestTemplates:
     def test_expected_symbol_inventory(self):
-        templates = default_templates()
-        assert set("0123456789") <= set(templates)
-        assert {"+", "-", "=", "x", "y", "(", ")", "frac"} <= set(templates)
+        assert set("0123456789") <= set(TEMPLATES)
+        assert {"+", "-", "=", "x", "y", "(", ")", "frac"} <= set(TEMPLATES)
 
     def test_strokes_inside_unit_box(self):
-        for tpl in default_templates().values():
-            for stroke in tpl.strokes:
+        for strokes, advance in TEMPLATES.values():
+            assert strokes and advance > 0.0
+            for stroke in strokes:
+                assert stroke.dtype == np.float64 and stroke.ndim == 2
+                assert stroke.shape[1] == 2 and len(stroke) >= 2
                 assert stroke.min() >= 0.0 and stroke.max() <= 1.0
+
+    def test_shared_table_is_read_only_and_unchanged(self):
+        """Every render reads the one module-level table: generating the
+        pinned set leaves it as it was, and no array of it can be written."""
+        from conftest import benchmark_spec
+
+        before = {sym: ([s.copy() for s in strokes], advance)
+                  for sym, (strokes, advance) in TEMPLATES.items()}
+        generate_answer_set(benchmark_spec())
+        assert TEMPLATES.keys() == before.keys()
+        for sym, (strokes, advance) in TEMPLATES.items():
+            assert isinstance(strokes, tuple) and advance == before[sym][1]
+            assert len(strokes) == len(before[sym][0])
+            for stroke, copy in zip(strokes, before[sym][0]):
+                np.testing.assert_array_equal(stroke, copy)
+                assert not stroke.flags.writeable
+        with pytest.raises(TypeError):
+            TEMPLATES["z"] = TEMPLATES["x"]
 
 
 class TestRenderExpression:
     def test_zero_jitter_bit_identical(self):
-        templates = default_templates()
-        a = render_expression(["1", "+", "2"], templates, JitterParams(),
-                              np.random.default_rng(0))
-        b = render_expression(["1", "+", "2"], templates, JitterParams(),
-                              np.random.default_rng(0))
+        a = render_expression(["1", "+", "2"], JitterParams(), np.random.default_rng(0))
+        b = render_expression(["1", "+", "2"], JitterParams(), np.random.default_rng(0))
         for s1, s2 in zip(a.strokes, b.strokes):
             np.testing.assert_array_equal(s1, s2)
 
     def test_single_token_stroke_count(self):
-        templates = default_templates()
         for tok in ("4", "+", "=", "x", "1"):
-            ink = render_expression([tok], templates, JitterParams(),
-                                    np.random.default_rng(1))
-            assert len(ink.strokes) == len(templates[tok].strokes)
+            ink = render_expression([tok], JitterParams(), np.random.default_rng(1))
+            assert len(ink.strokes) == len(TEMPLATES[tok][0])
 
     def test_layout_left_to_right(self):
-        templates = default_templates()
-        ink = render_expression(["1", "+", "2"], templates, JitterParams(),
-                                np.random.default_rng(2))
+        ink = render_expression(["1", "+", "2"], JitterParams(), np.random.default_rng(2))
         glyph_strokes = [1, 2, 1]  # strokes per glyph for 1, +, 2
         centroids = []
         pos = 0
@@ -68,13 +80,11 @@ class TestRenderExpression:
 
     def test_missing_template(self):
         with pytest.raises(SynthesisError, match="no template"):
-            render_expression(["@"], default_templates(), JitterParams(),
-                              np.random.default_rng(0))
+            render_expression(["@"], JitterParams(), np.random.default_rng(0))
 
     def test_empty_tokens(self):
         with pytest.raises(SynthesisError):
-            render_expression([], default_templates(), JitterParams(),
-                              np.random.default_rng(0))
+            render_expression([], JitterParams(), np.random.default_rng(0))
 
 
 class TestGenerateAnswerSet:
@@ -145,6 +155,12 @@ class TestGenerateAnswerSet:
                            {"label": ["x", "=", "7"], "count": 3}],
         }))
         assert load_spec(path) == spec
+
+    def test_spec_defaults_come_from_the_dataclass(self):
+        categories = [{"label": ["1"], "count": 1}, {"label": ["2"], "count": 1}]
+        spec = AnswerSetSpec.from_dict({"categories": categories})
+        assert spec == AnswerSetSpec(categories=(CategorySpec(("1",), 1),
+                                                 CategorySpec(("2",), 1)))
 
     def test_malformed_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
