@@ -10,3 +10,12 @@ complete linkage (`cluster`) and evaluated by purity and marking cost
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Input the user can correct: a bad file, spec, config or flag. The CLI exits 2."""
+
+
+class RunFailure(RuntimeError):
+    """Valid input on which a run cannot finish: training diverged or no answer
+    can be scored. The CLI exits 3."""

@@ -6,6 +6,9 @@ Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
 divergence, no scorable answers); any other error is a program fault and ends
 in a traceback. The ``GSSF_LOG`` environment variable (error/info/debug)
 controls stderr logging.
+
+Each subcommand imports the gssf modules it runs when it starts, so that,
+for example, ``synth`` never loads the recognizer.
 """
 
 from __future__ import annotations
@@ -18,34 +21,29 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import synthgen
-from .cluster import (DISTANCE_KINDS, Assignment, ClusteringError, complete_linkage,
-                      euclidean_distance_matrix, gssf_distance_matrix, kmeans,
-                      save_assignment_csv)
-from .ink import InkError, load_jsonl, save_jsonl
-from .metrics import MetricsError, adjusted_rand_index, evaluate, normalized_mutual_info
-from .sbr import (NORMALIZATIONS, SbRError, SbRMatrix, build_sbr_matrix, load_csv,
-                  normalize_unit_interval, save_csv, save_pgm)
-from .seq2seq import (ArchConfig, CheckpointError, ModelError, TrainConfig,
-                      TrainingError, VocabularyError, load_checkpoint, save_checkpoint,
-                      train)
-from .similarity import (GSSF_FAMILY, SimilarityKind, UnscorableAnswer, cross_score_matrix,
-                         score_answers)
-from .synthgen import SynthesisError
+from . import InputError, RunFailure
+
+if TYPE_CHECKING:
+    from .cluster import Assignment
+    from .sbr import SbRMatrix
+    from .seq2seq import TrainConfig
+    from .similarity import SimilarityKind
 
 log = logging.getLogger("gssf")
 
 EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 2, 3
 
+#: Short names for the ``SimilarityKind`` values; the values themselves work too.
 KIND_ALIASES = {
-    "gssf": SimilarityKind.GSSF,
-    "asym": SimilarityKind.ASYMMETRIC,
-    "min": SimilarityKind.MIN,
-    "max": SimilarityKind.MAX,
-    "edit": SimilarityKind.NEG_EDIT_DISTANCE,
+    "gssf": "gssf",
+    "asym": "asymmetric",
+    "min": "min",
+    "max": "max",
+    "edit": "neg_edit_distance",
 }
 METHODS = ("m3", "m4", "m5")
 
@@ -53,7 +51,7 @@ CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "normalizat
                "num_seeds", "arch", "train"}
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
@@ -65,7 +63,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path}: expected a JSON object")
@@ -93,6 +91,8 @@ def _pick_int(flag_value, config: dict, key: str, default: int | None,
 
 
 def _train_config(config: dict) -> TrainConfig:
+    from .seq2seq import ArchConfig, ModelError, TrainConfig
+
     try:
         tconf = TrainConfig(arch=ArchConfig(**config.get("arch", {})),
                             **config.get("train", {}))
@@ -103,17 +103,19 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _parse_kind(name: str) -> SimilarityKind:
+    from .similarity import SimilarityKind
+
     key = str(name).strip().lower()
-    if key in KIND_ALIASES:
-        return KIND_ALIASES[key]
     try:
-        return SimilarityKind(key)
+        return SimilarityKind(KIND_ALIASES.get(key, key))
     except ValueError:
         raise UsageError(f"unknown similarity kind {name!r} "
                          f"(choose from {sorted(KIND_ALIASES)})") from None
 
 
 def _check_compatibility(method: str, kind: SimilarityKind) -> None:
+    from .cluster import DISTANCE_KINDS
+
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
     if method == "m3" and kind not in DISTANCE_KINDS:
@@ -122,6 +124,8 @@ def _check_compatibility(method: str, kind: SimilarityKind) -> None:
 
 
 def _pick_normalization(args, config: dict) -> str:
+    from .sbr import NORMALIZATIONS
+
     mode = _pick(args.normalization, config, "normalization", "global")
     if mode not in NORMALIZATIONS:
         raise UsageError(f"normalization must be one of {NORMALIZATIONS}, got {mode!r}")
@@ -149,6 +153,8 @@ def _resolve_k(policy, categories: list[str | None], n: int) -> int:
 
 def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: int,
                   restarts: int) -> Assignment:
+    from .cluster import complete_linkage, euclidean_distance_matrix, gssf_distance_matrix, kmeans
+
     if method == "m5":
         return kmeans(norm.values, k, seed=seed, restarts=restarts)
     if method == "m4":
@@ -158,6 +164,8 @@ def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: in
 
 def _evaluation_block(labels: list[int], categories: list[str | None],
                       extra_indices: bool) -> dict:
+    from .metrics import adjusted_rand_index, evaluate, normalized_mutual_info
+
     if any(c is None for c in categories):
         return {"purity": None, "mc": None, "j": None, "per_cluster": None}
     block = evaluate(labels, categories)
@@ -175,6 +183,9 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def cmd_synth(args) -> int:
+    from . import synthgen
+    from .ink import save_jsonl
+
     spec = synthgen.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -187,6 +198,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .ink import load_jsonl
+    from .seq2seq import save_checkpoint, train
+
     config = _load_config(args.config)
     inks = load_jsonl(args.data)
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
@@ -204,6 +218,10 @@ def cmd_train(args) -> int:
 
 
 def _score_stage(args, config: dict):
+    from .ink import load_jsonl
+    from .seq2seq import load_checkpoint
+    from .similarity import score_answers
+
     inks = load_jsonl(args.data)
     params = load_checkpoint(args.ckpt)
     if _pick_int(args.threads, config, "threads", None, minimum=1) is not None:
@@ -217,6 +235,9 @@ def _score_stage(args, config: dict):
 
 
 def cmd_cluster(args) -> int:
+    from .cluster import save_assignment_csv
+    from .sbr import build_sbr_matrix, normalize_unit_interval, save_csv, save_pgm
+
     config = _load_config(args.config)
     kind = _parse_kind(_pick(args.kind, config, "kind", "gssf"))
     method = str(_pick(args.method, config, "method", "m5"))
@@ -266,6 +287,10 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .metrics import evaluate
+    from .sbr import build_sbr_matrix, normalize_unit_interval
+    from .similarity import GSSF_FAMILY, cross_score_matrix
+
     config = _load_config(args.config)
     kinds = [_parse_kind(s) for s in (args.kinds.split(",") if args.kinds
                                       else list(KIND_ALIASES))]
@@ -335,6 +360,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    from .sbr import SbRMatrix, load_csv, normalize_unit_interval, save_pgm
+    from .similarity import SimilarityKind
+
     ids, values = load_csv(args.matrix)
     matrix = SbRMatrix(values=values, ids=ids, kind=SimilarityKind.GSSF)
     norm = normalize_unit_interval(matrix)
@@ -375,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     common.add_argument("--k", help="cluster count or 'categories'")
-    common.add_argument("--normalization", choices=NORMALIZATIONS)
+    common.add_argument("--normalization", help="global|per_row")
     common.add_argument("--restarts", type=int)
 
     p = sub.add_parser("cluster", parents=[common], help="score, cluster and evaluate")
@@ -412,11 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UnscorableAnswer, TrainingError) as exc:
+    except RunFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (UsageError, InkError, SynthesisError, CheckpointError, ClusteringError,
-            MetricsError, ModelError, SbRError, VocabularyError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

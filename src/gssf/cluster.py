@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .sbr import SbRMatrix
 from .similarity import GSSF_FAMILY, SYMMETRIC_KINDS
 
 
-class ClusteringError(ValueError):
+class ClusteringError(InputError):
     pass
 
 

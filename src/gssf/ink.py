@@ -9,19 +9,32 @@ is expanded into an 8-dimensional feature row consumed by the recognizer.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 
 MAX_POINTS = 32_768  # resampled points per answer; ~300x a typical answer, bounds encoder cost
 FEATURE_DIM = 8  # columns of extract_features' per-point rows, the recognizer's input width
 FIELD_SEPARATORS = ",\r\n"  # ids and categories are written as unquoted CSV fields
 
 
-class InkError(ValueError):
+class InkError(InputError):
     """Raised for structurally invalid or degenerate ink."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite real number that fits a float64 (not a bool, NaN or infinity)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 @dataclass
@@ -150,36 +163,42 @@ def extract_features(ink: RawInk) -> np.ndarray:
     return np.ascontiguousarray(feats, dtype=np.float64)
 
 
+def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InkError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    try:
+        ink = RawInk(
+            strokes=[np.asarray(s, dtype=np.float64) for s in obj["strokes"]],
+            id=str(obj["id"]),
+            category=obj.get("category"),
+            label=obj.get("label"),
+        )
+        if not (ink.label is None or isinstance(ink.label, list)
+                and all(isinstance(t, str) for t in ink.label)):
+            raise ValueError("label must be null or a list of strings")
+        if not (ink.category is None or isinstance(ink.category, str)):
+            raise ValueError("category must be null or a string")
+        if any(c in f for f in (ink.id, ink.category or "") for c in FIELD_SEPARATORS):
+            raise ValueError("id and category may not contain ',', CR or LF")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc
+    ink.validate()
+    return ink
+
+
 def load_jsonl(path: str | Path) -> list[RawInk]:
     """Read an answer set from JSON Lines (one sample object per line)."""
     inks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InkError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            try:
-                ink = RawInk(
-                    strokes=[np.asarray(s, dtype=np.float64) for s in obj["strokes"]],
-                    id=str(obj["id"]),
-                    category=obj.get("category"),
-                    label=obj.get("label"),
-                )
-                if not (ink.label is None or isinstance(ink.label, list)
-                        and all(isinstance(t, str) for t in ink.label)):
-                    raise ValueError("label must be null or a list of strings")
-                if not (ink.category is None or isinstance(ink.category, str)):
-                    raise ValueError("category must be null or a string")
-                if any(c in f for f in (ink.id, ink.category or "") for c in FIELD_SEPARATORS):
-                    raise ValueError("id and category may not contain ',', CR or LF")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc
-            ink.validate()
-            inks.append(ink)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    inks.append(_parse_sample(path, lineno, line))
+    except UnicodeDecodeError as exc:
+        raise InkError(f"{path}: not UTF-8 text ({exc})") from None
     if not inks:
         raise InkError(f"{path}: empty answer set")
     ids = [ink.id for ink in inks]

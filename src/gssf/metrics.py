@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from . import InputError
 
-class MetricsError(ValueError):
+
+class MetricsError(InputError):
     pass
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .ink import FIELD_SEPARATORS
 from .seq2seq import ModelParams
 from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
@@ -25,7 +26,7 @@ log = logging.getLogger(__name__)
 NORMALIZATIONS = ("global", "per_row")
 
 
-class SbRError(ValueError):
+class SbRError(InputError):
     """An input the similarity matrix cannot be built, read or written from."""
 
 
@@ -148,8 +149,12 @@ def save_csv(path: str | Path, m: SbRMatrix) -> None:
 
 def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read back a matrix CSV as (ids, values); kind/normalization are not stored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SbRError(f"{path}: not UTF-8 text ({exc})") from None
     # LF only, as to_csv writes: str.splitlines would also break ids at U+2028, VT, ...
-    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    lines = text.removesuffix("\n").split("\n")
     if not lines[0].startswith("id,"):
         raise SbRError(f"{path}: not a similarity-matrix CSV")
     ids = lines[0].split(",")[1:]

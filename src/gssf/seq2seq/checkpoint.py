@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import InputError
 from .model import ArchConfig, ModelParams, param_shapes
 from .vocab import Vocabulary
 
@@ -26,7 +27,7 @@ MAGIC = b"GSSF"
 VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     pass
 
 

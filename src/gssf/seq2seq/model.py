@@ -14,13 +14,12 @@ implemented forward pass.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..ink import FEATURE_DIM
+from .. import InputError
+from ..ink import FEATURE_DIM, _is_int, _is_real
 from .vocab import EOS_INDEX, SOS_INDEX, Vocabulary
 
 MASK_NEG = -1e30  # additive attention bias that zeroes padded positions
@@ -29,7 +28,7 @@ MAX_ARCH_SIZE = 4096  # upper bound on every architecture size, decode length in
 MAX_PARAMS = 2 ** 24  # upper bound on the parameter count (128 MiB of float64)
 
 
-class ModelError(ValueError):
+class ModelError(InputError):
     pass
 
 
@@ -71,16 +70,6 @@ class ArchConfig:
             raise ModelError("cov_kernel must be odd")
         if not _is_real(self.resample_spacing) or not self.resample_spacing > 0:
             raise ModelError("resample_spacing must be a positive number")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    """A finite real number that fits a float64 (not a bool, NaN or infinity)."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
 
 
 def param_shapes(arch: ArchConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:

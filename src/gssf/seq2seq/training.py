@@ -9,13 +9,14 @@ from typing import Callable
 
 import numpy as np
 
-from ..ink import RawInk, extract_features, resample_and_normalize
-from .model import (ArchConfig, ModelError, ModelParams, _is_int, _is_real, init_params,
-                    loss_and_gradients, teacher_forced_accuracy)
+from .. import RunFailure
+from ..ink import RawInk, _is_int, _is_real, extract_features, resample_and_normalize
+from .model import (ArchConfig, ModelError, ModelParams, init_params, loss_and_gradients,
+                    teacher_forced_accuracy)
 from .vocab import build_vocabulary
 
 
-class TrainingError(RuntimeError):
+class TrainingError(RunFailure):
     pass
 
 

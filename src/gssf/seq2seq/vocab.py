@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import InputError
+
 SOS = "<sos>"
 EOS = "<eos>"
 SOS_INDEX = 0
 EOS_INDEX = 1
 
 
-class VocabularyError(ValueError):
+class VocabularyError(InputError):
     pass
 
 

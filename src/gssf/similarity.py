@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import seq2seq
+from . import RunFailure, seq2seq
 from .ink import RawInk, extract_features, resample_and_normalize
 from .seq2seq import Annotations, ModelParams, ScoredDecode
 
@@ -39,7 +39,7 @@ SYMMETRIC_KINDS = frozenset(
 )
 
 
-class UnscorableAnswer(ValueError):
+class UnscorableAnswer(RunFailure):
     """An answer whose greedy decode is empty cannot be scored by the F family."""
 
 

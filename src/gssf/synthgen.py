@@ -17,14 +17,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ink import FIELD_SEPARATORS, RawInk, resample_and_normalize
-from .seq2seq.model import _is_int, _is_real
+from . import InputError
+from .ink import FIELD_SEPARATORS, RawInk, _is_int, _is_real, resample_and_normalize
 
 GLYPH_GAP = 0.15
 SHUFFLE_STREAM = 999983  # sub-stream tag for the final sample shuffle
 
 
-class SynthesisError(ValueError):
+class SynthesisError(InputError):
     pass
 
 
@@ -134,7 +134,7 @@ class AnswerSetSpec:
 def load_spec(path: str | Path) -> AnswerSetSpec:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise SynthesisError(f"{path}: cannot read spec ({exc})") from exc
     return AnswerSetSpec.from_dict(obj)
 

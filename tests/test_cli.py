@@ -4,16 +4,26 @@ import gzip
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gssf.cli import main
-from gssf.ink import RawInk, save_jsonl
-from gssf.sbr import load_csv
-from gssf.seq2seq import checkpoint_bytes, load_checkpoint
+import gssf
+import gssf.cli
+from gssf.cli import UsageError, main
+from gssf.cluster import ClusteringError
+from gssf.ink import InkError, RawInk, save_jsonl
+from gssf.metrics import MetricsError
+from gssf.sbr import SbRError, load_csv
+from gssf.seq2seq import (CheckpointError, ModelError, TrainingError, VocabularyError,
+                          checkpoint_bytes, load_checkpoint)
+from gssf.similarity import UnscorableAnswer
+from gssf.synthgen import SynthesisError
 
 TINY_CONFIG = {
     "arch": {
@@ -183,7 +193,7 @@ class TestCluster:
         def no_scoring(*args):
             raise AssertionError("scored a dataset that should have been rejected")
 
-        monkeypatch.setattr("gssf.cli.score_answers", no_scoring)
+        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
         lines = tiny_pipeline["dataset"].read_text().splitlines()
         first = json.loads(lines[0])
         first[field] = value
@@ -495,7 +505,7 @@ class TestUsage:
         def no_scoring(*args):
             raise AssertionError("scored with a normalization that should have been rejected")
 
-        monkeypatch.setattr("gssf.cli.score_answers", no_scoring)
+        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"normalization": mode}))
         out = tmp_path / "o"
@@ -519,15 +529,101 @@ class TestUsage:
 
     def test_internal_value_error_is_not_a_usage_error(self, tiny_pipeline, tmp_path,
                                                        monkeypatch):
-        import gssf.cli
+        import gssf.similarity
 
         def broken(*args):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(gssf.cli, "score_answers", broken)
+        monkeypatch.setattr(gssf.similarity, "score_answers", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["cluster", "--data", str(tiny_pipeline["dataset"]),
                   "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("error,code", [
+        (UsageError, 2), (InkError, 2), (SynthesisError, 2), (CheckpointError, 2),
+        (ClusteringError, 2), (MetricsError, 2), (ModelError, 2), (SbRError, 2),
+        (VocabularyError, 2), (OSError, 2), (TrainingError, 3), (UnscorableAnswer, 3),
+        (ValueError, None), (RuntimeError, None),
+    ])
+    def test_exit_code_table(self, monkeypatch, capsys, tmp_path, error, code):
+        """Input errors exit 2 and run failures 3; anything else is a fault
+        and propagates as a traceback."""
+
+        def handler(args):
+            raise error("raised by the handler")
+
+        monkeypatch.setattr(gssf.cli, "cmd_heatmap", handler)
+        argv = ["heatmap", "--matrix", str(tmp_path / "m.csv"), "--out", str(tmp_path / "h.pgm")]
+        if code is None:
+            with pytest.raises(error, match="raised by the handler"):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err == "error: raised by the handler\n"
+
+    @pytest.mark.parametrize("command,flag", [
+        (["train", "--out", "{tmp}/m.ckpt"], "--data"),
+        (["synth", "--out", "{tmp}/o.jsonl"], "--spec"),
+        (["heatmap", "--out", "{tmp}/o.pgm"], "--matrix"),
+        (["train", "--data", "{tmp}/none.jsonl", "--out", "{tmp}/m.ckpt"], "--config"),
+    ], ids=["data", "spec", "matrix", "config"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff{}\n")
+        argv = [arg.format(tmp=tmp_path) for arg in command] + [flag, str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not any(tmp_path.glob("[mo].*"))
+
+
+#: Runs ``gssf.cli.main`` on its arguments, then prints the exit code and the
+#: gssf modules the process loaded.
+IMPORT_PROBE = """
+import json, sys
+from gssf.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "gssf")]))
+"""
+
+
+class TestImports:
+    """Each command loads only the gssf modules it runs."""
+
+    def loaded(self, *args: str) -> set[str]:
+        src = str(Path(gssf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        return set(modules)
+
+    def test_synth(self, tiny_pipeline, tmp_path):
+        modules = self.loaded("synth", "--spec", str(tiny_pipeline["spec"]),
+                              "--out", str(tmp_path / "a.jsonl"))
+        assert "gssf.synthgen" in modules
+        assert not {m for m in modules if m.startswith("gssf.seq2seq")}
+        assert not modules & {"gssf.similarity", "gssf.cluster", "gssf.metrics"}
+
+    def test_train(self, tiny_pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"arch": TINY_CONFIG["arch"],
+                                      "train": {"max_epochs": 1, "patience": 1}}))
+        modules = self.loaded("train", "--data", str(tiny_pipeline["dataset"]),
+                              "--config", str(config), "--out", str(tmp_path / "m.ckpt"))
+        assert "gssf.seq2seq.training" in modules
+        assert not modules & {"gssf.synthgen", "gssf.similarity", "gssf.cluster",
+                              "gssf.metrics"}
+
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_cluster_and_compare(self, tiny_pipeline, tmp_path, command):
+        modules = self.loaded(command, "--data", str(tiny_pipeline["dataset"]),
+                              "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path),
+                              "--config", str(tiny_pipeline["config"]))
+        assert {"gssf.similarity", "gssf.cluster"} <= modules
+        assert not modules & {"gssf.synthgen", "gssf.seq2seq.training"}
 
 
 class TestReference:
