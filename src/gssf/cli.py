@@ -63,7 +63,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path}: expected a JSON object")
@@ -114,7 +114,7 @@ def _parse_kind(name: str) -> SimilarityKind:
 
 
 def _check_compatibility(method: str, kind: SimilarityKind) -> None:
-    from .cluster import DISTANCE_KINDS
+    from .similarity import DISTANCE_KINDS
 
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
@@ -159,7 +159,7 @@ def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: in
         return kmeans(norm.values, k, seed=seed, restarts=restarts)
     if method == "m4":
         return complete_linkage(euclidean_distance_matrix(norm.values), k)
-    return complete_linkage(gssf_distance_matrix(raw), k)
+    return complete_linkage(gssf_distance_matrix(raw.values), k)
 
 
 def _evaluation_block(labels: list[int], categories: list[str | None],
@@ -361,11 +361,9 @@ def cmd_compare(args) -> int:
 
 def cmd_heatmap(args) -> int:
     from .sbr import SbRMatrix, load_csv, normalize_unit_interval, save_pgm
-    from .similarity import SimilarityKind
 
     ids, values = load_csv(args.matrix)
-    matrix = SbRMatrix(values=values, ids=ids, kind=SimilarityKind.GSSF)
-    norm = normalize_unit_interval(matrix)
+    norm = normalize_unit_interval(SbRMatrix(values=values, ids=ids))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pgm(out, norm)

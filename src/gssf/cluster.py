@@ -9,8 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from . import InputError
-from .sbr import SbRMatrix
-from .similarity import GSSF_FAMILY, SYMMETRIC_KINDS
 
 
 class ClusteringError(InputError):
@@ -18,8 +16,6 @@ class ClusteringError(InputError):
 
 
 MAX_LLOYD_ITERATIONS = 300
-#: Kinds whose absolute unnormalized scores form a distance matrix (method m3).
-DISTANCE_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
 
 
 @dataclass
@@ -30,28 +26,6 @@ class Assignment:
     labels: list[int]
     k: int
     objective: float
-
-
-@dataclass
-class DistanceMatrix:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ClusteringError("distance matrix must be square")
-        if not np.isfinite(v).all():
-            raise ClusteringError("distance matrix has non-finite entries")
-        if (v < 0).any():
-            raise ClusteringError("distance matrix has negative entries")
-        if np.diagonal(v).any():
-            raise ClusteringError("distance matrix diagonal must be zero")
-        if not np.array_equal(v, v.T):
-            raise ClusteringError("distance matrix must be symmetric")
-        self.values = v
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,15 +95,16 @@ def kmeans(rows: np.ndarray, k: int, seed: int, restarts: int = 10) -> Assignmen
     return best
 
 
-def complete_linkage(d: DistanceMatrix, k: int) -> Assignment:
+def complete_linkage(d: np.ndarray, k: int) -> Assignment:
     """Agglomerate singletons by repeatedly merging the two clusters with the
     smallest maximum pairwise member distance; distance ties break on the
     lexicographically smallest pair of cluster indices (a cluster's index is
-    its smallest member). Stops at k clusters."""
+    its smallest member). Stops at k clusters. ``d`` is a symmetric distance
+    matrix with a zero diagonal."""
     n = len(d)
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} out of range for {n} points")
-    cur = d.values.copy()
+    cur = np.array(d, dtype=np.float64)
     np.fill_diagonal(cur, np.inf)
     root = np.arange(n)
     for _ in range(n - k):
@@ -143,25 +118,21 @@ def complete_linkage(d: DistanceMatrix, k: int) -> Assignment:
     return Assignment(labels=labels, k=k, objective=0.0)
 
 
-def gssf_distance_matrix(m: SbRMatrix) -> DistanceMatrix:
-    """Absolute similarity scores as distances; needs a symmetric F-family
-    matrix in its unnormalized form."""
-    if m.kind not in DISTANCE_KINDS:
-        raise ClusteringError(f"{m.kind.value!r} scores cannot form a distance matrix")
-    if m.normalized:
-        raise ClusteringError("distances come from the unnormalized matrix")
-    values = np.abs(m.values)
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values)
+def gssf_distance_matrix(values: np.ndarray) -> np.ndarray:
+    """Absolute similarity scores as distances, from the unnormalized matrix
+    of a ``similarity.DISTANCE_KINDS`` kind."""
+    d = np.abs(values)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
-def euclidean_distance_matrix(rows: np.ndarray) -> DistanceMatrix:
+def euclidean_distance_matrix(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     values = np.zeros((n, n))
     for i in range(n - 1):
         values[i, i + 1:] = np.sqrt(((rows[i + 1:] - rows[i]) ** 2).sum(axis=1))
-    return DistanceMatrix(values=values + values.T)
+    return values + values.T
 
 
 def save_assignment_csv(path: str | Path, assignment: Assignment, ids: list[str],

@@ -166,7 +166,7 @@ def extract_features(ink: RawInk) -> np.ndarray:
 def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InkError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
     try:
         ink = RawInk(

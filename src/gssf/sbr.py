@@ -11,14 +11,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import InputError
 from .ink import FIELD_SEPARATORS
-from .seq2seq import ModelParams
-from .similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
-                         cross_score_matrix, distinct_index, edit_distance)
+
+if TYPE_CHECKING:
+    from .seq2seq import ModelParams
+    from .similarity import AnswerScoring, SimilarityKind
 
 log = logging.getLogger(__name__)
 
@@ -34,18 +36,7 @@ class SbRError(InputError):
 class SbRMatrix:
     values: np.ndarray
     ids: list[str]
-    kind: SimilarityKind
-    normalized: bool = False
     degenerate: bool = False
-
-    def validate(self) -> None:
-        n = len(self.ids)
-        if self.values.shape != (n, n):
-            raise SbRError("matrix shape does not match the id list")
-        if not np.isfinite(self.values).all():
-            raise SbRError("matrix contains non-finite entries")
-        if self.normalized and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise ValueError("normalized matrix has entries outside [0, 1]")
 
 
 def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
@@ -57,8 +48,10 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     least one answer must be scorable. Pass ``f`` (a precomputed
     ``cross_score_matrix``) to share one cross-scoring pass between kinds.
     """
-    n = len(answers)
-    if n < 2:
+    from .similarity import (SimilarityKind, UnscorableAnswer, cross_score_matrix,
+                             distinct_index, edit_distance)
+
+    if len(answers) < 2:
         raise SbRError("need at least two answers")
     kind = SimilarityKind(kind)
     ids = [a.id for a in answers]
@@ -73,14 +66,12 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
                 dist[p, q] = dist[q, p] = edit_distance(seqs[p], seqs[q])
         values = -dist[np.ix_(which, which)]
         np.fill_diagonal(values, 0.0)
-        return SbRMatrix(values=values, ids=ids, kind=kind)
+        return SbRMatrix(values=values, ids=ids)
 
     if not any(a.scorable for a in answers):
         raise UnscorableAnswer("all answers are unscorable")
     if f is None:
         f = cross_score_matrix(answers, params)
-    elif f.shape != (n, n):
-        raise ValueError("precomputed cross-score matrix has the wrong shape")
     # Float addition, min and max commute, so each result is bit-exactly symmetric.
     if kind == SimilarityKind.ASYMMETRIC:
         values = f.copy()
@@ -99,7 +90,7 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         values[:, bad] = fill
         values[bad, bad] = 0.0
         log.warning("%d unscorable answer(s) assigned the sentinel score %.6g", len(bad), fill)
-    return SbRMatrix(values=values, ids=ids, kind=kind)
+    return SbRMatrix(values=values, ids=ids)
 
 
 def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
@@ -110,17 +101,14 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
     (ablation only). A constant matrix (or row) normalizes to zeros and sets
     the ``degenerate`` flag.
     """
-    if m.normalized:
-        raise ValueError("matrix is already normalized")
-    m.validate()
     values = m.values
     if mode == "global":
         vmin, vmax = float(values.min()), float(values.max())
         if vmax == vmin:
             log.warning("degenerate similarity matrix: all entries equal %.6g", vmin)
-            return replace(m, values=np.zeros_like(values), normalized=True, degenerate=True)
+            return replace(m, values=np.zeros_like(values), degenerate=True)
         out = (values - vmin) / (vmax - vmin)
-        return replace(m, values=out, normalized=True)
+        return replace(m, values=out)
     if mode == "per_row":
         rmin = values.min(axis=1, keepdims=True)
         span = values.max(axis=1, keepdims=True) - rmin
@@ -129,7 +117,7 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
         degenerate = bool(flat.any())
         if degenerate:
             log.warning("degenerate row(s) in per-row normalization")
-        return replace(m, values=out, normalized=True, degenerate=degenerate)
+        return replace(m, values=out, degenerate=degenerate)
     raise SbRError(f"unknown normalization mode {mode!r}")
 
 
@@ -148,7 +136,12 @@ def save_csv(path: str | Path, m: SbRMatrix) -> None:
 
 
 def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read back a matrix CSV as (ids, values); kind/normalization are not stored."""
+    """Read back a matrix CSV as (ids, values), laid out as ``to_csv`` writes it.
+
+    The one matrix gssf reads from outside is checked here: distinct header
+    ids, row i labelled with header id i, and a square finite matrix whose
+    range max - min is finite, so that it normalizes into [0, 1].
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -158,21 +151,26 @@ def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if not lines[0].startswith("id,"):
         raise SbRError(f"{path}: not a similarity-matrix CSV")
     ids = lines[0].split(",")[1:]
+    if len(set(ids)) != len(ids):
+        raise SbRError(f"{path}: duplicate ids in the header")
+    rows = [line.split(",") for line in lines[1:]]
     try:
-        values = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]],
-                          dtype=np.float64)
+        values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
     except ValueError as exc:  # a non-numeric entry or rows of unequal length
         raise SbRError(f"{path}: malformed matrix ({exc})") from None
     if values.shape != (len(ids), len(ids)):
         raise SbRError(f"{path}: matrix is not square")
+    if [row[0] for row in rows] != ids:
+        raise SbRError(f"{path}: row ids do not match the header ids in order")
+    if not np.isfinite(values).all():
+        raise SbRError(f"{path}: matrix has non-finite entries")
+    if not np.isfinite(float(values.max()) - float(values.min())):
+        raise SbRError(f"{path}: the range of the entries overflows float64")
     return ids, values
 
 
 def to_pgm(m: SbRMatrix) -> bytes:
-    """8-bit binary PGM heatmap; requires a normalized matrix."""
-    if not m.normalized:
-        raise ValueError("heatmap export needs a normalized matrix")
-    m.validate()
+    """8-bit binary PGM heatmap of a matrix normalized into [0, 1]."""
     n = len(m.ids)
     pixels = np.rint(255.0 * m.values).astype(np.uint8)
     return f"P5\n{n} {n}\n255\n".encode("ascii") + pixels.tobytes()

@@ -95,7 +95,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     try:
         arch = ArchConfig(**json.loads(reader.text()))
         param_shapes(arch, vocab.size)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):

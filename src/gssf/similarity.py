@@ -37,6 +37,8 @@ SYMMETRIC_KINDS = frozenset(
     {SimilarityKind.GSSF, SimilarityKind.MIN, SimilarityKind.MAX,
      SimilarityKind.NEG_EDIT_DISTANCE}
 )
+#: Kinds whose absolute unnormalized scores form a distance matrix (method m3).
+DISTANCE_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
 
 
 class UnscorableAnswer(RunFailure):

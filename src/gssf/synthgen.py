@@ -134,7 +134,7 @@ class AnswerSetSpec:
 def load_spec(path: str | Path) -> AnswerSetSpec:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise SynthesisError(f"{path}: cannot read spec ({exc})") from exc
     return AnswerSetSpec.from_dict(obj)
 

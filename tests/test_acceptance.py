@@ -15,7 +15,7 @@ import pytest
 
 import gssf.similarity as similarity_mod
 from gssf.cli import main
-from gssf.cluster import DistanceMatrix, complete_linkage, kmeans, kmeans_single
+from gssf.cluster import complete_linkage, kmeans, kmeans_single
 from gssf.metrics import marking_cost, marking_cost_raw, purity
 from gssf.seq2seq import (Annotations, ArchConfig, ScoredDecode, build_vocabulary,
                           encode, init_params, loss_and_gradients,
@@ -212,7 +212,7 @@ def test_criterion_07_clustering_oracles():
             d = np.triu(raw, 1)
             d = d + d.T
             k = int(rng.integers(1, n + 1))
-            ours = complete_linkage(DistanceMatrix(d), k)
+            ours = complete_linkage(d, k)
             mine = {frozenset(i for i, l2 in enumerate(ours.labels) if l2 == lab)
                     for lab in set(ours.labels)}
             assert frozenset(mine) == naive_cl(d.tolist(), k)

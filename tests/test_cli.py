@@ -417,8 +417,10 @@ class TestHeatmap:
 
     @pytest.mark.parametrize("text", [
         "id,a,b\na,0,x\nb,1,0\n", "id,a,b\na,0\nb,1,0\n", "id,a,b\na,0,1\n",
-        "id,a,b\na,0,nan\nb,1,0\n", "a,b\n",
-    ], ids=["non_numeric", "ragged", "not_square", "non_finite", "no_header"])
+        "id,a,b\na,0,nan\nb,1,0\n", "a,b\n", "id,a,b\na,0,1e308\nb,-1e308,0\n",
+        "id,a,b\nzz,0,1\nqq,1,0\n", "id,a,b\nb,1,0\na,0,1\n", "id,a,a\na,0,1\na,1,0\n",
+    ], ids=["non_numeric", "ragged", "not_square", "non_finite", "no_header",
+            "range_overflow", "unknown_row_ids", "swapped_rows", "repeated_header_id"])
     def test_malformed_matrix_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "m.csv"
         path.write_text(text)
@@ -576,6 +578,25 @@ class TestUsage:
         assert err.startswith("error: ") and str(bad) in err
         assert not any(tmp_path.glob("[mo].*"))
 
+    @pytest.mark.parametrize("command,flag", [
+        (["synth", "--out", "{tmp}/o.jsonl"], "--spec"),
+        (["train", "--out", "{tmp}/m.ckpt"], "--data"),
+        (["train", "--data", "{tmp}/none.jsonl", "--out", "{tmp}/m.ckpt"], "--config"),
+    ], ids=["spec", "data", "config"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, command, flag):
+        """json.loads raises RecursionError, not ValueError, on deep nesting."""
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        argv = [arg.format(tmp=tmp_path) for arg in command] + [flag, str(bad)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        if flag == "--data":
+            assert f"{bad}:1:" in err
+        assert not any(tmp_path.glob("[mo].*"))
+
 
 #: Runs ``gssf.cli.main`` on its arguments, then prints the exit code and the
 #: gssf modules the process loaded.
@@ -624,6 +645,13 @@ class TestImports:
                               "--config", str(tiny_pipeline["config"]))
         assert {"gssf.similarity", "gssf.cluster"} <= modules
         assert not modules & {"gssf.synthgen", "gssf.seq2seq.training"}
+
+    def test_heatmap(self, tiny_pipeline, tmp_path):
+        run_dir = tmp_path / "run"
+        assert TestCluster().run(tiny_pipeline, run_dir) == 0
+        modules = self.loaded("heatmap", "--matrix", str(run_dir / "sbr.csv"),
+                              "--out", str(tmp_path / "heat.pgm"))
+        assert modules == {"gssf", "gssf.cli", "gssf.ink", "gssf.sbr"}
 
 
 class TestReference:

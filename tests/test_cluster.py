@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from gssf.cluster import (Assignment, ClusteringError, DistanceMatrix,
-                          complete_linkage, euclidean_distance_matrix,
-                          gssf_distance_matrix, kmeans, kmeans_pp_init, kmeans_single)
-from gssf.sbr import SbRMatrix
+from gssf.cluster import (Assignment, ClusteringError, complete_linkage,
+                          euclidean_distance_matrix, gssf_distance_matrix, kmeans,
+                          kmeans_pp_init, kmeans_single)
+from gssf.sbr import build_sbr_matrix
 from gssf.similarity import SimilarityKind
 
 
@@ -43,7 +43,7 @@ def naive_complete_linkage(dist, k):
 def loop_complete_linkage(d, k):
     """Oracle: the pairwise-scan linkage that ran before the masked argmin."""
     n = len(d)
-    cur = d.values.copy()
+    cur = d.copy()
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     alive = sorted(members)
     for _ in range(n - k):
@@ -196,12 +196,11 @@ class TestKmeans:
 class TestCompleteLinkage:
     def test_two_group_fixture(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-        d = DistanceMatrix(np.abs(pts - pts.T))
-        a = complete_linkage(d, 2)
+        a = complete_linkage(np.abs(pts - pts.T), 2)
         assert partition_key(a.labels) == partition_key([0, 0, 1, 1])
 
     def test_k_equals_n_singletons(self):
-        d = DistanceMatrix(np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, :]))
+        d = np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, :])
         a = complete_linkage(d, 5)
         assert a.labels == [0, 1, 2, 3, 4]
 
@@ -210,7 +209,7 @@ class TestCompleteLinkage:
         pts = rng.normal(0, 1, (10, 2))
         d = euclidean_distance_matrix(pts)
         base = complete_linkage(d, 3)
-        scaled = complete_linkage(DistanceMatrix(d.values * 17.0), 3)
+        scaled = complete_linkage(d * 17.0, 3)
         assert base.labels == scaled.labels
 
     def test_matches_naive_oracle_randomized(self):
@@ -221,14 +220,13 @@ class TestCompleteLinkage:
             d = np.triu(raw, 1)
             d = d + d.T
             k = int(rng.integers(1, n + 1))
-            ours = complete_linkage(DistanceMatrix(d), k)
+            ours = complete_linkage(d, k)
             theirs = naive_complete_linkage(d.tolist(), k)
             assert partition_key(ours.labels) == partition_key(theirs)
 
     def test_k_out_of_range(self):
-        d = DistanceMatrix(np.zeros((3, 3)))
         with pytest.raises(ClusteringError):
-            complete_linkage(d, 4)
+            complete_linkage(np.zeros((3, 3)), 4)
 
 
 class TestLinkageAgainstLoopOracle:
@@ -237,16 +235,16 @@ class TestLinkageAgainstLoopOracle:
         rng = np.random.default_rng(11 if ties else 10)
         for _ in range(60):
             n = int(rng.integers(2, 61))
-            d = DistanceMatrix(random_distances(rng, n, ties))
+            d = random_distances(rng, n, ties)
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
                 assert complete_linkage(d, k).labels == loop_complete_linkage(d, k)
 
     def test_all_equal_distances_merge_in_index_order(self):
-        d = DistanceMatrix(1.0 - np.eye(6))
+        d = 1.0 - np.eye(6)
         assert complete_linkage(d, 3).labels == loop_complete_linkage(d, 3) == [0, 0, 0, 0, 1, 2]
 
     def test_labels_equal_at_300(self):
-        d = DistanceMatrix(random_distances(np.random.default_rng(12), 300, ties=True))
+        d = random_distances(np.random.default_rng(12), 300, ties=True)
         assert complete_linkage(d, 7).labels == loop_complete_linkage(d, 7)
 
     def test_partition_matches_scipy_at_1000(self):
@@ -255,55 +253,40 @@ class TestLinkageAgainstLoopOracle:
         from scipy.spatial.distance import squareform
 
         d = random_distances(np.random.default_rng(13), 1000, ties=False)
-        ours = complete_linkage(DistanceMatrix(d), 9).labels
+        ours = complete_linkage(d, 9).labels
         theirs = cut_tree(linkage(squareform(d), "complete"), n_clusters=9)[:, 0]
         assert partition_key(ours) == partition_key(theirs.tolist())
 
 
+def assert_distance_matrix(d, n):
+    """What complete linkage needs of its input: square, finite, non-negative,
+    a zero diagonal and bit-exact symmetry."""
+    assert d.shape == (n, n)
+    assert np.isfinite(d).all() and (d >= 0.0).all()
+    np.testing.assert_array_equal(np.diag(d), np.zeros(n))
+    assert np.array_equal(d, d.T)
+
+
 class TestDistanceMatrices:
     def test_gssf_distance_absolute_value(self):
-        m = SbRMatrix(values=np.array([[0.0, -3.0], [-3.0, 0.0]]), ids=["a", "b"],
-                      kind=SimilarityKind.GSSF)
-        d = gssf_distance_matrix(m)
-        np.testing.assert_array_equal(d.values, [[0.0, 3.0], [3.0, 0.0]])
+        d = gssf_distance_matrix(np.array([[0.0, -3.0], [-3.0, 0.0]]))
+        np.testing.assert_array_equal(d, [[0.0, 3.0], [3.0, 0.0]])
 
-    def test_asymmetric_kind_rejected(self):
-        m = SbRMatrix(values=np.zeros((2, 2)), ids=["a", "b"],
-                      kind=SimilarityKind.ASYMMETRIC)
-        with pytest.raises(ClusteringError):
-            gssf_distance_matrix(m)
-
-    def test_edit_kind_rejected(self):
-        """m3 needs a symmetric score-family kind; edit scores are symmetric
-        but are not F scores."""
-        m = SbRMatrix(values=np.array([[0.0, -1.0], [-1.0, 0.0]]), ids=["a", "b"],
-                      kind=SimilarityKind.NEG_EDIT_DISTANCE)
-        with pytest.raises(ClusteringError, match="distance matrix"):
-            gssf_distance_matrix(m)
-
-    def test_normalized_matrix_rejected(self):
-        m = SbRMatrix(values=np.zeros((2, 2)), ids=["a", "b"],
-                      kind=SimilarityKind.GSSF, normalized=True)
-        with pytest.raises(ClusteringError):
-            gssf_distance_matrix(m)
-
-    def test_construction_validation(self):
-        with pytest.raises(ClusteringError):
-            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-        with pytest.raises(ClusteringError):
-            DistanceMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))  # diagonal
-        with pytest.raises(ClusteringError):
-            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
-        with pytest.raises(ClusteringError):
-            DistanceMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    @pytest.mark.parametrize("kind", [SimilarityKind.GSSF, SimilarityKind.MIN,
+                                      SimilarityKind.MAX])
+    def test_gssf_distances_of_pinned_set(self, trained, benchmark_answers,
+                                          benchmark_f_matrix, kind):
+        params, _ = trained
+        raw = build_sbr_matrix(benchmark_answers, kind, params, f=benchmark_f_matrix)
+        assert_distance_matrix(gssf_distance_matrix(raw.values), len(benchmark_answers))
 
     @pytest.mark.parametrize("n,width", [(1, 3), (2, 1), (7, 1), (40, 5), (60, 1000)])
     def test_euclidean_matrix_bit_equal_to_loop(self, n, width):
         rows = np.random.default_rng(n * width).normal(0, 1, (n, width))
-        assert np.array_equal(euclidean_distance_matrix(rows).values, loop_euclidean_values(rows))
+        assert np.array_equal(euclidean_distance_matrix(rows), loop_euclidean_values(rows))
 
     def test_euclidean_matrix_symmetric_zero_diag(self):
         rng = np.random.default_rng(9)
-        d = euclidean_distance_matrix(rng.normal(0, 1, (6, 3)))
-        assert np.array_equal(d.values, d.values.T)
-        np.testing.assert_array_equal(np.diag(d.values), np.zeros(6))
+        for n, width in [(1, 4), (6, 3), (100, 100)]:
+            rows = rng.uniform(0.0, 1.0, (n, width))
+            assert_distance_matrix(euclidean_distance_matrix(rows), n)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -532,6 +533,19 @@ class TestCheckpoint:
                                       struct.pack("<I", len(bad)) + bad))
         with pytest.raises(CheckpointError, match="parameters"):
             load_checkpoint(path)
+
+    def test_deeply_nested_config_raises_checkpoint_error(self, tmp_path):
+        """json.loads raises RecursionError, not ValueError, on deep nesting."""
+        data = checkpoint_bytes(small_model())
+        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+        bad = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
+                                      struct.pack("<I", len(bad)) + bad))
+        start = time.perf_counter()
+        with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(path)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("corrupt", ["token_0xff", "emb_2**62x4", "emb_2**63x2"])
     def test_corruption_raises_checkpoint_error(self, tmp_path, corrupt):
