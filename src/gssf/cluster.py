@@ -8,13 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import InputError
-
-
-class ClusteringError(InputError):
-    pass
-
-
 MAX_LLOYD_ITERATIONS = 300
 
 
@@ -31,11 +24,9 @@ class Assignment:
 def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Spread-out seeding: first centroid uniform, then proportional to the
     squared distance to the nearest chosen centroid. When every remaining
-    distance is zero, pick uniformly among unchosen rows."""
-    rows = np.asarray(rows, dtype=np.float64)
+    distance is zero, pick uniformly among unchosen rows. Needs float64
+    ``rows`` and 1 <= k <= len(rows)."""
     n = rows.shape[0]
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} out of range for {n} rows")
     chosen = [int(rng.integers(n))]
     d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:
@@ -81,12 +72,8 @@ def kmeans_single(rows: np.ndarray, k: int, rng: np.random.Generator):
 
 def kmeans(rows: np.ndarray, k: int, seed: int, restarts: int = 10) -> Assignment:
     """Best-of-``restarts`` seeded k-means; restart r uses generator seed+r,
-    and ties on the objective keep the earlier restart."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if not 1 <= k <= rows.shape[0]:
-        raise ClusteringError(f"k={k} out of range for {rows.shape[0]} rows")
-    if restarts < 1:
-        raise ClusteringError("need at least one restart")
+    and ties on the objective keep the earlier restart. Needs
+    1 <= k <= len(rows) and restarts >= 1."""
     best: Assignment | None = None
     for r in range(restarts):
         assignment, _ = kmeans_single(rows, k, np.random.default_rng(seed + r))
@@ -99,11 +86,9 @@ def complete_linkage(d: np.ndarray, k: int) -> Assignment:
     """Agglomerate singletons by repeatedly merging the two clusters with the
     smallest maximum pairwise member distance; distance ties break on the
     lexicographically smallest pair of cluster indices (a cluster's index is
-    its smallest member). Stops at k clusters. ``d`` is a symmetric distance
-    matrix with a zero diagonal."""
+    its smallest member). Stops at k clusters, 1 <= k <= len(d). ``d`` is a
+    symmetric distance matrix with a zero diagonal."""
     n = len(d)
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} out of range for {n} points")
     cur = np.array(d, dtype=np.float64)
     np.fill_diagonal(cur, np.inf)
     root = np.arange(n)

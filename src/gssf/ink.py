@@ -64,8 +64,8 @@ class RawInk:
                 raise InkError(f"ink {self.id!r}: stroke {i} has non-finite coordinates")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (L, 2) points and their (L,) stroke indices, writing order."""
-        self.validate()
+        """Flattened (L, 2) points and their (L,) stroke indices, writing order;
+        the ink must pass ``validate``."""
         pts = np.concatenate(self.strokes, axis=0)
         sidx = np.repeat(np.arange(len(self.strokes)), [len(s) for s in self.strokes])
         return pts, sidx
@@ -170,7 +170,7 @@ def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
         raise InkError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
     try:
         ink = RawInk(
-            strokes=[np.asarray(s, dtype=np.float64) for s in obj["strokes"]],
+            strokes=obj["strokes"],
             id=str(obj["id"]),
             category=obj.get("category"),
             label=obj.get("label"),
@@ -211,7 +211,6 @@ def save_jsonl(path: str | Path, inks: list[RawInk]) -> None:
     """Write an answer set as JSON Lines; floats keep shortest round-trip form."""
     with open(path, "w", encoding="utf-8") as fh:
         for ink in inks:
-            ink.validate()
             obj = {
                 "id": ink.id,
                 "category": ink.category,

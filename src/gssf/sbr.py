@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import InputError
-from .ink import FIELD_SEPARATORS
 
 if TYPE_CHECKING:
     from .seq2seq import ModelParams
@@ -29,7 +28,7 @@ NORMALIZATIONS = ("global", "per_row")
 
 
 class SbRError(InputError):
-    """An input the similarity matrix cannot be built, read or written from."""
+    """An input the similarity matrix cannot be built or read from."""
 
 
 @dataclass
@@ -98,8 +97,8 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
 
     ``mode="global"`` (default) uses one min/max over the whole matrix, which
     preserves symmetry; ``mode="per_row"`` rescales each row independently
-    (ablation only). A constant matrix (or row) normalizes to zeros and sets
-    the ``degenerate`` flag.
+    (ablation only). ``mode`` is one of ``NORMALIZATIONS``. A constant matrix
+    (or row) normalizes to zeros and sets the ``degenerate`` flag.
     """
     values = m.values
     if mode == "global":
@@ -109,22 +108,18 @@ def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
             return replace(m, values=np.zeros_like(values), degenerate=True)
         out = (values - vmin) / (vmax - vmin)
         return replace(m, values=out)
-    if mode == "per_row":
-        rmin = values.min(axis=1, keepdims=True)
-        span = values.max(axis=1, keepdims=True) - rmin
-        flat = span == 0.0
-        out = np.where(flat, 0.0, (values - rmin) / np.where(flat, 1.0, span))
-        degenerate = bool(flat.any())
-        if degenerate:
-            log.warning("degenerate row(s) in per-row normalization")
-        return replace(m, values=out, degenerate=degenerate)
-    raise SbRError(f"unknown normalization mode {mode!r}")
+    rmin = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - rmin
+    flat = span == 0.0
+    out = np.where(flat, 0.0, (values - rmin) / np.where(flat, 1.0, span))
+    degenerate = bool(flat.any())
+    if degenerate:
+        log.warning("degenerate row(s) in per-row normalization")
+    return replace(m, values=out, degenerate=degenerate)
 
 
 def to_csv(m: SbRMatrix) -> str:
-    for sample_id in m.ids:
-        if any(c in sample_id for c in FIELD_SEPARATORS):
-            raise SbRError(f"id {sample_id!r} cannot be written to CSV")
+    """The matrix as CSV; its ids hold none of ``ink.FIELD_SEPARATORS``."""
     lines = ["id," + ",".join(m.ids)]
     for sample_id, row in zip(m.ids, m.values):
         lines.append(sample_id + "," + ",".join(repr(float(v)) for v in row))

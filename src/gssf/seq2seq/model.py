@@ -154,10 +154,9 @@ def zero_params(arch: ArchConfig, vocab: Vocabulary) -> ModelParams:
 
 @dataclass
 class Annotations:
-    """Encoder output: one vector per kept time step, plus the input length."""
+    """Encoder output: one vector per kept time step."""
 
     vectors: np.ndarray  # (K, annotation_dim)
-    source_len: int
 
 
 @dataclass
@@ -576,22 +575,16 @@ def _batch_tokens(token_seqs: list[list[int]]):
 
 
 def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Annotations]:
-    """Encode many feature sequences in padded batches of ``INFER_CHUNK``;
+    """Encode many (L, ``arch.input_dim``) feature sequences, L >= 1, as
+    ``ink.extract_features`` makes them, in padded batches of ``INFER_CHUNK``;
     each keeps its own ceil(L / 2^p) annotation vectors."""
     arch = params.arch
-    feats_list = [np.asarray(f, dtype=np.float64) for f in feats_list]
-    for feats in feats_list:
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ModelError("empty or malformed feature sequence")
-        if feats.shape[1] != arch.input_dim:
-            raise ModelError(f"feature dim {feats.shape[1]}, expected {arch.input_dim}")
     out: list[Annotations] = []
     for start in range(0, len(feats_list), INFER_CHUNK):
         chunk = feats_list[start:start + INFER_CHUNK]
         ann, klens, _ = _encode_steps(params.tensors, arch, *_pad(chunk, arch.input_dim),
                                       keep=False)
-        out.extend(Annotations(vectors=ann[i, :k], source_len=len(f))
-                   for i, (k, f) in enumerate(zip(klens, chunk)))
+        out.extend(Annotations(vectors=ann[i, :k]) for i, k in enumerate(klens))
     return out
 
 
@@ -633,17 +626,9 @@ def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[Sc
     return out
 
 
-def _check_tokens(params: ModelParams, token_seqs: list[list[int]]) -> None:
-    for seq in token_seqs:
-        if len(seq) == 0:
-            raise ModelError("empty token sequence")
-        if any(not 0 <= t < params.vocab.size for t in seq):
-            raise ModelError("token index out of range")
-
-
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
-    """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended."""
-    _check_tokens(params, [tokens])
+    """log P(tokens[i] | annotations, tokens[:i]) with the start token prepended,
+    for a non-empty ``tokens`` of vocabulary indices such as a greedy decode."""
     feed, targets = np.array([[SOS_INDEX, *tokens[:-1]]]), np.array([tokens])
     return _teacher_forced_steps(params.tensors, ann.vectors[None], [len(ann.vectors)],
                                  feed, targets, keep=False)[0][0]
@@ -652,7 +637,8 @@ def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[
 def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
                        token_seqs: list[list[int]]) -> np.ndarray:
     """(len(anns), len(token_seqs)) total teacher-forced log-probability of
-    every non-empty sequence against every annotation set.
+    every sequence against every annotation set. The sequences are non-empty
+    and hold vocabulary indices, as scorable greedy decodes do.
 
     The annotation sets are padded in the chunks of ``INFER_CHUNK`` that
     ``encode_batch`` uses. Each chunk gets one ``_decoder_start`` and walks
@@ -665,7 +651,6 @@ def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
     exactly as a chunk teacher-forced against that one sequence would, so
     the sums are the same bits.
     """
-    _check_tokens(params, token_seqs)
     p = params.tensors
     order = sorted(range(len(token_seqs)), key=token_seqs.__getitem__)
     seqs = [token_seqs[q] for q in order]
@@ -701,10 +686,8 @@ def _forward_batch(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]
     """Encode a training batch and teacher-force its labels, end token included.
 
     Returns the (B, T) log-probabilities and argmax, the targets and mask,
-    and what the backward pass reads.
+    and what the backward pass reads. ``batch`` is not empty.
     """
-    if not batch:
-        raise ModelError("empty batch")
     arch, p = params.arch, params.tensors
     ann, klens, enc_cache = _encode_steps(p, arch, *_pad(
         [np.asarray(f, dtype=np.float64) for f, _ in batch], arch.input_dim), keep)

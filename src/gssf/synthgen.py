@@ -141,17 +141,13 @@ def load_spec(path: str | Path) -> AnswerSetSpec:
 
 def render_expression(tokens: list[str], jitter: JitterParams,
                       rng: np.random.Generator) -> RawInk:
-    """Lay ``TEMPLATES`` glyphs left to right and apply the per-glyph jitter model."""
-    if not tokens:
-        raise SynthesisError("cannot render an empty token sequence")
-    jitter.validate()
+    """Lay ``TEMPLATES`` glyphs left to right and apply the per-glyph jitter model.
+
+    Needs a non-empty ``tokens`` of ``TEMPLATES`` keys and a valid ``jitter``."""
     strokes: list[np.ndarray] = []
     cursor = 0.0
     for tok in tokens:
-        try:
-            glyph, advance = TEMPLATES[tok]
-        except KeyError:
-            raise SynthesisError(f"no template for token {tok!r}") from None
+        glyph, advance = TEMPLATES[tok]
         scale = 1.0 + rng.uniform(-jitter.scale, jitter.scale)
         theta = math.radians(rng.uniform(-jitter.rotation_deg, jitter.rotation_deg))
         shear = rng.uniform(-jitter.shear, jitter.shear)

@@ -62,13 +62,13 @@ def test_criterion_02_hand_oracle_conditional_score(monkeypatch):
     with criterion(2, "two-step hand fixture equals ln(0.125/0.72) within 1e-9"):
         a = AnswerScoring(
             id="a",
-            annotations=Annotations(vectors=np.zeros((1, 2)), source_len=1),
+            annotations=Annotations(vectors=np.zeros((1, 2))),
             decode=ScoredDecode(tokens=[2, 3],
                                 self_logprobs=np.array([math.log(0.9), math.log(0.8)])),
         )
         b = AnswerScoring(
             id="b",
-            annotations=Annotations(vectors=np.zeros((1, 2)), source_len=1),
+            annotations=Annotations(vectors=np.zeros((1, 2))),
             decode=ScoredDecode(tokens=[4], self_logprobs=np.array([math.log(0.5)])),
         )
         monkeypatch.setattr(

@@ -15,7 +15,7 @@ import pytest
 
 from gssf.ink import extract_features, resample_and_normalize
 from gssf.sbr import build_sbr_matrix
-from gssf.seq2seq import (ArchConfig, Annotations, ModelError, ScoredDecode,
+from gssf.seq2seq import (ArchConfig, Annotations, ScoredDecode,
                           cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
                           init_params, model, teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
@@ -60,7 +60,6 @@ def assert_same_scoring(batched, oracle):
     for x, y in zip(batched, oracle):
         assert x.decode.tokens == y.decode.tokens, x.id
         assert x.decode.truncated == y.decode.truncated, x.id
-        assert x.annotations.source_len == y.annotations.source_len
         assert x.annotations.vectors.shape == y.annotations.vectors.shape
         np.testing.assert_allclose(x.annotations.vectors, y.annotations.vectors, rtol=0, atol=TOL)
         np.testing.assert_allclose(x.decode.self_logprobs, y.decode.self_logprobs,
@@ -156,7 +155,7 @@ class TestDeduplicatedCrossScores:
 
     def test_all_unscorable_gives_all_nan(self):
         empty = [AnswerScoring(id=f"e{i}",
-                               annotations=Annotations(vectors=np.zeros((1, 12)), source_len=1),
+                               annotations=Annotations(vectors=np.zeros((1, 12))),
                                decode=ScoredDecode(tokens=[], self_logprobs=np.array([])))
                  for i in range(3)]
         assert np.isnan(cross_score_matrix(empty, params=None)).all()
@@ -252,12 +251,6 @@ class TestCrossLogprobSums:
         anns = encode_batch(self.params, random_feats(self.rng, [3]))
         assert cross_logprob_sums(self.params, anns, []).shape == (1, 0)
         assert cross_logprob_sums(self.params, [], [[2]]).shape == (0, 1)
-
-    def test_rejects_invalid_sequences(self):
-        anns = encode_batch(self.params, random_feats(self.rng, [4]))
-        for bad in ([-1, 3], [2, self.params.vocab.size], []):
-            with pytest.raises(ModelError):
-                cross_logprob_sums(self.params, anns, [[2], bad])
 
 
 class TestChunkedCrossScoreMatrix:

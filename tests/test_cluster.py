@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gssf.cluster import (Assignment, ClusteringError, complete_linkage,
+from gssf.cluster import (Assignment, complete_linkage,
                           euclidean_distance_matrix, gssf_distance_matrix, kmeans,
                           kmeans_pp_init, kmeans_single)
 from gssf.sbr import build_sbr_matrix
@@ -119,13 +119,6 @@ class TestKmeansPlusPlusInit:
         np.testing.assert_array_equal(c[0], [1.0, 1.0])
         np.testing.assert_array_equal(c[1], [1.0, 1.0])
 
-    def test_k_out_of_range(self):
-        rows = np.zeros((3, 2))
-        with pytest.raises(ClusteringError):
-            kmeans_pp_init(rows, 4, np.random.default_rng(0))
-        with pytest.raises(ClusteringError):
-            kmeans_pp_init(rows, 0, np.random.default_rng(0))
-
     def test_squared_distance_seeding_frequencies(self):
         # rows {0, 1, 10}: conditioned on first pick 0, the second pick must
         # follow d^2 weights 1:100
@@ -175,10 +168,6 @@ class TestKmeans:
         assert a.k == 3
         assert max(a.labels) <= 2
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ClusteringError):
-            kmeans(FOUR_POINTS, 5, seed=0)
-
     def test_two_empty_clusters_in_one_iteration(self, monkeypatch):
         # Two seeds far from every row leave clusters 2 and 3 empty in the
         # first iteration; they seize rows 7 and 8, the two farthest from
@@ -223,10 +212,6 @@ class TestCompleteLinkage:
             ours = complete_linkage(d, k)
             theirs = naive_complete_linkage(d.tolist(), k)
             assert partition_key(ours.labels) == partition_key(theirs)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ClusteringError):
-            complete_linkage(np.zeros((3, 3)), 4)
 
 
 class TestLinkageAgainstLoopOracle:

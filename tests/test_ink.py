@@ -276,10 +276,6 @@ class TestExtractFeatures:
         up_positions = np.flatnonzero(feats[:, 7] == 1.0)
         np.testing.assert_array_equal(up_positions, [4, 5, 12])
 
-    def test_empty_ink_raises(self):
-        with pytest.raises(InkError):
-            extract_features(RawInk(strokes=[], id="e"))
-
 
 class TestNormalizationInvariance:
     def test_translate_scale_invariant(self):

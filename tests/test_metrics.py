@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssf.metrics import (MetricsError, adjusted_rand_index, evaluate, marking_cost,
+from gssf.metrics import (adjusted_rand_index, evaluate, marking_cost,
                           marking_cost_raw, normalized_mutual_info, purity)
 
 HAND_LABELS = [0, 0, 0, 1, 1, 1]
@@ -29,12 +29,6 @@ class TestPurity:
     def test_singletons_are_pure(self):
         cats = ["a", "b", "a", "c", "b"]
         assert purity(list(range(5)), cats) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(MetricsError):
-            purity([0, 1], ["a"])
-        with pytest.raises(MetricsError):
-            purity([], [])
 
     @given(labelings)
     @settings(max_examples=80, deadline=None)
@@ -68,12 +62,6 @@ class TestMarkingCost:
     def test_single_cluster_single_category(self):
         n = 10
         assert marking_cost([0] * n, ["a"] * n) == pytest.approx(1 / (2 * n) + 0.5, abs=1e-15)
-
-    def test_alpha_validated(self):
-        with pytest.raises(MetricsError):
-            marking_cost_raw(HAND_LABELS, HAND_CATS, alpha=0.0)
-        with pytest.raises(MetricsError):
-            marking_cost_raw(HAND_LABELS, HAND_CATS, alpha=1.5)
 
     @given(labelings)
     @settings(max_examples=120, deadline=None)
@@ -120,6 +108,14 @@ class TestEvaluate:
         ev = evaluate([0, 0], ["b", "a"])
         assert ev["per_cluster"][0]["majority_category"] == "a"
         assert ev["per_cluster"][0]["majority_size"] == 1
+
+    def test_per_cluster_ordered_by_integer_label(self):
+        """Cluster 10 comes after cluster 9, not after cluster 1."""
+        labels = [label for label in range(12) for _ in range(label + 1)]
+        ev = evaluate(labels, [f"c{label}" for label in labels])
+        assert [c["majority_category"] for c in ev["per_cluster"]] == [
+            f"c{label}" for label in range(12)]
+        assert [c["size"] for c in ev["per_cluster"]] == list(range(1, 13))
 
     def test_invariant_sizes_sum_to_h(self):
         ev = evaluate([0, 1, 1, 2, 2, 2], list("abcabc"))

@@ -70,7 +70,7 @@ def fake_scoring(sample_id, self_logprobs, tokens=None):
     tokens = tokens if tokens is not None else list(range(2, 2 + len(self_logprobs)))
     return AnswerScoring(
         id=sample_id,
-        annotations=Annotations(vectors=np.zeros((1, 2)), source_len=1),
+        annotations=Annotations(vectors=np.zeros((1, 2))),
         decode=ScoredDecode(tokens=tokens, self_logprobs=np.asarray(self_logprobs, dtype=float)),
     )
 

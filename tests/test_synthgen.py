@@ -78,14 +78,6 @@ class TestRenderExpression:
             pos += count
         assert centroids[0] < centroids[1] < centroids[2]
 
-    def test_missing_template(self):
-        with pytest.raises(SynthesisError, match="no template"):
-            render_expression(["@"], JitterParams(), np.random.default_rng(0))
-
-    def test_empty_tokens(self):
-        with pytest.raises(SynthesisError):
-            render_expression([], JitterParams(), np.random.default_rng(0))
-
 
 class TestGenerateAnswerSet:
     def test_counts_and_labels(self):
@@ -133,6 +125,11 @@ class TestGenerateAnswerSet:
             for s1, s2 in zip(x.strokes, y.strokes):
                 np.testing.assert_array_equal(s1, s2)
 
+    def test_missing_template(self):
+        spec = small_spec(categories=(CategorySpec(("1", "@"), 1), CategorySpec(("2",), 1)))
+        with pytest.raises(SynthesisError, match="no template for token '@'"):
+            generate_answer_set(spec)
+
     def test_spec_validation(self):
         with pytest.raises(SynthesisError):
             AnswerSetSpec(categories=(CategorySpec(("1",), 1),)).validate()
@@ -178,11 +175,12 @@ class TestGenerateAnswerSet:
         '{"categories": [{"label": ["1"], "count": true}, {"label": ["2"], "count": 1}]}',
         '{"categories": [{"label": "12", "count": 1}, {"label": ["2"], "count": 1}]}',
         '{"categories": [{"label": [1], "count": 1}, {"label": ["2"], "count": 1}]}',
+        '{"categories": [{"label": [], "count": 1}, {"label": ["2"], "count": 1}]}',
     ], ids=["text", "list", "text_sigma", "nan_scale", "float_seed", "bool_spacing",
-            "float_count", "bool_count", "text_label", "int_token"])
+            "float_count", "bool_count", "text_label", "int_token", "empty_label"])
     def test_malformed_spec_values(self, tmp_path, text):
         """Nothing in a spec is truncated or converted to fit: a float count
-        or seed, a string label, a non-numeric jitter range all fail."""
+        or seed, a string or empty label, a non-numeric jitter range all fail."""
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(SynthesisError):
