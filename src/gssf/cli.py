@@ -47,8 +47,8 @@ KIND_ALIASES = {
 }
 METHODS = ("m3", "m4", "m5")
 
-CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "normalization",
-               "num_seeds", "arch", "train"}
+CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "num_seeds", "arch",
+               "train"}
 
 
 class UsageError(InputError):
@@ -123,15 +123,6 @@ def _check_compatibility(method: str, kind: SimilarityKind) -> None:
                          f"score family kind, not {kind.value!r}")
 
 
-def _pick_normalization(args, config: dict) -> str:
-    from .sbr import NORMALIZATIONS
-
-    mode = _pick(args.normalization, config, "normalization", "global")
-    if mode not in NORMALIZATIONS:
-        raise UsageError(f"normalization must be one of {NORMALIZATIONS}, got {mode!r}")
-    return mode
-
-
 def _resolve_k(policy, categories: list[str | None], n: int) -> int:
     if policy in (None, "categories"):
         if any(c is None for c in categories):
@@ -162,17 +153,12 @@ def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: in
     return complete_linkage(gssf_distance_matrix(raw.values), k)
 
 
-def _evaluation_block(labels: list[int], categories: list[str | None],
-                      extra_indices: bool) -> dict:
-    from .metrics import adjusted_rand_index, evaluate, normalized_mutual_info
+def _evaluation_block(labels: list[int], categories: list[str | None]) -> dict:
+    from .metrics import evaluate
 
     if any(c is None for c in categories):
         return {"purity": None, "mc": None, "j": None, "per_cluster": None}
-    block = evaluate(labels, categories)
-    if extra_indices:
-        block["nmi"] = normalized_mutual_info(labels, categories)
-        block["ari"] = adjusted_rand_index(labels, categories)
-    return block
+    return evaluate(labels, categories)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -242,7 +228,6 @@ def cmd_cluster(args) -> int:
     kind = _parse_kind(_pick(args.kind, config, "kind", "gssf"))
     method = str(_pick(args.method, config, "method", "m5"))
     _check_compatibility(method, kind)
-    normalization = _pick_normalization(args, config)
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
 
@@ -251,7 +236,7 @@ def cmd_cluster(args) -> int:
 
     t0 = time.perf_counter()
     raw = build_sbr_matrix(answers, kind, params)
-    norm = normalize_unit_interval(raw, mode=normalization)
+    norm = normalize_unit_interval(raw)
     sbr_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     assignment = _cluster_once(method, raw, norm, k, seed, restarts)
@@ -266,13 +251,12 @@ def cmd_cluster(args) -> int:
         "similarity_kind": kind.value,
         "method": method,
         "seeds": {"clustering": seed, "restarts": restarts},
-        "normalization": normalization,
         "num_unscorable": sum(1 for a in answers if not a.scorable),
         "num_unique_decodes": len({tuple(a.decode.tokens) for a in answers}),
         "num_truncated_decodes": sum(1 for a in answers if a.decode.truncated),
         "degenerate_matrix": norm.degenerate,
     }
-    report.update(_evaluation_block(assignment.labels, categories, args.extra_indices))
+    report.update(_evaluation_block(assignment.labels, categories))
     _write_json(out_dir / "report.json", report)
     save_assignment_csv(out_dir / "assignment.csv", assignment,
                         [ink.id for ink in inks], categories)
@@ -298,7 +282,6 @@ def cmd_compare(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
-    normalization = _pick_normalization(args, config)
     base_seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
     num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
@@ -330,7 +313,7 @@ def cmd_compare(args) -> int:
         if kind not in matrices:
             f = f_shared if kind in GSSF_FAMILY else None
             raw = build_sbr_matrix(answers, kind, params, f=f)
-            matrices[kind] = (raw, normalize_unit_interval(raw, mode=normalization))
+            matrices[kind] = (raw, normalize_unit_interval(raw))
         raw, norm = matrices[kind]
         # Only k-means reads the seed; a linkage cell is clustered once.
         runs = num_seeds if method == "m5" else 1
@@ -401,14 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     common.add_argument("--k", help="cluster count or 'categories'")
-    common.add_argument("--normalization", help="global|per_row")
     common.add_argument("--restarts", type=int)
 
     p = sub.add_parser("cluster", parents=[common], help="score, cluster and evaluate")
     p.add_argument("--kind", help="similarity kind: gssf|asym|min|max|edit")
     p.add_argument("--method", help="clustering method: m3|m4|m5")
-    p.add_argument("--extra-indices", action="store_true",
-                   help="add NMI/ARI to the report")
     p.set_defaults(handler=cmd_cluster)
 
     p = sub.add_parser("compare", parents=[common],

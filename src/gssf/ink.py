@@ -1,9 +1,10 @@
 """Pen-trajectory data model, preprocessing and per-point feature extraction.
 
 An answer is an ordered list of strokes, each an ordered polyline of (x, y)
-pen positions. Preprocessing scales the whole trajectory to unit height and
-resamples every stroke to a uniform arc-length step, after which each point
-is expanded into an 8-dimensional feature row consumed by the recognizer.
+pen positions. Preprocessing scales the whole trajectory to unit height (a
+tenth of its width for flat ink) and resamples every stroke to a uniform
+arc-length step, after which each point is expanded into an 8-dimensional
+feature row consumed by the recognizer.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import InputError
 MAX_POINTS = 32_768  # resampled points per answer; ~300x a typical answer, bounds encoder cost
 FEATURE_DIM = 8  # columns of extract_features' per-point rows, the recognizer's input width
 FIELD_SEPARATORS = ",\r\n"  # ids and categories are written as unquoted CSV fields
+MAX_ASPECT = 10  # ink scales by max(height, width / MAX_ASPECT), so flat ink stays short
 
 
 class InkError(InputError):
@@ -107,15 +109,17 @@ def _resample(pts: np.ndarray, starts: np.ndarray, step: float):
 
 
 def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
-    """Resample strokes at uniform arc length, then scale to y-extent [0, 1].
+    """Resample strokes at uniform arc length, then scale to unit size.
 
-    Strokes are resampled first (step = ``spacing`` times the raw height) so
-    that the subsequent normalization, which translates the min corner of the
-    resampled points to the origin and scales both axes uniformly (aspect
-    preserved), leaves the output extent exactly [0, 1]. Within each stroke
-    the output points are approximately ``spacing`` apart; single-point (or
-    zero-length) strokes survive as one point. Idempotent up to float
-    round-off.
+    The size is max(height, width / ``MAX_ASPECT``). Strokes are resampled
+    first (step = ``spacing`` times the raw size) so that the subsequent
+    normalization, which translates the min corner of the resampled points to
+    the origin and scales both axes uniformly (aspect preserved), leaves the
+    output's y-extent exactly [0, 1], or, for ink flatter than 1 :
+    ``MAX_ASPECT``, its x-extent [0, ``MAX_ASPECT``] up to round-off. Within
+    each stroke the output points are approximately ``spacing`` apart;
+    single-point (or zero-length) strokes survive as one point. Idempotent up
+    to float round-off.
     """
     ink.validate()
     if spacing <= 0:
@@ -127,8 +131,7 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
         raise InkError(f"ink {ink.id!r}: degenerate extent")
     if not np.isfinite(extent).all():
         raise InkError(f"ink {ink.id!r}: coordinate range overflows")
-    # Height-zero ink (a horizontal line) falls back to width scaling.
-    ref = extent[1] if extent[1] > 0.0 else extent[0]
+    ref = max(extent[1], extent[0] / MAX_ASPECT)
     lens = [len(s) for s in ink.strokes]
     try:
         rpts, starts = _resample(pts, np.cumsum(lens) - lens, spacing * ref)
@@ -138,9 +141,14 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
     rext = rpts.max(axis=0) - mins
     if rext[0] == 0.0 and rext[1] == 0.0:
         raise InkError(f"ink {ink.id!r}: degenerate extent")
-    # True division keeps the attained extremes exactly at 0 and 1.
-    denom = rext[1] if rext[1] > 0.0 else rext[0]
-    strokes = np.split((rpts - mins) / denom, starts[1:])
+    # True division keeps the attained extremes exactly at 0 and, for height-scaled ink, 1.
+    denom = max(rext[1], rext[0] / MAX_ASPECT)
+    out = (rpts - mins) / denom
+    # Distinct points closer than round-off at the new scale merge; collapse them too.
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = (out[1:] != out[:-1]).any(axis=1)
+    keep[starts] = True
+    strokes = np.split(out[keep], (np.cumsum(keep) - 1)[starts[1:]])
     return RawInk(strokes=strokes, id=ink.id, category=ink.category, label=ink.label)
 
 
@@ -182,7 +190,7 @@ def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
             raise ValueError("category must be null or a string")
         if any(c in f for f in (ink.id, ink.category or "") for c in FIELD_SEPARATORS):
             raise ValueError("id and category may not contain ',', CR or LF")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past float64
         raise InkError(f"{path}:{lineno}: malformed sample ({exc})") from exc
     ink.validate()
     return ink

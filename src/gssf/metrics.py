@@ -11,7 +11,6 @@ same time. Every function takes equally long, non-empty ``labels`` and
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 
@@ -72,36 +71,3 @@ def evaluate(labels, categories) -> dict:
             for _, (size, majority, cat) in sorted(majorities.items())
         ],
     }
-
-
-def normalized_mutual_info(labels, categories) -> float:
-    """Arithmetic-mean NMI; optional report extra, not used for acceptance."""
-    n = len(labels)
-    joint: Counter = Counter(zip(labels, categories))
-    lc: Counter = Counter(labels)
-    cc: Counter = Counter(categories)
-    h_l = -sum(c / n * math.log(c / n) for c in lc.values())
-    h_c = -sum(c / n * math.log(c / n) for c in cc.values())
-    if h_l == 0.0 and h_c == 0.0:
-        return 1.0
-    if h_l == 0.0 or h_c == 0.0:
-        return 0.0
-    mi = sum(c / n * math.log(n * c / (lc[a] * cc[b])) for (a, b), c in joint.items())
-    return 2.0 * mi / (h_l + h_c)
-
-
-def adjusted_rand_index(labels, categories) -> float:
-    """Chance-adjusted pair-counting agreement; optional report extra."""
-    n = len(labels)
-    joint: Counter = Counter(zip(labels, categories))
-    lc: Counter = Counter(labels)
-    cc: Counter = Counter(categories)
-    comb2 = lambda x: x * (x - 1) // 2
-    sum_joint = sum(comb2(c) for c in joint.values())
-    sum_l = sum(comb2(c) for c in lc.values())
-    sum_c = sum(comb2(c) for c in cc.values())
-    expected = sum_l * sum_c / comb2(n) if comb2(n) else 0.0
-    max_index = (sum_l + sum_c) / 2.0
-    if max_index == expected:
-        return 1.0
-    return (sum_joint - expected) / (max_index - expected)

@@ -1,8 +1,8 @@
 """Similarity-based representation: the N x N pairwise score matrix.
 
-Row i is answer i's similarity vector against the whole answer set. Rows are
-normalized into [0, 1] (global min-max by default, preserving symmetry)
-before clustering consumes them. Matrices export to CSV and to 8-bit binary
+Row i is answer i's similarity vector against the whole answer set. One
+global min-max, which preserves symmetry, normalizes the matrix into [0, 1]
+before clustering consumes it. Matrices export to CSV and to 8-bit binary
 PGM heatmaps for visual inspection.
 """
 
@@ -22,9 +22,6 @@ if TYPE_CHECKING:
     from .similarity import AnswerScoring, SimilarityKind
 
 log = logging.getLogger(__name__)
-
-#: ``normalize_unit_interval`` modes.
-NORMALIZATIONS = ("global", "per_row")
 
 
 class SbRError(InputError):
@@ -92,30 +89,16 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     return SbRMatrix(values=values, ids=ids)
 
 
-def normalize_unit_interval(m: SbRMatrix, mode: str = "global") -> SbRMatrix:
-    """Min-max normalize all entries into [0, 1].
-
-    ``mode="global"`` (default) uses one min/max over the whole matrix, which
-    preserves symmetry; ``mode="per_row"`` rescales each row independently
-    (ablation only). ``mode`` is one of ``NORMALIZATIONS``. A constant matrix
-    (or row) normalizes to zeros and sets the ``degenerate`` flag.
+def normalize_unit_interval(m: SbRMatrix) -> SbRMatrix:
+    """Min-max normalize all entries into [0, 1] with one min/max over the
+    whole matrix, which preserves symmetry. A constant matrix normalizes to
+    zeros and sets the ``degenerate`` flag.
     """
-    values = m.values
-    if mode == "global":
-        vmin, vmax = float(values.min()), float(values.max())
-        if vmax == vmin:
-            log.warning("degenerate similarity matrix: all entries equal %.6g", vmin)
-            return replace(m, values=np.zeros_like(values), degenerate=True)
-        out = (values - vmin) / (vmax - vmin)
-        return replace(m, values=out)
-    rmin = values.min(axis=1, keepdims=True)
-    span = values.max(axis=1, keepdims=True) - rmin
-    flat = span == 0.0
-    out = np.where(flat, 0.0, (values - rmin) / np.where(flat, 1.0, span))
-    degenerate = bool(flat.any())
-    if degenerate:
-        log.warning("degenerate row(s) in per-row normalization")
-    return replace(m, values=out, degenerate=degenerate)
+    vmin, vmax = float(m.values.min()), float(m.values.max())
+    if vmax == vmin:
+        log.warning("degenerate similarity matrix: all entries equal %.6g", vmin)
+        return replace(m, values=np.zeros_like(m.values), degenerate=True)
+    return replace(m, values=(m.values - vmin) / (vmax - vmin))
 
 
 def to_csv(m: SbRMatrix) -> str:

@@ -50,6 +50,15 @@ TINY_CONFIG = {
     },
 }
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> str:
+    """The JSON example under README's "Configuration" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
 TINY_SPEC = {
     "seed": 13,
     "spacing": 0.12,
@@ -178,9 +187,9 @@ class TestCluster:
         assert self.run(tiny_pipeline, out, ("--seed", "0")) == 0
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {
-            "k", "h", "objective", "similarity_kind", "method", "seeds", "normalization",
-            "num_unscorable", "num_unique_decodes", "num_truncated_decodes",
-            "degenerate_matrix", "purity", "mc", "j", "per_cluster"}
+            "k", "h", "objective", "similarity_kind", "method", "seeds", "num_unscorable",
+            "num_unique_decodes", "num_truncated_decodes", "degenerate_matrix", "purity", "mc",
+            "j", "per_cluster"}
         assert report["h"] == 12 and report["k"] == 3
         assert report["similarity_kind"] == "gssf" and report["method"] == "m5"
         assert 0.0 < report["purity"] <= 1.0
@@ -311,17 +320,13 @@ class TestCluster:
         assert report["num_truncated_decodes"] == sum(a.decode.truncated for a in answers)
         assert 1 <= report["num_unique_decodes"] <= 12
 
-    def test_extra_indices_flag(self, tiny_pipeline, tmp_path):
-        out = tmp_path / "extra"
-        assert self.run(tiny_pipeline, out, ("--extra-indices",)) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert "nmi" in report and "ari" in report
-
-    def test_per_row_normalization_flag(self, tiny_pipeline, tmp_path):
-        out = tmp_path / "perrow"
-        assert self.run(tiny_pipeline, out, ("--normalization", "per_row")) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["normalization"] == "per_row"
+    def test_readme_config_example(self, tiny_pipeline, tmp_path):
+        path = tmp_path / "readme.json"
+        path.write_text(readme_config())
+        gssf.cli._train_config(gssf.cli._load_config(str(path)))
+        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "run"),
+                     "--config", str(path)]) == 0
 
     def test_no_categories_explicit_k_skips_evaluation(self, tiny_pipeline, tmp_path):
         import gssf.ink as ink_mod
@@ -476,15 +481,27 @@ class TestUsage:
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("height", [1e-6, 1e-300])
-    def test_oversampled_ink_exit_2(self, tiny_pipeline, tmp_path, capsys, height):
+    def test_thin_ink_scored_fast(self, tiny_pipeline, tmp_path, height):
+        """A thin stroke scales by a tenth of its width, not by its height."""
         data = tmp_path / "thin.jsonl"
         save_jsonl(data, [RawInk(strokes=[np.array([[0.0, 0.0], [1.0, height]])], id="thin"),
                           RawInk(strokes=[np.array([[0.0, 0.0], [1.0, 1.0]])], id="ok")])
         start = time.perf_counter()
         assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
-                     "--out", str(tmp_path / "o")]) == 2
+                     "--out", str(tmp_path / "o"), "--k", "2"]) == 0
         assert time.perf_counter() - start < 1.0
-        assert "'thin'" in capsys.readouterr().err
+
+    def test_oversampled_zigzag_exit_2(self, tiny_pipeline, tmp_path, capsys):
+        # 5,000 unit-high zig-zag segments, 8 chords each at the tiny spacing 0.12.
+        zigzag = np.column_stack([np.linspace(0.0, 1.0, 5001), np.arange(5001) % 2])
+        data = tmp_path / "zigzag.jsonl"
+        save_jsonl(data, [RawInk(strokes=[zigzag], id="zigzag"),
+                          RawInk(strokes=[np.array([[0.0, 0.0], [1.0, 1.0]])], id="ok")])
+        start = time.perf_counter()
+        assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "'zigzag'" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tiny_pipeline, tmp_path):
         config = tmp_path / "bad.json"
@@ -586,6 +603,22 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
         assert not any(tmp_path.glob("[mo].*"))
+
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    def test_integer_coordinate_past_float64_exit_2(self, tiny_pipeline, tmp_path, capsys,
+                                                    command):
+        """JSON keeps 10**400 exact; converting it to float64 overflows."""
+        data = tmp_path / "huge.jsonl"
+        data.write_text('{"id": "ok", "label": ["1"], "strokes": [[[0, 0], [1, 1]]]}\n'
+                        '{"id": "big", "label": ["1"], "strokes": [[[0, 0], [1%s, 1]]]}\n'
+                        % ("0" * 400))
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "o")]
+        if command == "cluster":
+            argv += ["--ckpt", str(tiny_pipeline["ckpt"]), "--k", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data}:2:" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,flag", [
         (["synth", "--out", "{tmp}/o.jsonl"], "--spec"),

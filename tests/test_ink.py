@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gssf.ink import (MAX_POINTS, InkError, RawInk, _resample, extract_features, load_jsonl,
-                      resample_and_normalize, save_jsonl)
+from gssf.ink import (MAX_ASPECT, MAX_POINTS, InkError, RawInk, _resample, extract_features,
+                      load_jsonl, resample_and_normalize, save_jsonl)
 
 
 def _resample_stroke(pts, step):
@@ -74,8 +74,22 @@ class TestResampleAndNormalize:
         ink = RawInk(strokes=[np.array([[0.0, 2.0], [10.0, 2.0]])], id="h")
         out = resample_and_normalize(ink, spacing=0.5)
         pts = np.concatenate(out.strokes)
-        assert pts[:, 0].max() == pytest.approx(1.0)
+        assert len(pts) == 21  # width MAX_ASPECT at step 0.5
+        assert pts[:, 0].max() == pytest.approx(MAX_ASPECT)
         assert np.all(pts[:, 1] == 0.0)
+
+    def test_flat_answer_resamples_like_its_width(self):
+        # 1 wide and 0.0015 high: height scaling made 8,335 points of it.
+        ink = RawInk(strokes=[np.array([[0.0, 0.0], [0.5, 0.0015], [1.0, 0.0]])], id="f")
+        out = resample_and_normalize(ink, spacing=0.08)
+        assert len(out.strokes[0]) == 127
+
+    def test_points_merged_by_scaling_collapse(self):
+        # Distinct vertices 8.2e-194 apart are one point after scaling.
+        ink = RawInk(strokes=[np.array([[-1.0, 0.0], [0.0, 0.0], [8.2e-194, 0.0]])], id="m")
+        once = resample_and_normalize(ink, spacing=0.5)
+        twice = resample_and_normalize(once, spacing=0.5)
+        assert len(once.strokes[0]) == len(twice.strokes[0]) == 21
 
     def test_bad_spacing(self):
         with pytest.raises(InkError):
@@ -139,7 +153,7 @@ class TestResampleStrokeOracle:
         for ink in benchmark_inks:
             pts = np.concatenate(ink.strokes)
             extent = pts.max(axis=0) - pts.min(axis=0)
-            step = spacing * (extent[1] if extent[1] > 0.0 else extent[0])
+            step = spacing * max(extent[1], extent[0] / MAX_ASPECT)
             for stroke in ink.strokes:
                 assert_bit_equal(_resample_stroke(stroke, step),
                                  loop_resample_stroke(stroke, step))
@@ -209,7 +223,7 @@ class TestWholeAnswerResample:
         for ink in benchmark_inks:
             pts = np.concatenate(ink.strokes)
             extent = pts.max(axis=0) - pts.min(axis=0)
-            step = spacing * (extent[1] if extent[1] > 0.0 else extent[0])
+            step = spacing * max(extent[1], extent[0] / MAX_ASPECT)
             assert_answer_matches_loop(ink.strokes, step)
 
     def test_points_stroke_ids(self):
@@ -221,13 +235,22 @@ class TestWholeAnswerResample:
 
 class TestBoundedResampling:
     @pytest.mark.parametrize("height", [1e-6, 1e-300])
-    def test_thin_stroke_rejected_fast(self, height):
+    def test_thin_stroke_resampled_by_its_width(self, height):
         ink = RawInk(strokes=[np.array([[0.0, 0.0], [1.0, height]])], id="thin")
-        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflowing cast on the way
-            with pytest.raises(InkError, match="'thin'.*cap"):
-                resample_and_normalize(ink)
+            out = resample_and_normalize(ink)
+        # Size 1 / MAX_ASPECT at the default spacing 0.05: 200 chords.
+        assert len(out.strokes[0]) == 201
+        assert out.strokes[0][:, 0].max() == pytest.approx(MAX_ASPECT)
+
+    def test_long_zigzag_rejected_fast(self):
+        # 2,000 unit-high zig-zag segments at step 0.05 make 40,000 points.
+        zigzag = np.column_stack([np.linspace(0.0, 1.0, 2001), np.arange(2001) % 2])
+        ink = RawInk(strokes=[zigzag], id="zigzag")
+        start = time.perf_counter()
+        with pytest.raises(InkError, match="'zigzag'.*cap"):
+            resample_and_normalize(ink)
         assert time.perf_counter() - start < 1.0
 
     def test_cap_boundary(self):
@@ -337,3 +360,29 @@ class TestJsonl:
         path.write_text("")
         with pytest.raises(InkError, match="empty"):
             load_jsonl(path)
+
+
+# Random answers, some squashed nearly (or wholly) flat or upright.
+squash = st.sampled_from([1.0, 1.0, 0.05, 1e-3, 1e-9, 0.0])
+answers = st.tuples(
+    st.lists(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=8),
+             min_size=1, max_size=4),
+    squash, squash)
+
+
+class TestPreprocessingProperties:
+    @given(answers, st.floats(0.02, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_origin_unit_size_and_idempotence(self, answer, spacing):
+        strokes, sx, sy = answer
+        arrays = [np.array(s, dtype=np.float64) * [sx, sy] for s in strokes]
+        pts = np.concatenate(arrays)
+        assume(np.ptp(pts, axis=0).any())
+        once = resample_and_normalize(RawInk(strokes=arrays, id="p"), spacing)
+        out = np.concatenate(once.strokes)
+        assert out.min(axis=0).tolist() == [0.0, 0.0]
+        extent = out.max(axis=0)
+        assert max(extent[1], extent[0] / MAX_ASPECT) == pytest.approx(1.0, abs=1e-12)
+        twice = resample_and_normalize(once, spacing)
+        assert [len(s) for s in twice.strokes] == [len(s) for s in once.strokes]
+        assert np.abs(np.concatenate(twice.strokes) - out).max() <= 1e-9

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssf.metrics import (adjusted_rand_index, evaluate, marking_cost,
-                          marking_cost_raw, normalized_mutual_info, purity)
+from gssf.metrics import evaluate, marking_cost, marking_cost_raw, purity
 
 HAND_LABELS = [0, 0, 0, 1, 1, 1]
 HAND_CATS = ["a", "a", "b", "b", "b", "b"]
@@ -122,19 +121,3 @@ class TestEvaluate:
         assert sum(r["size"] for r in ev["per_cluster"]) == 6
         assert all(r["majority_size"] <= r["size"] for r in ev["per_cluster"])
 
-
-class TestOptionalIndices:
-    def test_perfect_agreement(self):
-        labels = [0, 0, 1, 1, 2]
-        cats = ["x", "x", "y", "y", "z"]
-        assert normalized_mutual_info(labels, cats) == pytest.approx(1.0)
-        assert adjusted_rand_index(labels, cats) == pytest.approx(1.0)
-
-    def test_degenerate_single_cluster(self):
-        assert normalized_mutual_info([0, 0, 0], ["a", "b", "c"]) == 0.0
-
-    def test_known_small_case(self):
-        # hand contingency for the 2x2 split: joint pairs 0, expected 2/3, max 2
-        labels = [0, 0, 1, 1]
-        cats = ["a", "b", "a", "b"]
-        assert adjusted_rand_index(labels, cats) == pytest.approx(-0.5)

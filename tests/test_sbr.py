@@ -42,19 +42,6 @@ def loop_sbr_values(answers, kind, f):
     return values
 
 
-def loop_normalize_per_row(values):
-    """Oracle: the row-by-row min-max loop of per-row normalization."""
-    out = np.zeros_like(values)
-    degenerate = False
-    for i, row in enumerate(values):
-        rmin, rmax = float(row.min()), float(row.max())
-        if rmax == rmin:
-            degenerate = True
-        else:
-            out[i] = (row - rmin) / (rmax - rmin)
-    return out, degenerate
-
-
 def decoded(sample_id, tokens):
     return AnswerScoring(id=sample_id,
                          annotations=Annotations(vectors=np.zeros((1, 2))),
@@ -97,21 +84,6 @@ class TestNormalize:
         order_out = np.argsort(flat_out, kind="stable")
         np.testing.assert_array_equal(order_in, order_out)
         assert out.values.min() == 0.0 and out.values.max() == 1.0
-
-    def test_per_row_mode(self):
-        vals = np.array([[0.0, -4.0], [-1.0, 0.0]])
-        out = normalize_unit_interval(matrix(vals), mode="per_row")
-        np.testing.assert_array_equal(out.values, [[1.0, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("constant_row", [None, 2])
-    def test_per_row_mode_bit_equal_to_loop(self, constant_row):
-        vals = np.random.default_rng(3).normal(-2.0, 3.0, (6, 6))
-        if constant_row is not None:
-            vals[constant_row] = -1.5
-        out = normalize_unit_interval(matrix(vals), mode="per_row")
-        want, degenerate = loop_normalize_per_row(vals)
-        assert_bit_equal(out.values, want)
-        assert out.degenerate == degenerate == (constant_row is not None)
 
     def test_diagonal_is_maximum_when_off_diagonals_negative(self):
         vals = np.array([[0.0, -1.0, -3.0], [-1.0, 0.0, -2.0], [-3.0, -2.0, 0.0]])
