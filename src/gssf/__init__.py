@@ -17,5 +17,5 @@ class InputError(ValueError):
 
 
 class RunFailure(RuntimeError):
-    """Valid input on which a run cannot finish: training diverged or no answer
-    can be scored. The CLI exits 3."""
+    """Valid input on which a run cannot finish: training diverged, no answer
+    can be scored, or the scores are not finite. The CLI exits 3."""

@@ -1,11 +1,11 @@
 """Command-line pipeline: synthesize, train, score, cluster, evaluate, export.
 
-Subcommands: ``synth``, ``train``, ``cluster``, ``compare``, ``heatmap``.
+Subcommands: ``synth``, ``train``, ``cluster``, ``compare``.
 Options can come from a JSON config file (``--config``); explicit flags win.
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
-divergence, no scorable answers); any other error is a program fault and ends
-in a traceback. The ``GSSF_LOG`` environment variable (error/info/debug)
-controls stderr logging.
+divergence, no scorable answers, non-finite scores); any other error is a
+program fault and ends in a traceback. The ``GSSF_LOG`` environment variable
+(error/info/debug) controls stderr logging.
 
 Each subcommand imports the gssf modules it runs when it starts, so that,
 for example, ``synth`` never loads the recognizer.
@@ -342,17 +342,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_heatmap(args) -> int:
-    from .sbr import SbRMatrix, load_csv, normalize_unit_interval, save_pgm
-
-    ids, values = load_csv(args.matrix)
-    norm = normalize_unit_interval(SbRMatrix(values=values, ids=ids))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_pgm(out, norm)
-    return EXIT_OK
-
-
 # -- entry point ------------------------------------------------------------
 
 
@@ -397,11 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", help="comma list of methods (default: m5)")
     p.add_argument("--num-seeds", type=int, dest="num_seeds")
     p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("heatmap", help="render a matrix CSV as a PGM heatmap")
-    p.add_argument("--matrix", required=True, help="similarity matrix CSV")
-    p.add_argument("--out", required=True, help="output PGM path")
-    p.set_defaults(handler=cmd_heatmap)
     return parser
 
 

@@ -11,21 +11,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import InputError
-
-if TYPE_CHECKING:
-    from .seq2seq import ModelParams
-    from .similarity import AnswerScoring, SimilarityKind
+from .seq2seq import ModelParams
+from .similarity import (COMBINE, AnswerScoring, SimilarityKind, UnscorableAnswer,
+                         cross_score_matrix, distinct_index, edit_distance)
 
 log = logging.getLogger(__name__)
 
 
 class SbRError(InputError):
-    """An input the similarity matrix cannot be built or read from."""
+    """An input the similarity matrix cannot be built from."""
 
 
 @dataclass
@@ -44,9 +42,6 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     least one answer must be scorable. Pass ``f`` (a precomputed
     ``cross_score_matrix``) to share one cross-scoring pass between kinds.
     """
-    from .similarity import (SimilarityKind, UnscorableAnswer, cross_score_matrix,
-                             distinct_index, edit_distance)
-
     if len(answers) < 2:
         raise SbRError("need at least two answers")
     kind = SimilarityKind(kind)
@@ -68,15 +63,7 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         raise UnscorableAnswer("all answers are unscorable")
     if f is None:
         f = cross_score_matrix(answers, params)
-    # Float addition, min and max commute, so each result is bit-exactly symmetric.
-    if kind == SimilarityKind.ASYMMETRIC:
-        values = f.copy()
-    elif kind == SimilarityKind.GSSF:
-        values = (f + f.T) / 2.0
-    elif kind == SimilarityKind.MIN:
-        values = np.minimum(f, f.T)
-    else:
-        values = np.maximum(f, f.T)
+    values = COMBINE[kind](f, f.T)
     np.fill_diagonal(values, 0.0)
 
     bad = [i for i, a in enumerate(answers) if not a.scorable]
@@ -111,40 +98,6 @@ def to_csv(m: SbRMatrix) -> str:
 
 def save_csv(path: str | Path, m: SbRMatrix) -> None:
     Path(path).write_text(to_csv(m), encoding="utf-8")
-
-
-def load_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read back a matrix CSV as (ids, values), laid out as ``to_csv`` writes it.
-
-    The one matrix gssf reads from outside is checked here: distinct header
-    ids, row i labelled with header id i, and a square finite matrix whose
-    range max - min is finite, so that it normalizes into [0, 1].
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SbRError(f"{path}: not UTF-8 text ({exc})") from None
-    # LF only, as to_csv writes: str.splitlines would also break ids at U+2028, VT, ...
-    lines = text.removesuffix("\n").split("\n")
-    if not lines[0].startswith("id,"):
-        raise SbRError(f"{path}: not a similarity-matrix CSV")
-    ids = lines[0].split(",")[1:]
-    if len(set(ids)) != len(ids):
-        raise SbRError(f"{path}: duplicate ids in the header")
-    rows = [line.split(",") for line in lines[1:]]
-    try:
-        values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
-    except ValueError as exc:  # a non-numeric entry or rows of unequal length
-        raise SbRError(f"{path}: malformed matrix ({exc})") from None
-    if values.shape != (len(ids), len(ids)):
-        raise SbRError(f"{path}: matrix is not square")
-    if [row[0] for row in rows] != ids:
-        raise SbRError(f"{path}: row ids do not match the header ids in order")
-    if not np.isfinite(values).all():
-        raise SbRError(f"{path}: matrix has non-finite entries")
-    if not np.isfinite(float(values.max()) - float(values.min())):
-        raise SbRError(f"{path}: the range of the entries overflows float64")
-    return ids, values
 
 
 def to_pgm(m: SbRMatrix) -> bytes:

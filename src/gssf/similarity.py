@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,21 +29,24 @@ class SimilarityKind(str, Enum):
     NEG_EDIT_DISTANCE = "neg_edit_distance"
 
 
-#: Kinds derived from the cross-conditioned score F (everything but the edit baseline).
-GSSF_FAMILY = frozenset(
-    {SimilarityKind.GSSF, SimilarityKind.ASYMMETRIC, SimilarityKind.MIN, SimilarityKind.MAX}
-)
-#: Kinds for which score(a, b) == score(b, a).
-SYMMETRIC_KINDS = frozenset(
-    {SimilarityKind.GSSF, SimilarityKind.MIN, SimilarityKind.MAX,
-     SimilarityKind.NEG_EDIT_DISTANCE}
-)
+#: How each kind built on the cross-conditioned score F combines F(a|b) and
+#: F(b|a), scalars or whole matrices, into a new score(a, b). Float addition,
+#: min and max commute, so all but the asymmetric kind are bit-exactly symmetric.
+COMBINE = MappingProxyType({
+    SimilarityKind.GSSF: lambda fab, fba: (fab + fba) / 2.0,
+    SimilarityKind.ASYMMETRIC: lambda fab, fba: np.copy(fab),
+    SimilarityKind.MIN: np.minimum,
+    SimilarityKind.MAX: np.maximum,
+})
+#: Kinds derived from F (everything but the edit baseline).
+GSSF_FAMILY = frozenset(COMBINE)
 #: Kinds whose absolute unnormalized scores form a distance matrix (method m3).
-DISTANCE_KINDS = GSSF_FAMILY & SYMMETRIC_KINDS
+DISTANCE_KINDS = GSSF_FAMILY - {SimilarityKind.ASYMMETRIC}
 
 
 class UnscorableAnswer(RunFailure):
-    """An answer whose greedy decode is empty cannot be scored by the F family."""
+    """The F family cannot score an answer whose greedy decode is empty, nor
+    pairs whose cross scores are not finite."""
 
 
 @dataclass
@@ -83,7 +87,7 @@ def conditional_score(a: AnswerScoring, b: AnswerScoring, params: ModelParams) -
 
 def gssf_score(a: AnswerScoring, b: AnswerScoring, params: ModelParams) -> float:
     """Symmetric similarity: the average of F(a|b) and F(b|a)."""
-    return (conditional_score(a, b, params) + conditional_score(b, a, params)) / 2.0
+    return variant_score(SimilarityKind.GSSF, a, b, params)
 
 
 def variant_score(kind: SimilarityKind, a: AnswerScoring, b: AnswerScoring,
@@ -94,15 +98,8 @@ def variant_score(kind: SimilarityKind, a: AnswerScoring, b: AnswerScoring,
         return -float(edit_distance(a.decode.tokens, b.decode.tokens))
     if not b.scorable:
         raise UnscorableAnswer(f"unscorable answer {b.id!r}")
-    if kind == SimilarityKind.ASYMMETRIC:
-        return conditional_score(a, b, params)
-    fab = conditional_score(a, b, params)
-    fba = conditional_score(b, a, params)
-    if kind == SimilarityKind.MIN:
-        return min(fab, fba)
-    if kind == SimilarityKind.MAX:
-        return max(fab, fba)
-    return (fab + fba) / 2.0
+    fab, fba = conditional_score(a, b, params), conditional_score(b, a, params)
+    return float(COMBINE[kind](fab, fba))
 
 
 def distinct_index(seqs: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
@@ -118,7 +115,9 @@ def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.
     F(a|b) depends on a only through a's decoded tokens, so each distinct
     decode is teacher-forced once against every scorable answer's encoding,
     in one ``cross_logprob_sums`` call, and the sums are scattered to every
-    answer with that decode. Diagonal entries are exactly zero.
+    answer with that decode. Diagonal entries are exactly zero. Raises
+    ``UnscorableAnswer`` when a scorable pair's score is not finite, as with
+    a checkpoint whose finite weights overflow.
     """
     n = len(answers)
     rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
@@ -130,6 +129,8 @@ def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.
     sums = seq2seq.cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)
     cross = sums[:, which].T
     cross -= self_sums[:, None]
+    if not np.isfinite(cross).all():
+        raise UnscorableAnswer("the recognizer's cross scores are not finite")
     f[np.ix_(rows, rows)] = cross
     f[rows, rows] = 0.0
     return f

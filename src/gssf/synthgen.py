@@ -77,6 +77,10 @@ class JitterParams:
     def validate(self) -> None:
         if not all(_is_real(v) and v >= 0 for v in vars(self).values()):
             raise SynthesisError("jitter ranges must be non-negative numbers")
+        # rng.uniform(-r, r) needs the width 2r to be finite.
+        if not math.isfinite(2.0 * max(self.scale, self.rotation_deg, self.shear)):
+            raise SynthesisError("jitter scale, rotation_deg and shear may be at most half "
+                                 "the largest float64")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ acceptance thresholds.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ BENCHMARK_CATEGORIES = (
     CategorySpec(label=("y", "=", "2", "x"), count=20),
     CategorySpec(label=("(", "x", "+", "1", ")"), count=20),
 )
+
+
+def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+    """(ids, values) of a matrix CSV as ``sbr.to_csv`` writes it. Lines end at
+    LF only, so an id holding U+2028, VT or the like reads back whole."""
+    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == lines[0].split(",")[1:]
+    return [row[0] for row in rows], np.array([[float(v) for v in row[1:]] for row in rows])
 
 
 def benchmark_spec() -> AnswerSetSpec:

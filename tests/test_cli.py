@@ -17,9 +17,9 @@ import pytest
 
 import gssf
 import gssf.cli
+from conftest import read_matrix_csv
 from gssf.cli import UsageError, main
 from gssf.ink import RawInk, save_jsonl
-from gssf.sbr import load_csv
 from gssf.seq2seq import checkpoint_bytes, load_checkpoint
 
 
@@ -197,13 +197,24 @@ class TestCluster:
         assert sum(c["size"] for c in report["per_cluster"]) == 12
         rows = (out / "assignment.csv").read_text().splitlines()
         assert rows[0] == "id,cluster_label,category" and len(rows) == 1 + 12
-        ids, values = load_csv(out / "sbr.csv")
+        ids, values = read_matrix_csv(out / "sbr.csv")
         assert len(ids) == 12
         np.testing.assert_array_equal(np.diag(values), np.zeros(12))
         pgm = (out / "sbr.pgm").read_bytes()
         header = b"P5\n12 12\n255\n"
         assert pgm.startswith(header) and len(pgm) == len(header) + 144
         assert (out / "timings.json").exists()
+
+    @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("asym", "m5"), ("edit", "m4")])
+    def test_heatmap_renders_the_written_matrix(self, tiny_pipeline, tmp_path, kind, method):
+        """``sbr.pgm`` is the normalized ``sbr.csv``, so the CSV alone redraws it."""
+        from gssf.sbr import SbRMatrix, normalize_unit_interval, to_pgm
+
+        out = tmp_path / "run"
+        assert self.run(tiny_pipeline, out, ("--kind", kind, "--method", method)) == 0
+        ids, values = read_matrix_csv(out / "sbr.csv")
+        norm = normalize_unit_interval(SbRMatrix(values=values, ids=ids))
+        assert (out / "sbr.pgm").read_bytes() == to_pgm(norm)
 
     @pytest.mark.parametrize("field,value", [
         ("category", "x,y"), ("category", "z\nw"), ("id", "a\rb"), ("id", "a,b"),
@@ -362,6 +373,26 @@ class TestCluster:
         assert code == 3
         assert "unscorable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,method", [("cluster", "m3"), ("cluster", "m4"),
+                                                ("cluster", "m5"), ("compare", "m5")])
+    def test_non_finite_scores_exit_3(self, tiny_pipeline, tmp_path, capsys, command, method):
+        """Finite weights can still overflow: scaled by 1e300, every cross score is NaN."""
+        from gssf.seq2seq import save_checkpoint
+
+        params = load_checkpoint(tiny_pipeline["ckpt"])
+        for name in params.tensors:
+            params.tensors[name] = params.tensors[name] * 1e300
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, params)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = main([command, "--data", str(tiny_pipeline["dataset"]), "--ckpt", str(ckpt),
+                         "--out", str(out), "--config", str(tiny_pipeline["config"]),
+                         "--method" if command == "cluster" else "--methods", method])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_row_counts_and_csv(self, tiny_pipeline, tmp_path):
@@ -419,41 +450,12 @@ class TestCompare:
                 assert len({(r["purity"], r["mc"]) for r in cell}) == 1
 
 
-class TestHeatmap:
-    def test_csv_to_pgm(self, tiny_pipeline, tmp_path):
-        run_dir = tmp_path / "run"
-        assert TestCluster().run(tiny_pipeline, run_dir) == 0
-        out = tmp_path / "heat.pgm"
-        assert main(["heatmap", "--matrix", str(run_dir / "sbr.csv"),
-                     "--out", str(out)]) == 0
-        data = out.read_bytes()
-        header = b"P5\n12 12\n255\n"
-        assert data.startswith(header) and len(data) == len(header) + 144
-
-    def test_missing_file_exit_2(self, tmp_path):
-        assert main(["heatmap", "--matrix", str(tmp_path / "none.csv"),
-                     "--out", str(tmp_path / "x.pgm")]) == 2
-
-    @pytest.mark.parametrize("text", [
-        "id,a,b\na,0,x\nb,1,0\n", "id,a,b\na,0\nb,1,0\n", "id,a,b\na,0,1\n",
-        "id,a,b\na,0,nan\nb,1,0\n", "a,b\n", "id,a,b\na,0,1e308\nb,-1e308,0\n",
-        "id,a,b\nzz,0,1\nqq,1,0\n", "id,a,b\nb,1,0\na,0,1\n", "id,a,a\na,0,1\na,1,0\n",
-    ], ids=["non_numeric", "ragged", "not_square", "non_finite", "no_header",
-            "range_overflow", "unknown_row_ids", "swapped_rows", "repeated_header_id"])
-    def test_malformed_matrix_exit_2(self, tmp_path, capsys, text):
-        path = tmp_path / "m.csv"
-        path.write_text(text)
-        out = tmp_path / "x.pgm"
-        assert main(["heatmap", "--matrix", str(path), "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        for command in ("frobnicate", "heatmap"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
 
     def test_missing_checkpoint_exit_2(self, tiny_pipeline, tmp_path):
         assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
@@ -580,8 +582,8 @@ class TestUsage:
         def handler(args):
             raise error("raised by the handler")
 
-        monkeypatch.setattr(gssf.cli, "cmd_heatmap", handler)
-        argv = ["heatmap", "--matrix", str(tmp_path / "m.csv"), "--out", str(tmp_path / "h.pgm")]
+        monkeypatch.setattr(gssf.cli, "cmd_synth", handler)
+        argv = ["synth", "--spec", str(tmp_path / "s.json"), "--out", str(tmp_path / "o.jsonl")]
         if code is None:
             with pytest.raises(error, match="raised by the handler"):
                 main(argv)
@@ -592,9 +594,8 @@ class TestUsage:
     @pytest.mark.parametrize("command,flag", [
         (["train", "--out", "{tmp}/m.ckpt"], "--data"),
         (["synth", "--out", "{tmp}/o.jsonl"], "--spec"),
-        (["heatmap", "--out", "{tmp}/o.pgm"], "--matrix"),
         (["train", "--data", "{tmp}/none.jsonl", "--out", "{tmp}/m.ckpt"], "--config"),
-    ], ids=["data", "spec", "matrix", "config"])
+    ], ids=["data", "spec", "config"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command, flag):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"\xff{}\n")
@@ -688,13 +689,6 @@ class TestImports:
         assert {"gssf.similarity", "gssf.cluster"} <= modules
         assert not modules & {"gssf.synthgen", "gssf.seq2seq.training"}
 
-    def test_heatmap(self, tiny_pipeline, tmp_path):
-        run_dir = tmp_path / "run"
-        assert TestCluster().run(tiny_pipeline, run_dir) == 0
-        modules = self.loaded("heatmap", "--matrix", str(run_dir / "sbr.csv"),
-                              "--out", str(tmp_path / "heat.pgm"))
-        assert modules == {"gssf", "gssf.cli", "gssf.sbr"}
-
 
 class TestReference:
     def test_pinned_checkpoint_reproduces_benchmark_reference(self, benchmark_inks, tmp_path):
@@ -713,8 +707,8 @@ class TestReference:
                 == (reference / "mark-shared.assignment.csv").read_bytes())
         ref_sbr = tmp_path / "reference.sbr.csv"
         ref_sbr.write_bytes(gzip.decompress((reference / "mark-shared.sbr.csv.gz").read_bytes()))
-        ids, values = load_csv(out / "sbr.csv")
-        ref_ids, ref_values = load_csv(ref_sbr)
+        ids, values = read_matrix_csv(out / "sbr.csv")
+        ref_ids, ref_values = read_matrix_csv(ref_sbr)
         assert ids == ref_ids
         np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-9)
         golden = Path(__file__).resolve().parent / "golden" / "pinned-gssf-m5.report.json"

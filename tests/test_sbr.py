@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import read_matrix_csv
 from gssf.seq2seq import Annotations, ScoredDecode
-from gssf.sbr import (SbRError, SbRMatrix, build_sbr_matrix, load_csv,
-                      normalize_unit_interval, save_csv, save_pgm, to_pgm)
+from gssf.sbr import (SbRError, SbRMatrix, build_sbr_matrix, normalize_unit_interval,
+                      save_csv, save_pgm, to_pgm)
 from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer, edit_distance
 
 
@@ -213,7 +214,7 @@ class TestExport:
         m = matrix(np.array([[0.0, -1.5], [-1.5, 0.0]]))
         path = tmp_path / "m.csv"
         save_csv(path, m)
-        ids, values = load_csv(path)
+        ids, values = read_matrix_csv(path)
         assert ids == m.ids
         np.testing.assert_array_equal(values, m.values)
 
@@ -224,23 +225,9 @@ class TestExport:
         m = SbRMatrix(values=np.array([[0.0, -1.5], [-1.5, 0.0]]), ids=[sample_id, "c"])
         path = tmp_path / "m.csv"
         save_csv(path, m)
-        ids, values = load_csv(path)
+        ids, values = read_matrix_csv(path)
         assert ids == m.ids
         np.testing.assert_array_equal(values, m.values)
-
-    @pytest.mark.parametrize("text", [
-        "", "a,b\n", "id,a,b\na,0,x\nb,1,0\n", "id,a,b\na,0\nb,1,0\n",
-        "id,a,b\na,0,1\n", "id,a\na,0,1\n", "id,a,b\na,0,inf\nb,1,0\n",
-        "id,a,b\na,0,1e308\nb,-1e308,0\n", "id,a,b\nzz,0,1\nqq,1,0\n",
-        "id,a,b\nb,1,0\na,0,1\n", "id,a,a\na,0,1\na,1,0\n",
-    ], ids=["empty", "no_header", "non_numeric", "ragged", "missing_row", "wide_row",
-            "non_finite", "range_overflow", "unknown_row_ids", "swapped_rows",
-            "repeated_header_id"])
-    def test_csv_rejects_malformed_files(self, tmp_path, text):
-        path = tmp_path / "m.csv"
-        path.write_text(text)
-        with pytest.raises(SbRError):
-            load_csv(path)
 
     def test_pgm_format(self, tmp_path):
         norm = normalize_unit_interval(matrix([[0.0, -2.0], [-4.0, 0.0]]))

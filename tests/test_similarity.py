@@ -9,10 +9,12 @@ import pytest
 
 import gssf.similarity as similarity
 from gssf.seq2seq import Annotations, ScoredDecode
-from gssf.similarity import (GSSF_FAMILY, SYMMETRIC_KINDS, AnswerScoring,
+from gssf.similarity import (COMBINE, DISTANCE_KINDS, GSSF_FAMILY, AnswerScoring,
                              SimilarityKind, UnscorableAnswer, conditional_score,
-                             cross_score_matrix, edit_distance, gssf_score,
-                             variant_score)
+                             cross_score_matrix, edit_distance, gssf_score, variant_score)
+
+#: Kinds for which score(a, b) == score(b, a).
+SYMMETRIC_KINDS = frozenset(SimilarityKind) - {SimilarityKind.ASYMMETRIC}
 
 
 def recursive_edit_distance(s, t):
@@ -142,6 +144,20 @@ class TestScoreIdentities:
         # the edit baseline copes with empty decodes
         d = variant_score(SimilarityKind.NEG_EDIT_DISTANCE, answers[0], empty, params)
         assert d == -float(len(answers[0].decode.tokens))
+
+
+class TestCombineTable:
+    def test_kind_sets_derive_from_the_table(self):
+        assert GSSF_FAMILY == frozenset(SimilarityKind) - {SimilarityKind.NEG_EDIT_DISTANCE}
+        assert DISTANCE_KINDS == GSSF_FAMILY & SYMMETRIC_KINDS
+
+    @pytest.mark.parametrize("kind", list(COMBINE), ids=lambda kind: kind.value)
+    def test_rule_returns_a_new_array(self, kind):
+        """``compare`` shares one F between kinds and the SbR build writes into
+        the result, so no rule may hand back F or a view of it."""
+        f = np.arange(9.0).reshape(3, 3)
+        out = COMBINE[kind](f, f.T)
+        assert not np.shares_memory(out, f)
 
 
 class TestCrossScoreMatrix:

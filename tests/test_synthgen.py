@@ -1,5 +1,8 @@
 """Deterministic synthetic answer-set generation."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,16 @@ class TestGenerateAnswerSet:
         with pytest.raises(SynthesisError):
             small_spec(spacing=0.0).validate()
 
+    @pytest.mark.parametrize("name", ["scale", "rotation_deg", "shear"])
+    def test_jitter_range_bound(self, name):
+        """rng.uniform(-r, r) overflows once 2r does: r may be at most half the
+        largest float64, and a spec at that bound renders."""
+        bound = sys.float_info.max / 2
+        spec = small_spec(jitter=JitterParams(**{name: bound}))
+        assert len(generate_answer_set(spec)) == 6
+        with pytest.raises(SynthesisError, match="at most half the largest float64"):
+            small_spec(jitter=JitterParams(**{name: math.nextafter(bound, math.inf)})).validate()
+
     def test_spec_json_round_trip(self, tmp_path):
         spec = small_spec()
         path = tmp_path / "spec.json"
@@ -176,8 +189,12 @@ class TestGenerateAnswerSet:
         '{"categories": [{"label": "12", "count": 1}, {"label": ["2"], "count": 1}]}',
         '{"categories": [{"label": [1], "count": 1}, {"label": ["2"], "count": 1}]}',
         '{"categories": [{"label": [], "count": 1}, {"label": ["2"], "count": 1}]}',
+        '{"categories": %s, "jitter": {"scale": 1e308}}' % TWO_CATEGORIES,
+        '{"categories": %s, "jitter": {"rotation_deg": 9e307}}' % TWO_CATEGORIES,
+        '{"categories": %s, "jitter": {"shear": 9e307}}' % TWO_CATEGORIES,
     ], ids=["text", "list", "text_sigma", "nan_scale", "float_seed", "bool_spacing",
-            "float_count", "bool_count", "text_label", "int_token", "empty_label"])
+            "float_count", "bool_count", "text_label", "int_token", "empty_label",
+            "huge_scale", "huge_rotation", "huge_shear"])
     def test_malformed_spec_values(self, tmp_path, text):
         """Nothing in a spec is truncated or converted to fit: a float count
         or seed, a string or empty label, a non-numeric jitter range all fail."""
