@@ -46,6 +46,7 @@ KIND_ALIASES = {
     "edit": "neg_edit_distance",
 }
 METHODS = ("m3", "m4", "m5")
+M3_RULE = "method m3 clusters |score| distances and needs a symmetric score family kind"
 
 CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "num_seeds", "arch",
                "train"}
@@ -113,14 +114,20 @@ def _parse_kind(name: str) -> SimilarityKind:
                          f"(choose from {sorted(KIND_ALIASES)})") from None
 
 
-def _check_compatibility(method: str, kind: SimilarityKind) -> None:
+def _cells(kinds: list[SimilarityKind], methods: list[str]) -> list[tuple[SimilarityKind, str]]:
+    """The (kind, method) cells to cluster, kinds outermost; m3 clusters
+    |score| distances, so it keeps only the kinds in ``DISTANCE_KINDS``."""
     from .similarity import DISTANCE_KINDS
 
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
-    if method == "m3" and kind not in DISTANCE_KINDS:
-        raise UsageError(f"method m3 clusters |score| distances and needs a symmetric "
-                         f"score family kind, not {kind.value!r}")
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
+    skipped = [f"{kind.value}/m3" for kind in kinds if "m3" in methods
+               and kind not in DISTANCE_KINDS]
+    if skipped:
+        log.warning("skipping %s: %s", ", ".join(skipped), M3_RULE)
+    return [(kind, method) for kind in kinds for method in methods
+            if method != "m3" or kind in DISTANCE_KINDS]
 
 
 def _resolve_k(policy, categories: list[str | None], n: int) -> int:
@@ -151,14 +158,6 @@ def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: in
     if method == "m4":
         return complete_linkage(euclidean_distance_matrix(norm.values), k)
     return complete_linkage(gssf_distance_matrix(raw.values), k)
-
-
-def _evaluation_block(labels: list[int], categories: list[str | None]) -> dict:
-    from .metrics import evaluate
-
-    if any(c is None for c in categories):
-        return {"purity": None, "mc": None, "j": None, "per_cluster": None}
-    return evaluate(labels, categories)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -203,44 +202,66 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _score_stage(args, config: dict):
+def _inputs(args, config: dict):
+    """Every setting of ``cluster`` and ``compare`` that needs no recognizer,
+    checked before the checkpoint is read: (inks, categories, k, seed, restarts)."""
     from .ink import load_jsonl
-    from .seq2seq import load_checkpoint
-    from .similarity import score_answers
 
-    inks = load_jsonl(args.data)
-    params = load_checkpoint(args.ckpt)
+    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
+    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
     if _pick_int(args.threads, config, "threads", None, minimum=1) is not None:
         # accepted and validated, but scoring no longer uses it
         log.warning("--threads and config key 'threads' are deprecated and ignored")
+    inks = load_jsonl(args.data)
+    categories = [ink.category for ink in inks]
+    k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
+    return inks, categories, k, seed, restarts
+
+
+def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, seed: int,
+           restarts: int, num_seeds: int):
+    """Score the answers once, build each kind's raw and normalized SbR matrix
+    and cluster each (kind, method) cell for the seeds ``seed + i``, i <
+    ``num_seeds``; only k-means reads the seed, so a linkage cell runs once
+    and repeats. Returns the answers, the (raw, normalized) matrices by kind,
+    one assignment list per cell and the stage wall times."""
+    from .sbr import build_sbr_matrix, normalize_unit_interval
+    from .seq2seq import load_checkpoint
+    from .similarity import GSSF_FAMILY, cross_score_matrix, score_answers
+
+    params = load_checkpoint(ckpt)
     t0 = time.perf_counter()
     answers = score_answers(params, inks)
-    score_s = time.perf_counter() - t0
-    categories = [ink.category for ink in inks]
-    return inks, params, answers, categories, score_s
+    t1 = time.perf_counter()
+    kinds = dict.fromkeys(kind for kind, _ in cells)
+    # One cross-score pass feeds every F-family kind.
+    f = None if GSSF_FAMILY.isdisjoint(kinds) else cross_score_matrix(answers, params)
+    raws = [build_sbr_matrix(answers, kind, params, f=f if kind in GSSF_FAMILY else None)
+            for kind in kinds]
+    matrices = {kind: (raw, normalize_unit_interval(raw)) for kind, raw in zip(kinds, raws)}
+    t2 = time.perf_counter()
+    runs = [[_cluster_once(method, *matrices[kind], k, seed + i, restarts)
+             for i in range(num_seeds if method == "m5" else 1)] for kind, method in cells]
+    runs = [once * (num_seeds // len(once)) for once in runs]
+    times = {"score_s": t1 - t0, "sbr_s": t2 - t1, "cluster_s": time.perf_counter() - t2}
+    return answers, matrices, runs, times
 
 
 def cmd_cluster(args) -> int:
     from .cluster import save_assignment_csv
-    from .sbr import build_sbr_matrix, normalize_unit_interval, save_csv, save_pgm
+    from .metrics import evaluate
+    from .sbr import save_csv, save_pgm
 
     config = _load_config(args.config)
     kind = _parse_kind(_pick(args.kind, config, "kind", "gssf"))
     method = str(_pick(args.method, config, "method", "m5"))
-    _check_compatibility(method, kind)
-    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
-    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
-
-    inks, params, answers, categories, score_s = _score_stage(args, config)
-    k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
-
-    t0 = time.perf_counter()
-    raw = build_sbr_matrix(answers, kind, params)
-    norm = normalize_unit_interval(raw)
-    sbr_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    assignment = _cluster_once(method, raw, norm, k, seed, restarts)
-    cluster_s = time.perf_counter() - t0
+    cells = _cells([kind], [method])
+    if not cells:
+        raise UsageError(f"{M3_RULE}, not {kind.value!r}")
+    inks, categories, k, seed, restarts = _inputs(args, config)
+    answers, matrices, [[assignment]], times = _sweep(args.ckpt, inks, cells, k, seed,
+                                                      restarts, num_seeds=1)
+    raw, norm = matrices[kind]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,15 +277,15 @@ def cmd_cluster(args) -> int:
         "num_truncated_decodes": sum(1 for a in answers if a.decode.truncated),
         "degenerate_matrix": norm.degenerate,
     }
-    report.update(_evaluation_block(assignment.labels, categories))
+    report.update(dict.fromkeys(("purity", "mc", "j", "per_cluster")) if None in categories
+                  else evaluate(assignment.labels, categories))
     _write_json(out_dir / "report.json", report)
     save_assignment_csv(out_dir / "assignment.csv", assignment,
                         [ink.id for ink in inks], categories)
     save_csv(out_dir / "sbr.csv", raw)
     save_pgm(out_dir / "sbr.pgm", norm)
     # Wall times live outside report.json so repeat runs stay byte-identical.
-    _write_json(out_dir / "timings.json",
-                {"score_s": score_s, "sbr_s": sbr_s, "cluster_s": cluster_s})
+    _write_json(out_dir / "timings.json", times)
     log.info("clustered %d answers into %d clusters (purity=%s)", len(inks),
              assignment.k, report.get("purity"))
     return EXIT_OK
@@ -272,63 +293,27 @@ def cmd_cluster(args) -> int:
 
 def cmd_compare(args) -> int:
     from .metrics import evaluate
-    from .sbr import build_sbr_matrix, normalize_unit_interval
-    from .similarity import GSSF_FAMILY, cross_score_matrix
 
     config = _load_config(args.config)
-    kinds = [_parse_kind(s) for s in (args.kinds.split(",") if args.kinds
-                                      else list(KIND_ALIASES))]
-    methods = args.methods.split(",") if args.methods else ["m5"]
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
-    base_seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
-    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
-    num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
-
-    # Sweep only the compatible cells; m3 over a non-symmetric kind is skipped.
-    cells = []
-    for kind in kinds:
-        for method in methods:
-            try:
-                _check_compatibility(method, kind)
-            except UsageError as exc:
-                log.warning("skipping %s/%s: %s", kind.value, method, exc)
-                continue
-            cells.append((kind, method))
+    kinds = [_parse_kind(s) for s in (args.kinds.split(",") if args.kinds else KIND_ALIASES)]
+    cells = _cells(kinds, args.methods.split(",") if args.methods else ["m5"])
     if not cells:
         raise UsageError("no compatible kind/method combinations to compare")
-
-    inks, params, answers, categories, _ = _score_stage(args, config)
-    if any(c is None for c in categories):
+    num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
+    inks, categories, k, base_seed, restarts = _inputs(args, config)
+    if None in categories:
         raise UsageError("compare needs a category on every sample")
-    k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
 
-    # One cross-score pass feeds every F-family kind.
-    f_shared = (cross_score_matrix(answers, params)
-                if any(kind in GSSF_FAMILY for kind, _ in cells) else None)
+    _, _, runs, _ = _sweep(args.ckpt, inks, cells, k, base_seed, restarts, num_seeds)
     rows, summary = [], []
-    matrices: dict[SimilarityKind, tuple[SbRMatrix, SbRMatrix]] = {}
-    for kind, method in cells:
-        if kind not in matrices:
-            f = f_shared if kind in GSSF_FAMILY else None
-            raw = build_sbr_matrix(answers, kind, params, f=f)
-            matrices[kind] = (raw, normalize_unit_interval(raw))
-        raw, norm = matrices[kind]
-        # Only k-means reads the seed; a linkage cell is clustered once.
-        runs = num_seeds if method == "m5" else 1
-        evs = [evaluate(_cluster_once(method, raw, norm, k, base_seed + i, restarts).labels,
-                        categories) for i in range(runs)] * (num_seeds // runs)
-        cell = [{"kind": kind.value, "method": method, "seed": base_seed + i,
-                 "purity": ev["purity"], "mc": ev["mc"]} for i, ev in enumerate(evs)]
-        rows += cell
-        purities = np.array([r["purity"] for r in cell])
-        mcs = np.array([r["mc"] for r in cell])
-        summary.append({
-            "kind": kind.value, "method": method,
-            "purity_mean": float(purities.mean()), "purity_sd": float(purities.std()),
-            "mc_mean": float(mcs.mean()), "mc_sd": float(mcs.std()),
-        })
+    for (kind, method), assignments in zip(cells, runs):
+        evs = [evaluate(a.labels, categories) for a in assignments]
+        rows += [{"kind": kind.value, "method": method, "seed": base_seed + i,
+                  "purity": ev["purity"], "mc": ev["mc"]} for i, ev in enumerate(evs)]
+        purities, mcs = (np.array([ev[key] for ev in evs]) for key in ("purity", "mc"))
+        summary.append({"kind": kind.value, "method": method,
+                        "purity_mean": float(purities.mean()), "purity_sd": float(purities.std()),
+                        "mc_mean": float(mcs.mean()), "mc_sd": float(mcs.std())})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "compare.json",

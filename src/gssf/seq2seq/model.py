@@ -709,7 +709,10 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
 
 
 def teacher_forced_accuracy(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]) -> float:
-    """Fraction of target tokens (end token included) predicted by argmax."""
-    _, argmax, targets, mask, _ = _forward_batch(params, batch, keep=False)
+    """Fraction of target tokens (end token included) predicted by argmax;
+    NaN when a log-probability is not finite, as with weights that overflow."""
+    lp, argmax, targets, mask, _ = _forward_batch(params, batch, keep=False)
+    if not np.isfinite(lp[mask > 0]).all():
+        return math.nan
     hits = ((argmax == targets) & (mask > 0)).sum()
     return float(hits) / float(mask.sum())

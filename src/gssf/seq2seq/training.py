@@ -104,11 +104,12 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
 
     Returns the epoch snapshot with the best held-out token accuracy
     (accuracy ties resolved toward the lower training loss). Raises
-    ``TrainingError`` only when a batch loss is not finite (divergence),
-    ``ModelError`` for a bad config or a sample without ink or label, and
-    ``VocabularyError`` for an empty dataset. ``on_epoch`` receives one record
-    per epoch: the token-weighted training loss, the held-out token accuracy,
-    the mean pre-clip global gradient norm over its batches and its wall time.
+    ``TrainingError`` on divergence (a batch loss or a held-out log-probability
+    that is not finite), ``ModelError`` for a bad config or a sample without
+    ink or label, and ``VocabularyError`` for an empty dataset. ``on_epoch``
+    receives one record per epoch: the token-weighted training loss, the
+    held-out token accuracy, the mean pre-clip global gradient norm over its
+    batches and its wall time.
     """
     config.validate()
     if any(label is None or ink is None for ink, label in dataset):
@@ -150,6 +151,9 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
             epoch_ce += loss * n_tok
         epoch_loss = epoch_ce / epoch_tokens
         val_acc = teacher_forced_accuracy(params, val_batch)
+        if not math.isfinite(val_acc):
+            raise TrainingError(f"training diverged at epoch {epoch}: "
+                                "held-out log-probabilities are not finite")
         if on_epoch is not None:
             on_epoch({"epoch": epoch, "loss": epoch_loss, "val_token_acc": val_acc,
                       "grad_norm": sum(norms) / len(norms),

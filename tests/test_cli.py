@@ -168,6 +168,21 @@ class TestTrain:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[-1]["loss"] < 0.01
 
+    def test_overflowing_weights_exit_3_without_checkpoint(self, tiny_pipeline, tmp_path,
+                                                          capsys):
+        """One step at learning rate 1e300 leaves finite weights whose held-out
+        log-probabilities overflow; training stops there instead of saving them."""
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"arch": TINY_CONFIG["arch"], "train": {
+            "max_epochs": 1, "batch_size": 1000, "learning_rate": 1e300}}))
+        ckpt = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(ckpt),
+                         "--config", str(config), "--seed", "0"])
+        assert code == 3
+        assert "held-out log-probabilities are not finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_labels_exit_2(self, tmp_path):
         stroke = np.array([[0.0, 0.0], [1.0, 1.0]])
         data = tmp_path / "nolabel.jsonl"
@@ -237,6 +252,32 @@ class TestCluster:
         assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
                      "--out", str(out)]) == 2
         assert "may not contain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_bad_k_exit_2_before_scoring(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
+                                         command):
+        """k and the categories are checked where the answers are read, before
+        the checkpoint is loaded: k = 13 of 12 answers for ``cluster``, and
+        for ``compare`` an explicit k on answers without categories."""
+        import gssf.ink as ink_mod
+
+        def no_scoring(*args):
+            raise AssertionError("scored answers whose k should have been rejected")
+
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_scoring)
+        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
+        data, k = tiny_pipeline["dataset"], "13"
+        if command == "compare":
+            inks = ink_mod.load_jsonl(data)
+            for ink in inks:
+                ink.category = None
+            data, k = tmp_path / "uncat.jsonl", "3"
+            ink_mod.save_jsonl(data, inks)
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(out), "--k", k]) == 2
+        assert ("out of range" if command == "cluster" else "category") in capsys.readouterr().err
         assert not out.exists()
 
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
@@ -421,6 +462,21 @@ class TestCompare:
         table = json.loads((out / "compare.json").read_text())
         kinds = {r["kind"] for r in table["rows"]}
         assert kinds == {"gssf", "min", "max"}
+
+    @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("edit", "m4"), ("min", "m3")])
+    def test_cluster_is_one_compare_cell(self, tiny_pipeline, tmp_path, kind, method):
+        """``cluster --seed s`` reports the purity and cost of ``compare``'s row
+        for the same kind, method and seed; s is compare's second seed."""
+        common = ["--data", str(tiny_pipeline["dataset"]), "--ckpt", str(tiny_pipeline["ckpt"]),
+                  "--config", str(tiny_pipeline["config"])]
+        assert main(["compare", *common, "--out", str(tmp_path / "cmp"), "--kinds", kind,
+                     "--methods", method, "--num-seeds", "2", "--seed", "6"]) == 0
+        assert main(["cluster", *common, "--out", str(tmp_path / "run"), "--kind", kind,
+                     "--method", method, "--seed", "7"]) == 0
+        [row] = [r for r in json.loads((tmp_path / "cmp" / "compare.json").read_text())["rows"]
+                 if r["seed"] == 7]
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert (report["purity"], report["mc"]) == (row["purity"], row["mc"])
 
     def test_linkage_cells_clustered_once(self, tiny_pipeline, tmp_path, monkeypatch):
         import gssf.cli

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gssf.ink import FEATURE_DIM, RawInk, extract_features, resample_and_normalize
@@ -545,3 +545,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_truncated_or_bit_flipped_loads_or_raises_checkpoint_error(self, tmp_path, data):
+        """The loader reads only its own format: a cut or a flipped bit either
+        still loads or raises ``CheckpointError``, never anything else. Half the
+        flips land in the first KiB, where the vocabulary, config and first
+        tensor headers live."""
+        blob = bytearray(checkpoint_bytes(small_model()))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bits = 8 * len(blob)
+            bit = data.draw(st.integers(0, 8 * 1024 - 1) | st.integers(0, bits - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
