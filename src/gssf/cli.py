@@ -115,10 +115,12 @@ def _parse_kind(name: str) -> SimilarityKind:
 
 
 def _cells(kinds: list[SimilarityKind], methods: list[str]) -> list[tuple[SimilarityKind, str]]:
-    """The (kind, method) cells to cluster, kinds outermost; m3 clusters
-    |score| distances, so it keeps only the kinds in ``DISTANCE_KINDS``."""
+    """The distinct (kind, method) cells to cluster, kinds outermost, in
+    first-seen order; m3 clusters |score| distances, so it keeps only the
+    kinds in ``DISTANCE_KINDS``."""
     from .similarity import DISTANCE_KINDS
 
+    kinds, methods = list(dict.fromkeys(kinds)), list(dict.fromkeys(methods))
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
@@ -204,7 +206,8 @@ def cmd_train(args) -> int:
 
 def _inputs(args, config: dict):
     """Every setting of ``cluster`` and ``compare`` that needs no recognizer,
-    checked before the checkpoint is read: (inks, categories, k, seed, restarts)."""
+    and the answer count (at least two), checked before the checkpoint is
+    read: (inks, categories, k, seed, restarts)."""
     from .ink import load_jsonl
 
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
@@ -213,6 +216,8 @@ def _inputs(args, config: dict):
         # accepted and validated, but scoring no longer uses it
         log.warning("--threads and config key 'threads' are deprecated and ignored")
     inks = load_jsonl(args.data)
+    if len(inks) < 2:
+        raise UsageError(f"{args.data}: need at least two answers to cluster")
     categories = [ink.category for ink in inks]
     k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
     return inks, categories, k, seed, restarts
@@ -236,8 +241,7 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
     kinds = dict.fromkeys(kind for kind, _ in cells)
     # One cross-score pass feeds every F-family kind.
     f = None if GSSF_FAMILY.isdisjoint(kinds) else cross_score_matrix(answers, params)
-    raws = [build_sbr_matrix(answers, kind, params, f=f if kind in GSSF_FAMILY else None)
-            for kind in kinds]
+    raws = [build_sbr_matrix(answers, kind, params, f=f) for kind in kinds]
     matrices = {kind: (raw, normalize_unit_interval(raw)) for kind, raw in zip(kinds, raws)}
     t2 = time.perf_counter()
     runs = [[_cluster_once(method, *matrices[kind], k, seed + i, restarts)

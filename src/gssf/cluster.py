@@ -105,10 +105,8 @@ def complete_linkage(d: np.ndarray, k: int) -> Assignment:
 
 def gssf_distance_matrix(values: np.ndarray) -> np.ndarray:
     """Absolute similarity scores as distances, from the unnormalized matrix
-    of a ``similarity.DISTANCE_KINDS`` kind."""
-    d = np.abs(values)
-    np.fill_diagonal(d, 0.0)
-    return d
+    of a ``similarity.DISTANCE_KINDS`` kind, whose diagonal is zero."""
+    return np.abs(values)
 
 
 def euclidean_distance_matrix(rows: np.ndarray) -> np.ndarray:

@@ -119,18 +119,16 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
     ``MAX_ASPECT``, its x-extent [0, ``MAX_ASPECT``] up to round-off. Within
     each stroke the output points are approximately ``spacing`` apart;
     single-point (or zero-length) strokes survive as one point. Idempotent up
-    to float round-off.
+    to float round-off. Needs ``spacing`` > 0 and strokes that are (P, 2)
+    polylines; a non-finite coordinate fails the range check.
     """
-    ink.validate()
-    if spacing <= 0:
-        raise InkError("spacing must be positive")
     pts = np.concatenate(ink.strokes, axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         extent = pts.max(axis=0) - pts.min(axis=0)
     if extent[0] == 0.0 and extent[1] == 0.0:
         raise InkError(f"ink {ink.id!r}: degenerate extent")
     if not np.isfinite(extent).all():
-        raise InkError(f"ink {ink.id!r}: coordinate range overflows")
+        raise InkError(f"ink {ink.id!r}: coordinates not finite or their range overflows")
     ref = max(extent[1], extent[0] / MAX_ASPECT)
     lens = [len(s) for s in ink.strokes]
     try:
@@ -138,9 +136,8 @@ def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
     except InkError as exc:
         raise InkError(f"ink {ink.id!r}: {exc}") from None
     mins = rpts.min(axis=0)
+    # Every original vertex survives resampling, so rext >= extent and is not zero.
     rext = rpts.max(axis=0) - mins
-    if rext[0] == 0.0 and rext[1] == 0.0:
-        raise InkError(f"ink {ink.id!r}: degenerate extent")
     # True division keeps the attained extremes exactly at 0 and, for height-scaled ink, 1.
     denom = max(rext[1], rext[0] / MAX_ASPECT)
     out = (rpts - mins) / denom

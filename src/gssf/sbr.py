@@ -14,16 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import InputError
 from .seq2seq import ModelParams
-from .similarity import (COMBINE, AnswerScoring, SimilarityKind, UnscorableAnswer,
-                         cross_score_matrix, distinct_index, edit_distance)
+from .similarity import (COMBINE, AnswerScoring, SimilarityKind, cross_score_matrix,
+                         distinct_index, edit_distance)
 
 log = logging.getLogger(__name__)
-
-
-class SbRError(InputError):
-    """An input the similarity matrix cannot be built from."""
 
 
 @dataclass
@@ -38,12 +33,10 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     """Pairwise similarity matrix (unnormalized) under the given kind.
 
     For the F-family kinds, any answer with an empty decode gets its row and
-    column (diagonal excluded) filled with the minimum computed score; at
-    least one answer must be scorable. Pass ``f`` (a precomputed
-    ``cross_score_matrix``) to share one cross-scoring pass between kinds.
+    column (diagonal excluded) filled with the minimum computed score. Pass
+    ``f`` (a precomputed ``cross_score_matrix``, whose diagonal is zero) to
+    share one cross-scoring pass between kinds; the edit kind ignores it.
     """
-    if len(answers) < 2:
-        raise SbRError("need at least two answers")
     kind = SimilarityKind(kind)
     ids = [a.id for a in answers]
 
@@ -59,12 +52,9 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         np.fill_diagonal(values, 0.0)
         return SbRMatrix(values=values, ids=ids)
 
-    if not any(a.scorable for a in answers):
-        raise UnscorableAnswer("all answers are unscorable")
     if f is None:
         f = cross_score_matrix(answers, params)
     values = COMBINE[kind](f, f.T)
-    np.fill_diagonal(values, 0.0)
 
     bad = [i for i, a in enumerate(answers) if not a.scorable]
     if bad:

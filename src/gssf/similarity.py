@@ -116,14 +116,15 @@ def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.
     decode is teacher-forced once against every scorable answer's encoding,
     in one ``cross_logprob_sums`` call, and the sums are scattered to every
     answer with that decode. Diagonal entries are exactly zero. Raises
-    ``UnscorableAnswer`` when a scorable pair's score is not finite, as with
-    a checkpoint whose finite weights overflow.
+    ``UnscorableAnswer`` when no answer is scorable, or when a scorable
+    pair's score is not finite, as with a checkpoint whose finite weights
+    overflow.
     """
     n = len(answers)
     rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
-    f = np.full((n, n), np.nan)
     if not len(rows):
-        return f
+        raise UnscorableAnswer("all answers are unscorable")
+    f = np.full((n, n), np.nan)
     seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
     self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
     sums = seq2seq.cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)

@@ -19,8 +19,8 @@ from gssf.seq2seq import (ArchConfig, Annotations, ScoredDecode,
                           cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
                           init_params, model, teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
-from gssf.similarity import (AnswerScoring, SimilarityKind, conditional_score,
-                             cross_score_matrix, distinct_index)
+from gssf.similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
+                             conditional_score, cross_score_matrix, distinct_index)
 
 TOL = 1e-9
 
@@ -153,12 +153,13 @@ class TestDeduplicatedCrossScores:
         np.testing.assert_array_equal(np.diag(benchmark_f_matrix),
                                       np.zeros(len(benchmark_answers)))
 
-    def test_all_unscorable_gives_all_nan(self):
+    def test_all_unscorable_raises(self):
         empty = [AnswerScoring(id=f"e{i}",
                                annotations=Annotations(vectors=np.zeros((1, 12))),
                                decode=ScoredDecode(tokens=[], self_logprobs=np.array([])))
                  for i in range(3)]
-        assert np.isnan(cross_score_matrix(empty, params=None)).all()
+        with pytest.raises(UnscorableAnswer, match="all answers are unscorable"):
+            cross_score_matrix(empty, params=None)
 
 
 def pairwise_logprob_sums(params, anns, seqs):

@@ -39,6 +39,19 @@ def exit_code_cases() -> list[tuple[type, int | None]]:
         (OSError, 2), (ValueError, None), (RuntimeError, None)]
 
 
+def test_every_error_class_is_raised():
+    """Each gssf ``InputError`` and ``RunFailure`` subclass but the two bases
+    has a ``raise`` somewhere in the gssf sources, so no class outlives the
+    last check that raised it."""
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in Path(gssf.__file__).parent.rglob("*.py"))
+    bases = (gssf.InputError, gssf.RunFailure)
+    unraised = [cls.__name__ for cls, _ in exit_code_cases()
+                if cls.__module__.startswith("gssf") and cls not in bases
+                and f"raise {cls.__name__}(" not in source]
+    assert unraised == []
+
+
 TINY_CONFIG = {
     "arch": {
         "enc_hidden": 8, "dec_hidden": 10, "embed_dim": 6, "att_dim": 6,
@@ -280,6 +293,25 @@ class TestCluster:
         assert ("out of range" if command == "cluster" else "category") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_one_answer_exit_2_before_checkpoint(self, tiny_pipeline, tmp_path, capsys,
+                                                 monkeypatch, command):
+        """N >= 2 is checked where the answers are read: a one-answer file,
+        whose one category makes k = 1, never loads the checkpoint."""
+        import gssf.ink as ink_mod
+        import gssf.seq2seq
+
+        loads, load = [], gssf.seq2seq.load_checkpoint
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint",
+                            lambda path: loads.append(path) or load(path))
+        data = tmp_path / "one.jsonl"
+        ink_mod.save_jsonl(data, ink_mod.load_jsonl(tiny_pipeline["dataset"])[:1])
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(out)]) == 2
+        assert "at least two answers" in capsys.readouterr().err
+        assert loads == [] and not out.exists()
+
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
         code = self.run(tiny_pipeline, tmp_path / "x",
                         ("--kind", "asym", "--method", "m3"))
@@ -462,6 +494,20 @@ class TestCompare:
         table = json.loads((out / "compare.json").read_text())
         kinds = {r["kind"] for r in table["rows"]}
         assert kinds == {"gssf", "min", "max"}
+
+    def test_repeated_kinds_and_methods_are_one_cell(self, tiny_pipeline, tmp_path):
+        """Aliases and repeats name one cell each, in first-seen order."""
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
+                     "--config", str(tiny_pipeline["config"]),
+                     "--kinds", "gssf,gssf,asym,asymmetric", "--methods", "m5,m5",
+                     "--num-seeds", "2"]) == 0
+        table = json.loads((out / "compare.json").read_text())
+        assert [(s["kind"], s["method"]) for s in table["summary"]] == [
+            ("gssf", "m5"), ("asymmetric", "m5")]
+        assert [(r["kind"], r["seed"]) for r in table["rows"]] == [
+            ("gssf", 0), ("gssf", 1), ("asymmetric", 0), ("asymmetric", 1)]
 
     @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("edit", "m4"), ("min", "m3")])
     def test_cluster_is_one_compare_cell(self, tiny_pipeline, tmp_path, kind, method):

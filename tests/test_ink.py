@@ -91,10 +91,6 @@ class TestResampleAndNormalize:
         twice = resample_and_normalize(once, spacing=0.5)
         assert len(once.strokes[0]) == len(twice.strokes[0]) == 21
 
-    def test_bad_spacing(self):
-        with pytest.raises(InkError):
-            resample_and_normalize(vertical_two_point(), spacing=0.0)
-
 
 def loop_resample_stroke(pts, step):
     """Oracle: the per-point loop that ``_resample_stroke`` replaced."""

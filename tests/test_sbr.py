@@ -5,8 +5,8 @@ import pytest
 
 from conftest import read_matrix_csv
 from gssf.seq2seq import Annotations, ScoredDecode
-from gssf.sbr import (SbRError, SbRMatrix, build_sbr_matrix, normalize_unit_interval,
-                      save_csv, save_pgm, to_pgm)
+from gssf.sbr import (SbRMatrix, build_sbr_matrix, normalize_unit_interval, save_csv,
+                      save_pgm, to_pgm)
 from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer, edit_distance
 
 
@@ -153,11 +153,6 @@ class TestBuild:
         ]
         with pytest.raises(UnscorableAnswer):
             build_sbr_matrix(empties, SimilarityKind.GSSF, params)
-
-    def test_too_few_answers(self, tiny_scored):
-        params, _, answers = tiny_scored
-        with pytest.raises(SbRError):
-            build_sbr_matrix(answers[:1], SimilarityKind.GSSF, params)
 
 
 class TestAgainstLoopOracle:
