@@ -48,8 +48,7 @@ KIND_ALIASES = {
 METHODS = ("m3", "m4", "m5")
 M3_RULE = "method m3 clusters |score| distances and needs a symmetric score family kind"
 
-CONFIG_KEYS = {"kind", "method", "k", "seed", "threads", "restarts", "num_seeds", "arch",
-               "train"}
+CONFIG_KEYS = {"kind", "method", "k", "seed", "restarts", "num_seeds", "arch", "train"}
 
 
 class UsageError(InputError):
@@ -78,14 +77,10 @@ def _pick(flag_value, config: dict, key: str, default):
     return flag_value if flag_value is not None else config.get(key, default)
 
 
-def _pick_int(flag_value, config: dict, key: str, default: int | None,
-              minimum: int) -> int | None:
+def _pick_int(flag_value, config: dict, key: str, default: int, minimum: int) -> int:
     """An integer setting of at least ``minimum``: the flag, else the config key,
-    else ``default``. Anything else raises ``UsageError``; None comes back only
-    as an unset setting whose default is None."""
+    else ``default``. Anything else raises ``UsageError``."""
     value = _pick(flag_value, config, key, default)
-    if value is None and default is None:
-        return None
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise UsageError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
@@ -174,9 +169,8 @@ def cmd_synth(args) -> int:
     from .ink import save_jsonl
 
     spec = synthgen.load_spec(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    inks = synthgen.generate_answer_set(spec)
+    seed = _pick_int(args.seed, {}, "seed", spec.seed, minimum=0)
+    inks = synthgen.generate_answer_set(dataclasses.replace(spec, seed=seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(out, inks)
@@ -212,9 +206,9 @@ def _inputs(args, config: dict):
 
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
     restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
-    if _pick_int(args.threads, config, "threads", None, minimum=1) is not None:
-        # accepted and validated, but scoring no longer uses it
-        log.warning("--threads and config key 'threads' are deprecated and ignored")
+    if args.threads is not None:  # accepted and validated, but scoring does not use it
+        _pick_int(args.threads, {}, "threads", 1, minimum=1)
+        log.warning("--threads is deprecated and ignored")
     inks = load_jsonl(args.data)
     if len(inks) < 2:
         raise UsageError(f"{args.data}: need at least two answers to cluster")

@@ -108,7 +108,7 @@ def _resample(pts: np.ndarray, starts: np.ndarray, step: float):
     return out, (ends - counts)[starts]
 
 
-def resample_and_normalize(ink: RawInk, spacing: float = 0.05) -> RawInk:
+def resample_and_normalize(ink: RawInk, spacing: float) -> RawInk:
     """Resample strokes at uniform arc length, then scale to unit size.
 
     The size is max(height, width / ``MAX_ASPECT``). Strokes are resampled

@@ -32,7 +32,7 @@ class CheckpointError(InputError):
 
 
 def checkpoint_bytes(params: ModelParams) -> bytes:
-    params.validate()
+    """Serialize ``params``; needs finite tensors of the shapes ``param_shapes`` gives."""
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
@@ -94,7 +94,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: bad vocabulary block ({exc})") from exc
     try:
         arch = ArchConfig(**json.loads(reader.text()))
-        param_shapes(arch, vocab.size)
+        arch.validate()
+        shapes = param_shapes(arch, vocab.size)
     except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
     tensors: dict[str, np.ndarray] = {}
@@ -107,9 +108,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         tensors[name] = arr.astype(np.float64, copy=True)
     if reader.pos != len(reader.data):
         raise CheckpointError(f"{path}: trailing bytes after tensor block")
-    params = ModelParams(arch=arch, vocab=vocab, tensors=tensors)
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: inconsistent tensors ({exc})") from exc
-    return params
+    if {name: arr.shape for name, arr in tensors.items()} != shapes:
+        raise CheckpointError(f"{path}: tensor names or shapes do not match the config block")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name}: non-finite values")
+    return ModelParams(arch=arch, vocab=vocab, tensors=tensors)

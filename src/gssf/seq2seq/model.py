@@ -75,10 +75,10 @@ class ArchConfig:
 def param_shapes(arch: ArchConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Named tensor shapes, in the fixed order they are created and serialized.
 
-    Raises ``ModelError`` when the shapes add up to more than ``MAX_PARAMS``
-    parameters; nothing is allocated before that check.
+    Needs an ``arch`` that passed ``validate``. Raises ``ModelError`` when the
+    shapes add up to more than ``MAX_PARAMS`` parameters; nothing is
+    allocated before that check.
     """
-    arch.validate()
     h, a = arch.enc_hidden, arch.annotation_dim
     hd, e, at, c = arch.dec_hidden, arch.embed_dim, arch.att_dim, arch.cov_channels
     shapes: dict[str, tuple[int, ...]] = {"emb": (vocab_size, e)}
@@ -118,17 +118,6 @@ class ModelParams:
     arch: ArchConfig
     vocab: Vocabulary
     tensors: dict[str, np.ndarray]
-
-    def validate(self) -> None:
-        expected = param_shapes(self.arch, self.vocab.size)
-        if set(expected) != set(self.tensors):
-            raise ModelError("parameter names do not match the architecture")
-        for name, shape in expected.items():
-            t = self.tensors[name]
-            if t.shape != shape:
-                raise ModelError(f"tensor {name}: shape {t.shape}, expected {shape}")
-            if not np.isfinite(t).all():
-                raise ModelError(f"tensor {name}: non-finite values")
 
 
 def init_params(arch: ArchConfig, vocab: Vocabulary, seed: int) -> ModelParams:

@@ -102,16 +102,16 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
           on_epoch: Callable[[dict], None] | None = None) -> ModelParams:
     """Train a recognizer on labelled ink; deterministic for a fixed seed.
 
-    Returns the epoch snapshot with the best held-out token accuracy
-    (accuracy ties resolved toward the lower training loss). Raises
-    ``TrainingError`` on divergence (a batch loss or a held-out log-probability
-    that is not finite), ``ModelError`` for a bad config or a sample without
-    ink or label, and ``VocabularyError`` for an empty dataset. ``on_epoch``
+    Needs a ``config`` that passed ``validate``. Returns the epoch snapshot
+    with the best held-out token accuracy (accuracy ties resolved toward the
+    lower training loss). Raises ``TrainingError`` on divergence (a batch loss
+    or a held-out log-probability that is not finite), ``ModelError`` for a
+    sample without ink or label or a parameter count over ``MAX_PARAMS``, and
+    ``VocabularyError`` for an empty dataset. ``on_epoch``
     receives one record per epoch: the token-weighted training loss, the
     held-out token accuracy, the mean pre-clip global gradient norm over its
     batches and its wall time.
     """
-    config.validate()
     if any(label is None or ink is None for ink, label in dataset):
         raise ModelError("every sample needs ink and a label")
     vocab = build_vocabulary([list(label) for _, label in dataset])

@@ -96,8 +96,6 @@ def variant_score(kind: SimilarityKind, a: AnswerScoring, b: AnswerScoring,
     kind = SimilarityKind(kind)
     if kind == SimilarityKind.NEG_EDIT_DISTANCE:
         return -float(edit_distance(a.decode.tokens, b.decode.tokens))
-    if not b.scorable:
-        raise UnscorableAnswer(f"unscorable answer {b.id!r}")
     fab, fba = conditional_score(a, b, params), conditional_score(b, a, params)
     return float(COMBINE[kind](fab, fba))
 

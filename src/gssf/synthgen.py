@@ -105,6 +105,9 @@ class AnswerSetSpec:
         if not all(isinstance(c.label, tuple) and c.label
                    and all(isinstance(t, str) for t in c.label) for c in self.categories):
             raise SynthesisError("category labels must be non-empty lists of token strings")
+        unknown = [t for c in self.categories for t in c.label if t not in TEMPLATES]
+        if unknown:
+            raise SynthesisError(f"no template for token {unknown[0]!r}")
         ids = [c.id for c in self.categories if c.id]
         if len(ids) != len(set(ids)):
             raise SynthesisError("category ids must be distinct")
@@ -174,12 +177,8 @@ def generate_answer_set(spec: AnswerSetSpec) -> list[RawInk]:
 
     Deterministic for a fixed spec: sample i draws from a generator seeded by
     (spec.seed, i), so parallel or partial generation cannot change output.
+    Needs a ``spec`` that passed ``validate``.
     """
-    spec.validate()
-    for cat in spec.categories:
-        for tok in cat.label:
-            if tok not in TEMPLATES:
-                raise SynthesisError(f"no template for token {tok!r}")
     samples: list[RawInk] = []
     index = 0
     for ci, cat in enumerate(spec.categories):

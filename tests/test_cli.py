@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import collections
 import gzip
 import importlib
 import json
@@ -129,14 +130,23 @@ class TestSynth:
                                                 {"label": ["2"], "count": 3}]}),
         json.dumps({**TINY_SPEC, "categories": [{"label": ["1"], "count": 2, "id": "a,b"},
                                                 {"label": ["2"], "count": 3}]}),
+        json.dumps({**TINY_SPEC, "categories": [{"label": ["1", "@"], "count": 2},
+                                                {"label": ["2"], "count": 3}]}),
     ], ids=["list", "text_sigma", "float_seed", "text_spacing", "float_count", "text_label",
-            "comma_id"])
+            "comma_id", "unknown_glyph"])
     def test_malformed_spec_contents_exit_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         out = tmp_path / "o.jsonl"
         assert main(["synth", "--spec", str(bad), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2(self, tiny_pipeline, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        assert main(["synth", "--spec", str(tiny_pipeline["spec"]), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -376,7 +386,9 @@ class TestCluster:
         for artifact in ("report.json", "assignment.csv", "sbr.pgm", "sbr.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
-    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog):
+    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog,
+                                                    capsys):
+        """The ``--threads`` flag is still accepted; the config key is gone."""
         caplog.set_level(logging.WARNING, logger="gssf")
         assert self.run(tiny_pipeline, tmp_path / "t2", ("--threads", "2")) == 0
         deprecations = [r for r in caplog.records if "deprecated" in r.getMessage()]
@@ -385,10 +397,12 @@ class TestCluster:
         assert self.run(tiny_pipeline, tmp_path / "t0", ("--threads", "0")) == 2
         config = json.loads(tiny_pipeline["config"].read_text())
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**config, "threads": 0}))
-        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "c0"),
-                     "--config", str(bad)]) == 2
+        for threads in (0, 2):
+            bad.write_text(json.dumps({**config, "threads": threads}))
+            assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
+                         "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "c0"),
+                         "--config", str(bad)]) == 2
+            assert "unknown keys ['threads']" in capsys.readouterr().err
 
     def test_report_decode_diagnostics(self, tiny_pipeline, tmp_path):
         from gssf.ink import load_jsonl
@@ -552,6 +566,43 @@ class TestCompare:
                 assert len({(r["purity"], r["mc"]) for r in cell}) == 1
 
 
+def test_each_rule_checked_once(tiny_pipeline, tmp_path, monkeypatch):
+    """Each spec, architecture and parameter-count rule runs once per command,
+    where its input enters gssf, so a second copy of a check fails here."""
+    from gssf.seq2seq import ArchConfig, param_shapes
+    from gssf.synthgen import AnswerSetSpec
+
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(AnswerSetSpec, "validate", spy("spec", AnswerSetSpec.validate))
+    monkeypatch.setattr(ArchConfig, "validate", spy("arch", ArchConfig.validate))
+    for module in [m for name, m in sys.modules.items() if name.startswith("gssf")]:
+        if getattr(module, "param_shapes", None) is param_shapes:
+            monkeypatch.setattr(module, "param_shapes", spy("shapes", param_shapes))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"arch": TINY_CONFIG["arch"],
+                                  "train": {"max_epochs": 1, "patience": 1}}))
+    data = ["--data", str(tiny_pipeline["dataset"]), "--config", str(config)]
+    commands = {
+        "synth": ["synth", "--spec", str(tiny_pipeline["spec"]),
+                  "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
+        "train": ["train", *data, "--out", str(tmp_path / "m.ckpt")],
+        "cluster": ["cluster", *data, "--ckpt", str(tiny_pipeline["ckpt"]),
+                    "--out", str(tmp_path / "o")],
+    }
+    for command, argv in commands.items():
+        calls.clear()
+        assert main(argv) == 0
+        want = {"spec": 1} if command == "synth" else {"arch": 1, "shapes": 1}
+        assert calls == want, command
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
         for command in ("frobnicate", "heatmap"):
@@ -563,6 +614,26 @@ class TestUsage:
         assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("corrupt", ["config", "tensor"])
+    def test_bad_checkpoint_exit_2(self, tiny_pipeline, tmp_path, capsys, corrupt):
+        """The loader checks the config block and every tensor against it."""
+        if corrupt == "config":
+            data = tiny_pipeline["ckpt"].read_bytes()
+            assert data.count(b'"max_decode_len": 8') == 1
+            data = data.replace(b'"max_decode_len": 8', b'"max_decode_len": 0')
+        else:
+            params = load_checkpoint(tiny_pipeline["ckpt"])
+            params.tensors["dec_wh"][1, 2] = math.nan
+            data = checkpoint_bytes(params)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(data)
+        out = tmp_path / "o"
+        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]), "--ckpt", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert ("bad config block" if corrupt == "config" else "non-finite") in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,values", [
         ("train", {"weird": 1}), ("train", {"arch": {}}),

@@ -68,7 +68,7 @@ class TestResampleAndNormalize:
     def test_degenerate_extent_raises(self):
         ink = RawInk(strokes=[np.array([[1.0, 1.0], [1.0, 1.0]])], id="z")
         with pytest.raises(InkError, match="degenerate extent"):
-            resample_and_normalize(ink)
+            resample_and_normalize(ink, 0.05)
 
     def test_horizontal_line_falls_back_to_width(self):
         ink = RawInk(strokes=[np.array([[0.0, 2.0], [10.0, 2.0]])], id="h")
@@ -235,8 +235,8 @@ class TestBoundedResampling:
         ink = RawInk(strokes=[np.array([[0.0, 0.0], [1.0, height]])], id="thin")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflowing cast on the way
-            out = resample_and_normalize(ink)
-        # Size 1 / MAX_ASPECT at the default spacing 0.05: 200 chords.
+            out = resample_and_normalize(ink, 0.05)
+        # Size 1 / MAX_ASPECT at spacing 0.05: 200 chords.
         assert len(out.strokes[0]) == 201
         assert out.strokes[0][:, 0].max() == pytest.approx(MAX_ASPECT)
 
@@ -246,7 +246,7 @@ class TestBoundedResampling:
         ink = RawInk(strokes=[zigzag], id="zigzag")
         start = time.perf_counter()
         with pytest.raises(InkError, match="'zigzag'.*cap"):
-            resample_and_normalize(ink)
+            resample_and_normalize(ink, 0.05)
         assert time.perf_counter() - start < 1.0
 
     def test_cap_boundary(self):
@@ -262,7 +262,7 @@ class TestBoundedResampling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InkError, match="overflows"):
-                resample_and_normalize(ink)
+                resample_and_normalize(ink, 0.05)
 
 
 class TestExtractFeatures:

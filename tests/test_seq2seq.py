@@ -49,6 +49,16 @@ def with_max_decode_len(params, n):
     return ModelParams(arch, params.vocab, params.tensors)
 
 
+def with_config_field(data, field, old, new):
+    """Checkpoint bytes ``data`` of a ``SMALL`` model with one config field
+    changed from ``old`` to ``new``, the block's length prefix updated."""
+    cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
+    before, after = (f'"{field}": {json.dumps(v)}'.encode() for v in (old, new))
+    assert before in cfg
+    bad = cfg.replace(before, after)
+    return data.replace(struct.pack("<I", len(cfg)) + cfg, struct.pack("<I", len(bad)) + bad)
+
+
 def init_decoder_state(params, ann):
     """Oracle: initial decoder state and zero coverage for one annotation set."""
     with no_grad():
@@ -200,12 +210,15 @@ class TestGreedyDecode:
             assert all(lp >= np.log(pv) - 1e-12 for pv in dist)
             prev = tok
 
-    def test_bad_max_len(self):
+    def test_bad_max_len(self, tmp_path):
         # The cap is an architecture size, so no decodable model can carry 0.
         with pytest.raises(ModelError):
             dataclasses.replace(SMALL, max_decode_len=0).validate()
-        with pytest.raises(ModelError):
-            with_max_decode_len(small_model(), 0).validate()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(with_config_field(checkpoint_bytes(small_model()), "max_decode_len",
+                                           SMALL.max_decode_len, 0))
+        with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(path)
 
 
 class TestTeacherForcing:
@@ -332,11 +345,6 @@ class TestTrain:
         for sample in ((ink, None), (None, label)):
             with pytest.raises(ModelError, match="ink and a label"):
                 train([(ink, label), sample], config, seed=0)
-
-    def test_bad_config_rejected_before_training(self):
-        ink, label, config = memorization_fixture()
-        with pytest.raises(ModelError, match="batch_size"):
-            train([(ink, label)], dataclasses.replace(config, batch_size=-1), seed=0)
 
     def test_internal_error_is_not_relabelled(self, monkeypatch):
         ink, label, config = memorization_fixture()
@@ -470,52 +478,52 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_non_integer_config_size_raises_checkpoint_error(self, tmp_path):
-        data = checkpoint_bytes(small_model())
-        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
-        bad = cfg.replace(b'"dec_hidden": 6', b'"dec_hidden": "6"')
-        assert bad != cfg
         path = tmp_path / "model.ckpt"
-        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
-                                      struct.pack("<I", len(bad)) + bad))
+        path.write_bytes(with_config_field(checkpoint_bytes(small_model()), "dec_hidden",
+                                           SMALL.dec_hidden, "6"))
         with pytest.raises(CheckpointError, match="bad config block"):
             load_checkpoint(path)
 
     def test_oversized_config_size_raises_checkpoint_error(self, tmp_path):
-        data = checkpoint_bytes(small_model())
-        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
-        field = f'"max_decode_len": {SMALL.max_decode_len}'.encode()
-        assert field in cfg
-        bad = cfg.replace(field, b'"max_decode_len": 1000000000000')
         path = tmp_path / "model.ckpt"
-        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
-                                      struct.pack("<I", len(bad)) + bad))
+        path.write_bytes(with_config_field(checkpoint_bytes(small_model()), "max_decode_len",
+                                           SMALL.max_decode_len, 10 ** 12))
         with pytest.raises(CheckpointError, match="bad config block"):
             load_checkpoint(path)
 
     def test_other_input_dim_raises_checkpoint_error(self, tmp_path):
-        data = checkpoint_bytes(small_model())
-        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
-        field = f'"input_dim": {FEATURE_DIM}'.encode()
-        assert field in cfg
-        bad = cfg.replace(field, b'"input_dim": 5')
         path = tmp_path / "model.ckpt"
-        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
-                                      struct.pack("<I", len(bad)) + bad))
+        path.write_bytes(with_config_field(checkpoint_bytes(small_model()), "input_dim",
+                                           FEATURE_DIM, 5))
         with pytest.raises(CheckpointError, match=r"bad config block \(input_dim"):
             load_checkpoint(path)
 
     def test_oversized_param_count_raises_checkpoint_error(self, tmp_path):
         """Every size within MAX_ARCH_SIZE, but 405M parameters: rejected before
         any tensor is read."""
-        data = checkpoint_bytes(small_model())
-        cfg = json.dumps(dataclasses.asdict(SMALL), sort_keys=True).encode()
-        field = f'"enc_hidden": {SMALL.enc_hidden}'.encode()
-        assert field in cfg
-        bad = cfg.replace(field, b'"enc_hidden": 4096')
         path = tmp_path / "model.ckpt"
-        path.write_bytes(data.replace(struct.pack("<I", len(cfg)) + cfg,
-                                      struct.pack("<I", len(bad)) + bad))
+        path.write_bytes(with_config_field(checkpoint_bytes(small_model()), "enc_hidden",
+                                           SMALL.enc_hidden, 4096))
         with pytest.raises(CheckpointError, match="parameters"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", ["nan", "renamed", "dims_swapped"])
+    def test_tensor_block_checked_against_the_config(self, tmp_path, corrupt):
+        """A well-formed tensor block that the config block does not shape, or
+        that holds a NaN, raises ``CheckpointError`` and nothing else."""
+        params = small_model()
+        data = bytearray(checkpoint_bytes(params))
+        at = data.index(struct.pack("<I", 6) + b"dec_wh") + 4  # (dec_hidden, 3 dec_hidden)
+        if corrupt == "nan":
+            struct.pack_into("<d", data, at + 6 + 4 + 16, math.nan)
+        elif corrupt == "renamed":
+            data[at:at + 6] = b"dec_wz"
+        else:
+            assert struct.unpack_from("<2Q", data, at + 10) == params.tensors["dec_wh"].shape
+            struct.pack_into("<2Q", data, at + 10, 3 * SMALL.dec_hidden, SMALL.dec_hidden)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_deeply_nested_config_raises_checkpoint_error(self, tmp_path):

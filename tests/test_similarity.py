@@ -136,7 +136,9 @@ class TestScoreIdentities:
 
     def test_unscorable_raises(self, tiny_scored):
         params, _, answers = tiny_scored
-        empty = fake_scoring("empty", [], tokens=[])
+        # a real encoding whose greedy decode came out empty
+        empty = AnswerScoring(id="empty", annotations=answers[1].annotations,
+                              decode=ScoredDecode(tokens=[], self_logprobs=np.zeros(0)))
         with pytest.raises(UnscorableAnswer):
             conditional_score(empty, answers[0], params)
         with pytest.raises(UnscorableAnswer):

@@ -128,10 +128,17 @@ class TestGenerateAnswerSet:
             for s1, s2 in zip(x.strokes, y.strokes):
                 np.testing.assert_array_equal(s1, s2)
 
-    def test_missing_template(self):
-        spec = small_spec(categories=(CategorySpec(("1", "@"), 1), CategorySpec(("2",), 1)))
+    def test_missing_template(self, tmp_path):
+        """A glyph without a template is a spec error, found when the spec is
+        read; the message names the first unknown token in category order."""
+        spec = small_spec(categories=(CategorySpec(("1", "@"), 1), CategorySpec(("#", "%"), 1)))
         with pytest.raises(SynthesisError, match="no template for token '@'"):
-            generate_answer_set(spec)
+            spec.validate()
+        path = tmp_path / "spec.json"
+        path.write_text('{"categories": [{"label": ["1"], "count": 1}, '
+                        '{"label": ["2", "z"], "count": 1}]}')
+        with pytest.raises(SynthesisError, match="no template for token 'z'"):
+            load_spec(path)
 
     def test_spec_validation(self):
         with pytest.raises(SynthesisError):
