@@ -41,6 +41,15 @@ def kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return rows[chosen].copy()
 
 
+def _squared_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(N, k) squared Euclidean distances of every row to every centroid, one
+    centroid at a time, so no (N, k, D) temporary is made."""
+    d2 = np.empty((len(rows), len(centroids)))
+    for c, centroid in enumerate(centroids):
+        d2[:, c] = ((rows - centroid) ** 2).sum(axis=1)
+    return d2
+
+
 def kmeans_single(rows: np.ndarray, k: int, rng: np.random.Generator):
     """One seeded Lloyd run. Returns the assignment and the per-iteration
     objective log (non-increasing by construction)."""
@@ -50,7 +59,7 @@ def kmeans_single(rows: np.ndarray, k: int, rng: np.random.Generator):
     labels = np.full(n, -1, dtype=np.int64)
     objectives: list[float] = []
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(rows, centroids)
         new_labels = d2.argmin(axis=1)
         point_cost = d2[np.arange(n), new_labels]
         objectives.append(float(point_cost.sum()))

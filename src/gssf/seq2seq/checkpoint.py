@@ -101,6 +101,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
         name = reader.text()
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
         count = math.prod(dims)  # Python ints: a huge product cannot wrap to a small one

@@ -358,13 +358,19 @@ def _encode_steps(p: Params, arch: ArchConfig, feats: np.ndarray, lens: list[int
     return cur, cur_lens.tolist(), (caches if keep else None)
 
 
-def _encode_backward(caches, g: np.ndarray) -> dict[str, np.ndarray]:
+def _encode_backward(caches: list, g: np.ndarray) -> dict[str, np.ndarray]:
     """Encoder weight gradients for the annotation gradient ``g``, top layer
-    first; a subsampled layer's input gradient lands on the kept steps."""
+    first; a subsampled layer's input gradient lands on the kept steps.
+
+    Consumes ``caches``: each layer's cache is popped and freed before the
+    layer below runs, so the list is empty on return.
+    """
     grads: dict[str, np.ndarray] = {}
-    for layer in range(len(caches) - 1, -1, -1):
-        cache, pooled_from = caches[layer]
+    while caches:
+        layer = len(caches) - 1
+        cache, pooled_from = caches.pop()
         dx, dirs = _bigru_backward(cache, g, need_dx=layer > 0)
+        del cache
         for d, triple in zip(("fwd", "bwd"), dirs):
             for w, grad in zip(("wx", "wh", "b"), triple):
                 grads[f"enc{layer}_{d}_{w}"] = grad
@@ -438,23 +444,35 @@ def _teacher_forced_steps(p: Params, ann: np.ndarray, klens: list[int], feed: np
     ``feed``/``targets`` are (B, T) int arrays. Returns the (B, T)
     log-probabilities of ``targets``, the (B, T) per-step argmax and the cache
     ``_teacher_forced_backward`` reads, with the (T, 4, B, h) recurrent gates.
+    The cache keeps one list per field, each holding one array per step: the
+    states (the initial one first, so T + 1 of them), the log-softmax, the
+    decoder input, the coverage windows, the attention activations and the
+    attention weights.
     """
     consts, s, cov, mean_cache = _decoder_start(p, ann, klens)
     rows = np.arange(feed.shape[0])
     lp = np.empty(feed.shape)
     argmax = np.empty(feed.shape, dtype=np.int64)
     gates = np.empty((feed.shape[1] if keep else 1, 4, *s.shape))
-    kept = []
+    fields = ([s], [], [], [], [], []) if keep else None
     for t in range(feed.shape[1]):
-        logits, s_new, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov,
-                                           gates[t if keep else 0])
+        logits, s, step = _decode_step(p, ann, consts, p["emb"][feed[:, t]], s, cov,
+                                       gates[t if keep else 0])
         ls = _log_softmax(logits)
         argmax[:, t] = ls.argmax(axis=1)
         lp[:, t] = ls[rows, targets[:, t]]
         if keep:
-            kept.append((s, s_new, ls, *step))
-        s = s_new
-    return lp, argmax, ((consts[2], mean_cache, gates, kept) if keep else None)
+            for field, value in zip(fields, (s, ls, *step)):
+                field.append(value)
+    return lp, argmax, ((consts[2], mean_cache, gates, fields) if keep else None)
+
+
+def _stack_field(steps: list) -> np.ndarray:
+    """Stack one cached field's per-step arrays on a leading T axis and empty
+    its list, so the steps are freed before the next field is stacked."""
+    stacked = np.stack(steps)
+    steps.clear()
+    return stacked
 
 
 def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
@@ -463,12 +481,14 @@ def _teacher_forced_backward(p: Params, ann: np.ndarray, feed: np.ndarray,
     gradient ``g_lp`` of its (B, T) log-probabilities.
 
     The state and the accumulated attention carry gradient from each step to
-    the one before; ``_gru_factors`` consumes the cached gates. Returns the
-    annotation gradient and the gradients of every decoder tensor.
+    the one before; ``_gru_factors`` consumes the cached gates and the field
+    lists are left empty. Returns the annotation gradient and the gradients of
+    every decoder tensor.
     """
-    kw, (mean_w, mean), gates, kept = cache
-    # Per-step values stacked on a leading T axis.
-    s_prev, s_new, ls, x, windows, act, alpha = (np.stack(v) for v in zip(*kept))
+    kw, (mean_w, mean), gates, fields = cache
+    # Per-step values stacked on a leading T axis, one field at a time.
+    states, ls, x, windows, act, alpha = map(_stack_field, fields)
+    s_prev, s_new = states[:-1], states[1:]
     t_steps, batch, _ = ls.shape
     e_dim, width, k_max = p["emb"].shape[1], kw.shape[0], ann.shape[1]
     pad = width // 2
@@ -693,6 +713,7 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
     loss = float(-((lp * mask).sum() / total_tokens))
     g_ann, grads = _teacher_forced_backward(params.tensors, ann, feed, targets,
                                             mask * (-1.0 / total_tokens), dec_cache)
+    del dec_cache, ann  # freed before the encoder's backward pass runs
     grads.update(_encode_backward(enc_cache, g_ann))
     return loss, {name: grads[name] for name in params.tensors}
 

@@ -8,6 +8,7 @@ acceptance thresholds.
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,16 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     rows = [line.split(",") for line in lines[1:]]
     assert [row[0] for row in rows] == lines[0].split(",")[1:]
     return [row[0] for row in rows], np.array([[float(v) for v in row[1:]] for row in rows])
+
+
+def with_duplicate_record(data):
+    """Checkpoint bytes ``data`` with the last tensor record, ``out_b``,
+    appended again and the tensor count raised by one."""
+    count_at = data.index(struct.pack("<I", 3) + b"emb") - 4
+    (count,) = struct.unpack_from("<I", data, count_at)
+    record = data[data.rindex(struct.pack("<I", 5) + b"out_b"):]
+    return (data[:count_at] + struct.pack("<I", count + 1) + data[count_at + 4:]
+            + record)
 
 
 def benchmark_spec() -> AnswerSetSpec:

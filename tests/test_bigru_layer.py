@@ -106,6 +106,18 @@ def test_encoder_stack_matches_oracle(pool, monkeypatch):
     assert_grads_close([grads[k] for k in sorted(grads)], [grads_o[k] for k in sorted(grads)])
 
 
+def test_encode_backward_consumes_caches():
+    """Each layer's cache is popped and freed as its backward pass runs."""
+    arch = ArchConfig(enc_layers=3, enc_hidden=4, enc_pool=1)
+    params = init_params(arch, build_vocabulary([["a"]]), seed=5)
+    lens = LENGTH_SETS["mixed"]
+    xs, _, _ = layer_inputs(lens)
+    ann, _, caches = model._encode_steps(params.tensors, arch, xs, lens, keep=True)
+    assert len(caches) == 3
+    model._encode_backward(caches, np.ones(ann.shape))
+    assert caches == []
+
+
 def test_caches_are_independent():
     """The backward pass consumes its cache; a second forward must not share it."""
     xs, weights, lens = layer_inputs(LENGTH_SETS["mixed"])

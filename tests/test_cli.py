@@ -18,7 +18,7 @@ import pytest
 
 import gssf
 import gssf.cli
-from conftest import read_matrix_csv
+from conftest import read_matrix_csv, with_duplicate_record
 from gssf.cli import UsageError, main
 from gssf.ink import RawInk, save_jsonl
 from gssf.seq2seq import checkpoint_bytes, load_checkpoint
@@ -615,10 +615,12 @@ class TestUsage:
                      "--ckpt", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("corrupt", ["config", "tensor"])
+    @pytest.mark.parametrize("corrupt", ["config", "tensor", "duplicate"])
     def test_bad_checkpoint_exit_2(self, tiny_pipeline, tmp_path, capsys, corrupt):
         """The loader checks the config block and every tensor against it."""
-        if corrupt == "config":
+        if corrupt == "duplicate":
+            data = with_duplicate_record(tiny_pipeline["ckpt"].read_bytes())
+        elif corrupt == "config":
             data = tiny_pipeline["ckpt"].read_bytes()
             assert data.count(b'"max_decode_len": 8') == 1
             data = data.replace(b'"max_decode_len": 8', b'"max_decode_len": 0')
@@ -631,8 +633,8 @@ class TestUsage:
         out = tmp_path / "o"
         assert main(["cluster", "--data", str(tiny_pipeline["dataset"]), "--ckpt", str(ckpt),
                      "--out", str(out)]) == 2
-        assert ("bad config block" if corrupt == "config" else "non-finite") in \
-            capsys.readouterr().err
+        assert {"config": "bad config block", "tensor": "non-finite",
+                "duplicate": "duplicate tensor name"}[corrupt] in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section,values", [

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gssf import cluster
 from gssf.cluster import (Assignment, complete_linkage,
                           euclidean_distance_matrix, gssf_distance_matrix, kmeans,
                           kmeans_pp_init, kmeans_single)
@@ -79,6 +80,11 @@ def loop_euclidean_values(rows):
             dist = float(np.sqrt(((rows[i] - rows[j]) ** 2).sum()))
             values[i, j] = values[j, i] = dist
     return values
+
+
+def broadcast_squared_distances(rows, centroids):
+    """Oracle: the one-shot form k-means used, with an (N, k, D) temporary."""
+    return ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
 def random_distances(rng, n, ties):
@@ -180,6 +186,27 @@ class TestKmeans:
         a, objectives = kmeans_single(rows, 4, np.random.default_rng(0))
         assert a.labels == [0, 0, 0, 3, 3, 1, 1, 2, 2]
         assert objectives == [161.25, 46.61805555555556, 31.965, 16.546875, 4.541666666666666]
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("case", ["random", "duplicates", "k_equals_n"])
+    def test_bit_equal_to_broadcast_oracle(self, case, monkeypatch):
+        """The per-centroid distances equal the broadcast form bit for bit, so
+        k-means runs the same Lloyd iterations with either."""
+        rng = np.random.default_rng(12)
+        rows = rng.normal(0, 1, (121, 38))
+        k = 7
+        if case == "duplicates":
+            rows = rows[rng.integers(0, 5, len(rows))]
+        elif case == "k_equals_n":
+            rows, k = rows[:30], 30
+        centroids = rows[rng.choice(len(rows), k, replace=False)] + rng.normal(0, 0.1, (k, 38))
+        assert np.array_equal(cluster._squared_distances(rows, centroids),
+                              broadcast_squared_distances(rows, centroids))
+        got = kmeans_single(rows, k, np.random.default_rng(3))
+        monkeypatch.setattr(cluster, "_squared_distances", broadcast_squared_distances)
+        want = kmeans_single(rows, k, np.random.default_rng(3))
+        assert got[0] == want[0] and got[1] == want[1]
 
 
 class TestCompleteLinkage:

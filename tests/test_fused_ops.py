@@ -214,6 +214,20 @@ def test_inference_keeps_no_cache():
         assert (enc_cache is not None) == (dec_cache is not None) == keep
 
 
+def test_decoder_backward_consumes_field_lists():
+    """The decoder cache keeps one list per field; the backward pass stacks
+    each field and empties its list, so no step array outlives its use."""
+    params = random_params(1)
+    p, arch = params.tensors, params.arch
+    ann, klens, _ = model._encode_steps(p, arch, padded_feats([5, 2]), [5, 2], keep=False)
+    feed = np.array([[0, 2, 3], [0, 3, 1]])
+    lp, _, cache = model._teacher_forced_steps(p, ann, klens, feed, feed, keep=True)
+    fields = cache[-1]
+    assert [len(f) for f in fields] == [4, 3, 3, 3, 3, 3]  # the states add the initial one
+    model._teacher_forced_backward(p, ann, feed, feed, np.ones(lp.shape), cache)
+    assert all(f == [] for f in fields)
+
+
 def test_chunked_encode_matches_single_batches():
     params = random_params(1)
     rng = np.random.default_rng(4)

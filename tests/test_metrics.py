@@ -92,6 +92,62 @@ class TestRenamingInvariance:
         assert marking_cost(labels, cats) == marking_cost(labels2, cats2)
 
 
+@st.composite
+def relabelled(draw):
+    """A labelling, a permutation of its answers and an injective renaming
+    of its cluster labels."""
+    labels, cats = draw(labelings)
+    order = draw(st.permutations(range(len(labels))))
+    names = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8,
+                          unique=True))
+    return labels, cats, order, names
+
+
+@st.composite
+def pure_labelings(draw):
+    """Labels that never mix categories: each category's answers split over
+    clusters of their own."""
+    cats = draw(st.lists(st.sampled_from(["u", "v", "w", "x"]), min_size=1, max_size=60))
+    parts = draw(st.lists(st.integers(0, 2), min_size=len(cats), max_size=len(cats)))
+    return [3 * "uvwx".index(c) + part for c, part in zip(cats, parts)], cats
+
+
+class TestIdentities:
+    @given(relabelled())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_to_renaming_and_order(self, case):
+        labels, cats, order, names = case
+        renamed = [names[x] for x in labels]
+        shuffled = ([labels[i] for i in order], [cats[i] for i in order])
+        ev = evaluate(labels, cats)
+        assert evaluate(*shuffled) == ev
+        assert purity(*shuffled) == purity(labels, cats)
+        assert marking_cost(*shuffled) == marking_cost(labels, cats)
+        ev_renamed = evaluate(renamed, cats)
+        assert purity(renamed, cats) == purity(labels, cats) == ev_renamed["purity"]
+        assert marking_cost(renamed, cats) == marking_cost(labels, cats) == ev_renamed["mc"]
+        assert ev_renamed["j"] == ev["j"]
+        by_label = dict(zip(sorted(set(labels)), ev["per_cluster"]))
+        assert ev_renamed["per_cluster"] == [by_label[lab] for lab in
+                                             sorted(set(labels), key=names.__getitem__)]
+
+    @given(labelings)
+    @settings(max_examples=100, deadline=None)
+    def test_mc_closed_form(self, lc):
+        labels, cats = lc
+        k, h = len(set(labels)), len(labels)
+        assert marking_cost(labels, cats) == pytest.approx(
+            k / (2 * h) + 1 - purity(labels, cats) / 2, abs=1e-15)
+
+    @given(pure_labelings())
+    @settings(max_examples=100, deadline=None)
+    def test_pure_clusters_have_purity_one(self, lc):
+        labels, cats = lc
+        ev = evaluate(labels, cats)
+        assert purity(labels, cats) == ev["purity"] == 1.0
+        assert all(c["majority_size"] == c["size"] for c in ev["per_cluster"])
+
+
 class TestEvaluate:
     def test_per_cluster_breakdown(self):
         ev = evaluate(HAND_LABELS, HAND_CATS)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import with_duplicate_record
 from gssf.ink import FEATURE_DIM, RawInk, extract_features, resample_and_normalize
 from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           ModelParams, TrainConfig, TrainingError, Vocabulary,
@@ -507,10 +508,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameters"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt", ["nan", "renamed", "dims_swapped"])
+    @pytest.mark.parametrize("corrupt", ["nan", "renamed", "dims_swapped", "duplicate"])
     def test_tensor_block_checked_against_the_config(self, tmp_path, corrupt):
-        """A well-formed tensor block that the config block does not shape, or
-        that holds a NaN, raises ``CheckpointError`` and nothing else."""
+        """A well-formed tensor block that the config block does not shape,
+        that holds a NaN or that repeats a tensor (the copy would otherwise
+        replace the first silently) raises ``CheckpointError`` and nothing else."""
         params = small_model()
         data = bytearray(checkpoint_bytes(params))
         at = data.index(struct.pack("<I", 6) + b"dec_wh") + 4  # (dec_hidden, 3 dec_hidden)
@@ -518,6 +520,8 @@ class TestCheckpoint:
             struct.pack_into("<d", data, at + 6 + 4 + 16, math.nan)
         elif corrupt == "renamed":
             data[at:at + 6] = b"dec_wz"
+        elif corrupt == "duplicate":
+            data = with_duplicate_record(bytes(data))
         else:
             assert struct.unpack_from("<2Q", data, at + 10) == params.tensors["dec_wh"].shape
             struct.pack_into("<2Q", data, at + 10, 3 * SMALL.dec_hidden, SMALL.dec_hidden)
