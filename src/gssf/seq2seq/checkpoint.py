@@ -105,13 +105,15 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
-        count = math.prod(dims)  # Python ints: a huge product cannot wrap to a small one
-        arr = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(dims)
+        if shapes.get(name) != dims:  # checked before numpy sees a rank or a size
+            raise CheckpointError(f"{path}: tensor {name!r}: name or shape does not match "
+                                  "the config block")
+        arr = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         tensors[name] = arr.astype(np.float64, copy=True)
     if reader.pos != len(reader.data):
         raise CheckpointError(f"{path}: trailing bytes after tensor block")
-    if {name: arr.shape for name, arr in tensors.items()} != shapes:
-        raise CheckpointError(f"{path}: tensor names or shapes do not match the config block")
+    if tensors.keys() != shapes.keys():
+        raise CheckpointError(f"{path}: tensor names do not match the config block")
     for name, arr in tensors.items():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name}: non-finite values")

@@ -580,59 +580,57 @@ def _batch_tokens(token_seqs: list[list[int]]):
     return feed, targets, mask
 
 
+def _greedy_decode(p: Params, max_len: int, ann: np.ndarray,
+                   klens: list[int]) -> list[ScoredDecode]:
+    """Greedy argmax decoding of a padded (B, K, a) annotation batch; ties
+    break to the lowest index. Rows past a set's ``klens`` entry may hold any
+    finite values: the attention bias and the mean weights zero them. A row
+    stops collecting tokens once it emits the end marker, and is
+    ``truncated`` if it never does within ``max_len`` steps."""
+    batch = len(klens)
+    tokens = np.zeros((batch, max_len), dtype=np.int64)
+    logprobs = np.zeros((batch, max_len))
+    lengths = np.zeros(batch, dtype=np.int64)
+    live = np.ones(batch, dtype=bool)
+    prev = np.full(batch, SOS_INDEX)
+    consts, s, cov, _ = _decoder_start(p, ann, klens)
+    slots = np.empty((4, *s.shape))
+    for t in range(max_len):
+        logits, s, _ = _decode_step(p, ann, consts, p["emb"][prev], s, cov, slots)
+        ls = _log_softmax(logits)
+        prev = ls.argmax(axis=1)
+        live &= prev != EOS_INDEX
+        lengths += live
+        tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
+        if not live.any():
+            break
+    # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
+    return [ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
+                         truncated=bool(live[i])) for i, n in enumerate(lengths)]
+
+
 # -- public operations ------------------------------------------------------
-
-
-def encode_batch(params: ModelParams, feats_list: list[np.ndarray]) -> list[Annotations]:
-    """Encode many (L, ``arch.input_dim``) feature sequences, L >= 1, as
-    ``ink.extract_features`` makes them, in padded batches of ``INFER_CHUNK``;
-    each keeps its own ceil(L / 2^p) annotation vectors."""
-    arch = params.arch
-    out: list[Annotations] = []
-    for start in range(0, len(feats_list), INFER_CHUNK):
-        chunk = feats_list[start:start + INFER_CHUNK]
-        ann, klens, _ = _encode_steps(params.tensors, arch, *_pad(chunk, arch.input_dim),
-                                      keep=False)
-        out.extend(Annotations(vectors=ann[i, :k]) for i, k in enumerate(klens))
-    return out
 
 
 def encode(params: ModelParams, feats: np.ndarray) -> Annotations:
     """Encode a feature sequence into ceil(L / 2^p) annotation vectors."""
-    return encode_batch(params, [feats])[0]
+    ann, _, _ = _encode_steps(params.tensors, params.arch, *_pad([feats], params.arch.input_dim),
+                              keep=False)
+    return Annotations(vectors=ann[0])
 
 
-def greedy_decode_batch(params: ModelParams, anns: list[Annotations]) -> list[ScoredDecode]:
-    """Greedy argmax decoding of many annotation sets in padded batches of
-    ``INFER_CHUNK``; ties break to the lowest index. A row stops collecting
-    tokens once it emits the end marker, and is ``truncated`` if it never
-    does within ``arch.max_decode_len`` steps."""
+def encode_and_decode(params: ModelParams,
+                      feats: list[np.ndarray]) -> list[tuple[Annotations, ScoredDecode]]:
+    """Encode many (L, ``arch.input_dim``) feature sequences, L >= 1, as
+    ``ink.extract_features`` makes them, in padded batches of ``INFER_CHUNK``,
+    then greedy-decode each batch's own padded annotations. Each answer keeps
+    its ceil(L / 2^p) annotation vectors, a view of its batch."""
     arch, p = params.arch, params.tensors
-    out: list[ScoredDecode] = []
-    for start in range(0, len(anns), INFER_CHUNK):
-        chunk = anns[start:start + INFER_CHUNK]
-        padded, klens = _pad([a.vectors for a in chunk], arch.annotation_dim)
-        batch = len(chunk)
-        tokens = np.zeros((batch, arch.max_decode_len), dtype=np.int64)
-        logprobs = np.zeros((batch, arch.max_decode_len))
-        lengths = np.zeros(batch, dtype=np.int64)
-        live = np.ones(batch, dtype=bool)
-        prev = np.full(batch, SOS_INDEX)
-        consts, s, cov, _ = _decoder_start(p, padded, klens)
-        slots = np.empty((4, *s.shape))
-        for t in range(arch.max_decode_len):
-            logits, s, _ = _decode_step(p, padded, consts, p["emb"][prev], s, cov, slots)
-            ls = _log_softmax(logits)
-            prev = ls.argmax(axis=1)
-            live &= prev != EOS_INDEX
-            lengths += live
-            tokens[:, t], logprobs[:, t] = prev, ls[np.arange(batch), prev]
-            if not live.any():
-                break
-        # A finished row stays finished, so its tokens are the first `lengths[i]` steps.
-        out.extend(ScoredDecode(tokens=tokens[i, :n].tolist(), self_logprobs=logprobs[i, :n],
-                                truncated=bool(live[i])) for i, n in enumerate(lengths))
-    return out
+    chunks = [_encode_steps(p, arch, *_pad(feats[start:start + INFER_CHUNK], arch.input_dim),
+                            keep=False)[:2] for start in range(0, len(feats), INFER_CHUNK)]
+    decoded = [_greedy_decode(p, arch.max_decode_len, ann, klens) for ann, klens in chunks]
+    return [(Annotations(vectors=ann[i, :k]), dec) for (ann, klens), decs in zip(chunks, decoded)
+            for i, (k, dec) in enumerate(zip(klens, decs))]
 
 
 def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[int]) -> np.ndarray:
@@ -650,13 +648,13 @@ def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
     and hold vocabulary indices, as scorable greedy decodes do.
 
     The annotation sets are padded in the chunks of ``INFER_CHUNK`` that
-    ``encode_batch`` uses. Each chunk gets one ``_decoder_start`` and walks
-    the sequences in sorted order, depth first over their prefix tree. Step
-    t depends only on a sequence's first t tokens (its target just picks a
-    column of the output), so a sequence resumes from the steps of its
-    longest common prefix with the one before, the step after that prefix
-    included when the one before ran it: each distinct prefix that some
-    sequence extends is stepped once per chunk. Each row steps and sums
+    ``encode_and_decode`` uses. Each chunk gets one ``_decoder_start`` and
+    walks the sequences in sorted order, depth first over their prefix tree.
+    Step t depends only on a sequence's first t tokens (its target just
+    picks a column of the output), so a sequence resumes from the steps of
+    its longest common prefix with the one before, the step after that
+    prefix included when the one before ran it: each distinct prefix that
+    some sequence extends is stepped once per chunk. Each row steps and sums
     exactly as a chunk teacher-forced against that one sequence would, so
     the sums are the same bits.
     """

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -75,6 +78,29 @@ def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
     return total
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the OpenBLAS that numpy loaded on one thread, then
+    restore its thread count; does nothing when that library or its symbols
+    are missing. Split over threads, a product over many rows sums them in
+    another order, so the checkpoint bytes would depend on the thread count."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get, pin = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):  # nothing to pin
+        get = pin = lambda *count: None
+    else:
+        get.argtypes, get.restype = [], ctypes.c_int
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+    saved = get()
+    pin(1)
+    try:
+        yield
+    finally:
+        pin(saved)
+
+
 def _stratified_split(label_keys: list[tuple], val_fraction: float,
                       rng: np.random.Generator) -> tuple[list[int], list[int]]:
     """Per-label shuffle split; every label keeps at least one training sample.
@@ -98,11 +124,13 @@ def _stratified_split(label_keys: list[tuple], val_fraction: float,
     return sorted(train_idx), sorted(val_idx)
 
 
+@_one_blas_thread()
 def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: int,
           on_epoch: Callable[[dict], None] | None = None) -> ModelParams:
     """Train a recognizer on labelled ink; deterministic for a fixed seed.
 
-    Needs a ``config`` that passed ``validate``. Returns the epoch snapshot
+    Needs a ``config`` that passed ``validate``. Runs BLAS on one thread, so
+    the result does not depend on the thread count. Returns the epoch snapshot
     with the best held-out token accuracy (accuracy ties resolved toward the
     lower training loss). Raises ``TrainingError`` on divergence (a batch loss
     or a held-out log-probability that is not finite), ``ModelError`` for a
@@ -130,7 +158,6 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     best_key = (-1.0, -math.inf)
     best_tensors = {k: v.copy() for k, v in params.tensors.items()}
-    best_acc = -1.0
     best_acc_epoch = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -158,12 +185,11 @@ def train(dataset: list[tuple[RawInk, list[str]]], config: TrainConfig, seed: in
             on_epoch({"epoch": epoch, "loss": epoch_loss, "val_token_acc": val_acc,
                       "grad_norm": sum(norms) / len(norms),
                       "epoch_s": time.perf_counter() - started})
+        if val_acc > best_key[0]:
+            best_acc_epoch = epoch
         if (val_acc, -epoch_loss) > best_key:
             best_key = (val_acc, -epoch_loss)
             best_tensors = {k: v.copy() for k, v in params.tensors.items()}
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_acc_epoch = epoch
         if epoch - best_acc_epoch >= config.patience:
             break
     return ModelParams(arch, vocab, best_tensors)

@@ -66,10 +66,8 @@ def score_answers(params: ModelParams, inks: list[RawInk]) -> list[AnswerScoring
     """Preprocess every answer, then encode and greedy-decode them in padded batches."""
     feats = [extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
              for ink in inks]
-    anns = seq2seq.encode_batch(params, feats)
-    decodes = seq2seq.greedy_decode_batch(params, anns)
     return [AnswerScoring(id=ink.id, annotations=ann, decode=decode)
-            for ink, ann, decode in zip(inks, anns, decodes)]
+            for ink, (ann, decode) in zip(inks, seq2seq.encode_and_decode(params, feats))]
 
 
 def conditional_score(a: AnswerScoring, b: AnswerScoring, params: ModelParams) -> float:

@@ -1,11 +1,13 @@
 """Batched inference against the per-answer code it replaced.
 
-The oracle scores one answer at a time through the B = 1 ``encode``
-wrapper and a B = 1 call of ``greedy_decode_batch``, and builds the cross-score matrix from pairwise
+The oracle scores one answer at a time through B = 1 calls of
+``encode_and_decode``, and builds the cross-score matrix from pairwise
 ``conditional_score`` calls. The batched path must give identical decodes
-and ``truncated`` flags, and values within 1e-9. ``cross_logprob_sums``
-must also equal, bit for bit, the layout it replaced: every chunk
-teacher-forced against one decode at a time.
+and ``truncated`` flags, and values within 1e-9. Greedy decoding on the
+encoder's own padded chunks must equal, bit for bit, decoding the same
+annotations zero-padded. ``cross_logprob_sums`` must also equal, bit for
+bit, the layout it replaced: every chunk teacher-forced against one decode
+at a time.
 """
 
 from dataclasses import replace
@@ -16,8 +18,8 @@ import pytest
 from gssf.ink import extract_features, resample_and_normalize
 from gssf.sbr import build_sbr_matrix
 from gssf.seq2seq import (ArchConfig, Annotations, ScoredDecode,
-                          cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
-                          init_params, model, teacher_forced_logprobs)
+                          cross_logprob_sums, encode_and_decode, init_params, model,
+                          teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
 from gssf.similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
                              conditional_score, cross_score_matrix, distinct_index)
@@ -28,9 +30,9 @@ RANDOM_ARCH = ArchConfig(enc_hidden=6, dec_hidden=8, embed_dim=6, att_dim=6,
                          cov_channels=3, cov_kernel=3, max_decode_len=12)
 
 
-def greedy_decode(params, ann):
-    """B = 1 greedy decode, the per-answer oracle call."""
-    return greedy_decode_batch(params, [ann])[0]
+def encode_one(params, feats):
+    """B = 1 encode and greedy decode, the per-answer oracle call."""
+    return encode_and_decode(params, [feats])[0]
 
 
 def per_answer_scoring(params, inks):
@@ -38,9 +40,26 @@ def per_answer_scoring(params, inks):
     out = []
     for ink in inks:
         feats = extract_features(resample_and_normalize(ink, params.arch.resample_spacing))
-        ann = encode(params, feats)
-        out.append(AnswerScoring(id=ink.id, annotations=ann,
-                                 decode=greedy_decode(params, ann)))
+        ann, dec = encode_one(params, feats)
+        out.append(AnswerScoring(id=ink.id, annotations=ann, decode=dec))
+    return out
+
+
+def batch_annotations(params, feats):
+    """The annotation sets of one batched ``encode_and_decode`` call."""
+    return [ann for ann, _ in encode_and_decode(params, feats)]
+
+
+def zero_padded_decodes(params, anns):
+    """Oracle: each chunk of ``INFER_CHUNK`` annotation sets zero-padded
+    afresh, then greedy-decoded, as before decoding ran on the encoder's
+    own padded chunks."""
+    out = []
+    for start in range(0, len(anns), model.INFER_CHUNK):
+        padded, klens = model._pad([a.vectors for a in anns[start:start + model.INFER_CHUNK]],
+                                   params.arch.annotation_dim)
+        out.extend(model._greedy_decode(params.tensors, params.arch.max_decode_len, padded,
+                                        klens))
     return out
 
 
@@ -76,10 +95,8 @@ def random_model_answers(model_seed, feats_seed, count, max_len, max_decode_len)
     params = init_params(arch, build_vocabulary([list("abcdef")]), seed=model_seed)
     rng = np.random.default_rng(feats_seed)
     feats = random_feats(rng, rng.integers(1, max_len, count))
-    anns = encode_batch(params, feats)
-    decodes = greedy_decode_batch(params, anns)
     answers = [AnswerScoring(id=f"r{i}", annotations=a, decode=d)
-               for i, (a, d) in enumerate(zip(anns, decodes))]
+               for i, (a, d) in enumerate(encode_and_decode(params, feats))]
     return params, feats, answers
 
 
@@ -99,8 +116,7 @@ class TestScoreAnswers:
         assert truncated > len(answers) // 2, "fixture must mostly hit max_len"
         assert truncated < len(answers), "fixture must also finish some decodes"
         for x, f in zip(answers, feats):
-            ann = encode(params, f)
-            dec = greedy_decode(params, ann)
+            ann, dec = encode_one(params, f)
             assert x.decode.tokens == dec.tokens
             assert x.decode.truncated == dec.truncated
             assert len(dec.tokens) == params.arch.max_decode_len or not dec.truncated
@@ -111,17 +127,61 @@ class TestScoreAnswers:
     def test_decode_chunk_seam(self):
         params = init_params(RANDOM_ARCH, build_vocabulary([list("abcdef")]), seed=2)
         rng = np.random.default_rng(9)
-        anns = encode_batch(params, random_feats(rng, rng.integers(1, 30, 37)))
-        assert model.INFER_CHUNK < len(anns) < 2 * model.INFER_CHUNK
-        for got, ann in zip(greedy_decode_batch(params, anns), anns):
-            want = greedy_decode(params, ann)
+        feats = random_feats(rng, rng.integers(1, 30, 37))
+        assert model.INFER_CHUNK < len(feats) < 2 * model.INFER_CHUNK
+        for (ann, got), f in zip(encode_and_decode(params, feats), feats):
+            want_ann, want = encode_one(params, f)
             assert got.tokens == want.tokens and got.truncated == want.truncated
             np.testing.assert_allclose(got.self_logprobs, want.self_logprobs, rtol=0, atol=TOL)
+            np.testing.assert_allclose(ann.vectors, want_ann.vectors, rtol=0, atol=TOL)
 
     def test_empty_batch(self, tiny_scored):
         params, _, _ = tiny_scored
-        assert encode_batch(params, []) == []
-        assert greedy_decode_batch(params, []) == []
+        assert encode_and_decode(params, []) == []
+
+
+class TestDecodeOnEncoderPadding:
+    """A chunk's padded rows hold the encoder's carried state, yet greedy
+    decoding matches the same annotations zero-padded, bit for bit: the
+    attention bias and the mean weights zero those rows."""
+
+    def setup_method(self):
+        self.params = init_params(RANDOM_ARCH, build_vocabulary([list("abcdef")]), seed=4)
+        self.rng = np.random.default_rng(21)
+
+    def assert_same_decodes(self, got, want):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.tokens == y.tokens and x.truncated == y.truncated
+            assert x.self_logprobs.tobytes() == y.self_logprobs.tobytes()
+
+    @pytest.mark.parametrize("lengths", [[1, 9, 4, 23, 2, 15], [1, 30], [17, 1, 1]],
+                             ids=["mixed", "length_one_beside_long", "two_length_one"])
+    def test_chunk_decodes_as_zero_padded(self, lengths):
+        p, arch = self.params.tensors, self.params.arch
+        ann, klens, _ = model._encode_steps(
+            p, arch, *model._pad(random_feats(self.rng, lengths), arch.input_dim), keep=False)
+        assert any(ann[i, k:].any() for i, k in enumerate(klens)), "padding must hold state"
+        zeroed, _ = model._pad([ann[i, :k] for i, k in enumerate(klens)], arch.annotation_dim)
+        assert zeroed.shape == ann.shape
+        self.assert_same_decodes(model._greedy_decode(p, arch.max_decode_len, ann, klens),
+                                 model._greedy_decode(p, arch.max_decode_len, zeroed, klens))
+
+    def test_partial_last_chunk(self):
+        lengths = [1, *self.rng.integers(1, 40, model.INFER_CHUNK + 4)]
+        pairs = encode_and_decode(self.params, random_feats(self.rng, lengths))
+        assert len(pairs) % model.INFER_CHUNK == 5
+        decodes = [dec for _, dec in pairs]
+        assert any(d.truncated for d in decodes) and not all(d.truncated for d in decodes)
+        self.assert_same_decodes(decodes, zero_padded_decodes(self.params,
+                                                              [ann for ann, _ in pairs]))
+
+    def test_benchmark_set(self, trained, benchmark_answers):
+        params, _ = trained
+        assert len(benchmark_answers) % model.INFER_CHUNK > 0
+        self.assert_same_decodes(
+            [a.decode for a in benchmark_answers],
+            zero_padded_decodes(params, [a.annotations for a in benchmark_answers]))
 
 
 class TestDeduplicatedCrossScores:
@@ -205,51 +265,53 @@ class TestCrossLogprobSums:
         assert np.array_equal(got, per_decode_logprob_sums(self.params, anns, seqs))
 
     def test_exact_on_nested_and_branching_prefixes(self):
-        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 20, 9)))
+        anns = batch_annotations(self.params, random_feats(self.rng, self.rng.integers(1, 20, 9)))
         # [7, 6, 5] is a prefix of [7, 6, 5, 4]; the [2, ...] decodes share only their
         # first token; [7, 6] comes after its extensions in input order.
         self.check_exact(anns, [[7, 6, 5, 4], [2, 3, 4], [7, 6, 5], [2, 5], [2, 6, 6],
                                 [7, 6], [4]])
 
     def test_exact_with_long_decode_beside_short_ones(self):
-        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 12, 12)))
+        anns = batch_annotations(self.params, random_feats(self.rng, self.rng.integers(1, 12, 12)))
         long_seq = [int(t) for t in self.rng.integers(2, self.params.vocab.size, 30)]
         # Rows of 8 or more log-probs sum pairwise, so a running total would differ.
         self.check_exact(anns, [[2, 3], long_seq, long_seq[:9], [4], long_seq[:3] + [5]])
 
     def test_exact_on_a_single_decode(self):
-        anns = encode_batch(self.params, random_feats(self.rng, [7, 4, 11]))
+        anns = batch_annotations(self.params, random_feats(self.rng, [7, 4, 11]))
         self.check_exact(anns, [[2, 5, 3]])
         self.check_exact(anns[:1], [[4]])
 
     def test_exact_across_the_chunk_seam(self):
         columns = model.INFER_CHUNK + 8
-        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 15, columns)))
+        anns = batch_annotations(self.params,
+                                 random_feats(self.rng, self.rng.integers(1, 15, columns)))
         self.check_exact(anns, [[3, 4, 5], [2], [3, 4], [6, 6], [3, 2, 5, 5]])
 
     def test_mixed_annotation_lengths_in_one_chunk(self):
-        anns = encode_batch(self.params, random_feats(self.rng, [1, 3, 9, 17, 2, 30]))
+        anns = batch_annotations(self.params, random_feats(self.rng, [1, 3, 9, 17, 2, 30]))
         assert len({len(a.vectors) for a in anns}) > 3
         self.check(anns, [[2, 3], [4], [5, 6, 7, 2]])
 
     def test_decode_rows_span_two_chunks(self):
         columns = model.INFER_CHUNK + 8  # every decode runs on both sides of the chunk seam
-        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 15, columns)))
+        anns = batch_annotations(self.params,
+                                 random_feats(self.rng, self.rng.integers(1, 15, columns)))
         self.check(anns, [[3, 4, 5], [2], [6, 6]])
 
     def test_one_sequence_and_one_column(self):
-        anns = encode_batch(self.params, random_feats(self.rng, [7, 4]))
+        anns = batch_annotations(self.params, random_feats(self.rng, [7, 4]))
         self.check(anns, [[2, 5, 3]])
         self.check(anns[:1], [[2, 5, 3], [7]])
         self.check(anns[:1], [[4]])
 
     def test_long_sequence_beside_short_ones(self):
-        anns = encode_batch(self.params, random_feats(self.rng, self.rng.integers(1, 12, 30)))
+        anns = batch_annotations(self.params, random_feats(self.rng, self.rng.integers(1, 12, 30)))
         long_seq = [int(t) for t in self.rng.integers(2, self.params.vocab.size, 30)]
         self.check(anns, [[2, 3], long_seq, [4], [5, 6]])
 
     def test_empty_inputs(self):
-        anns = encode_batch(self.params, random_feats(self.rng, [3]))
+        anns = batch_annotations(self.params, random_feats(self.rng, [3]))
         assert cross_logprob_sums(self.params, anns, []).shape == (1, 0)
         assert cross_logprob_sums(self.params, [], [[2]]).shape == (0, 1)
 
@@ -332,9 +394,9 @@ def test_distinct_index_first_seen_order():
 @pytest.mark.parametrize("model_seed", [0, 3])
 def test_batch_composition_does_not_change_decodes(model_seed):
     """Decoding a subset gives the same tokens as decoding the whole set."""
-    params, _, answers = random_model_answers(model_seed, 50 + model_seed, 16, 50, 12)
+    params, feats, answers = random_model_answers(model_seed, 50 + model_seed, 16, 50, 12)
     subset = answers[::3]
-    again = greedy_decode_batch(params, [a.annotations for a in subset])
-    for a, dec in zip(subset, again):
+    again = encode_and_decode(params, feats[::3])
+    for a, (_, dec) in zip(subset, again):
         assert a.decode.tokens == dec.tokens and a.decode.truncated == dec.truncated
         np.testing.assert_allclose(a.decode.self_logprobs, dec.self_logprobs, rtol=0, atol=TOL)

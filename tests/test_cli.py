@@ -175,6 +175,23 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
         assert checkpoint_bytes(load_checkpoint(a)) == a.read_bytes()
 
+    def test_checkpoint_independent_of_blas_threads(self, benchmark_inks, tmp_path):
+        """Two epochs on the pinned set write the same bytes whether OpenBLAS
+        is started with one thread or two."""
+        data, config = tmp_path / "pinned.jsonl", tmp_path / "config.json"
+        save_jsonl(data, benchmark_inks)
+        config.write_text(json.dumps({"arch": {"resample_spacing": 0.08},
+                                      "train": {"max_epochs": 2, "patience": 2}}))
+        src = str(Path(gssf.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "gssf.cli", "train", "--data", str(data), "--config",
+                 str(config), "--seed", "0", "--out", str(tmp_path / f"{threads}.ckpt")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
+
     def test_memorization_final_loss(self, tmp_path, capsys):
         stroke = np.array([[0.0, 0.0], [0.4, 1.0], [0.8, 0.2], [1.2, 0.9]])
         data = tmp_path / "one.jsonl"

@@ -232,7 +232,7 @@ def test_chunked_encode_matches_single_batches():
     params = random_params(1)
     rng = np.random.default_rng(4)
     feats = [rng.normal(0, 1, (int(n), 8)) for n in rng.integers(1, 12, model.INFER_CHUNK + 5)]
-    batched = model.encode_batch(params, feats)
+    batched = [ann for ann, _ in model.encode_and_decode(params, feats)]
     assert len(batched) == len(feats)
     for f, got in zip(feats, batched):
         want = model.encode(params, f)

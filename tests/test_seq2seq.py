@@ -16,9 +16,9 @@ from gssf.ink import FEATURE_DIM, RawInk, extract_features, resample_and_normali
 from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           ModelParams, TrainConfig, TrainingError, Vocabulary,
                           VocabularyError, build_vocabulary, checkpoint_bytes,
-                          cross_logprob_sums, encode, encode_batch, greedy_decode_batch,
-                          init_params, load_checkpoint, loss_and_gradients, param_shapes,
-                          save_checkpoint, teacher_forced_logprobs, train, zero_params)
+                          cross_logprob_sums, encode, encode_and_decode, init_params,
+                          load_checkpoint, loss_and_gradients, param_shapes, save_checkpoint,
+                          teacher_forced_logprobs, train, zero_params)
 from gssf.seq2seq import model
 from gssf.seq2seq.model import MAX_ARCH_SIZE
 from gssf.seq2seq.vocab import EOS_INDEX, SOS_INDEX
@@ -30,9 +30,9 @@ SMALL = ArchConfig(enc_hidden=5, dec_hidden=6, embed_dim=4, att_dim=4,
                    cov_channels=3, cov_kernel=3, max_decode_len=10)
 
 
-def greedy_decode(params, ann):
-    """Greedy decode of one annotation set."""
-    return greedy_decode_batch(params, [ann])[0]
+def greedy_decode(params, feats):
+    """Greedy decode of one feature sequence."""
+    return encode_and_decode(params, [feats])[0][1]
 
 
 def small_model(seed=7, vocab_tokens=(("a", "b"), ("c",))):
@@ -184,8 +184,7 @@ class TestDecodeStep:
 class TestGreedyDecode:
     def test_zero_params_tie_rule(self):
         p = zero_params(SMALL, build_vocabulary([["a", "b"]]))
-        ann = encode(p, random_feats(4))
-        dec = greedy_decode(with_max_decode_len(p, 5), ann)
+        dec = greedy_decode(with_max_decode_len(p, 5), random_feats(4))
         # uniform distribution: lowest index (the start marker) wins every tie
         assert dec.tokens == [SOS_INDEX] * 5
         assert dec.truncated
@@ -193,15 +192,14 @@ class TestGreedyDecode:
 
     def test_max_len_one(self):
         p = small_model()
-        ann = encode(p, random_feats(4))
-        dec = greedy_decode(with_max_decode_len(p, 1), ann)
+        dec = greedy_decode(with_max_decode_len(p, 1), random_feats(4))
         assert len(dec.tokens) <= 1
         assert dec.truncated == (len(dec.tokens) == 1)
 
     def test_greedy_maximality(self):
         p = small_model(seed=9)
         ann = encode(p, random_feats(6, seed=2))
-        dec = greedy_decode(with_max_decode_len(p, 6), ann)
+        dec = greedy_decode(with_max_decode_len(p, 6), random_feats(6, seed=2))
         state, cov = init_decoder_state(p, ann)
         prev = SOS_INDEX
         for tok, lp in zip(dec.tokens, dec.self_logprobs):
@@ -226,7 +224,7 @@ class TestTeacherForcing:
     def test_matches_greedy_on_own_decode(self):
         p = small_model(seed=11)
         ann = encode(p, random_feats(8, seed=3))
-        dec = greedy_decode(with_max_decode_len(p, 6), ann)
+        dec = greedy_decode(with_max_decode_len(p, 6), random_feats(8, seed=3))
         if not dec.tokens:
             pytest.skip("decode empty for this seed")
         lp = teacher_forced_logprobs(p, ann, dec.tokens)
@@ -317,7 +315,7 @@ class TestTrain:
         params = train([(ink, label)], config, seed=0, on_epoch=history.append)
         assert history[-1]["loss"] < 0.01
         feats = extract_features(resample_and_normalize(ink, config.arch.resample_spacing))
-        dec = greedy_decode(params, encode(params, feats))
+        dec = greedy_decode(params, feats)
         assert [params.vocab.tokens[i] for i in dec.tokens] == label
 
     def test_deterministic_for_fixed_seed(self):
@@ -432,7 +430,7 @@ class TestConfigValidation:
         ink = RawInk(strokes=[np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]]),
                               np.array([[0.5, 1.0], [1.5, 1.0]])])
         feats = [extract_features(resample_and_normalize(ink, 0.2)), random_feats(3)]
-        greedy_decode_batch(params, encode_batch(params, feats))
+        encode_and_decode(params, feats)
         loss_and_gradients(params, [(f, [2, 3]) for f in feats])
 
     def test_train_accepts_boundaries(self):
@@ -508,11 +506,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameters"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt", ["nan", "renamed", "dims_swapped", "duplicate"])
+    @pytest.mark.parametrize("corrupt", ["nan", "renamed", "dims_swapped", "duplicate",
+                                         "rank_past_numpy_limit"])
     def test_tensor_block_checked_against_the_config(self, tmp_path, corrupt):
         """A well-formed tensor block that the config block does not shape,
         that holds a NaN or that repeats a tensor (the copy would otherwise
-        replace the first silently) raises ``CheckpointError`` and nothing else."""
+        replace the first silently) raises ``CheckpointError`` and nothing else.
+        So does a rank of 65: the dims then read a zero bias, so no data is
+        missing, and numpy refuses more than 64 dimensions."""
         params = small_model()
         data = bytearray(checkpoint_bytes(params))
         at = data.index(struct.pack("<I", 6) + b"dec_wh") + 4  # (dec_hidden, 3 dec_hidden)
@@ -522,6 +523,10 @@ class TestCheckpoint:
             data[at:at + 6] = b"dec_wz"
         elif corrupt == "duplicate":
             data = with_duplicate_record(bytes(data))
+        elif corrupt == "rank_past_numpy_limit":
+            rank_at = data.index(struct.pack("<I", 10) + b"enc0_fwd_b") + 14
+            assert struct.unpack_from("<IQ", data, rank_at) == (1, 3 * SMALL.enc_hidden)
+            struct.pack_into("<I", data, rank_at, 65)
         else:
             assert struct.unpack_from("<2Q", data, at + 10) == params.tensors["dec_wh"].shape
             struct.pack_into("<2Q", data, at + 10, 3 * SMALL.dec_hidden, SMALL.dec_hidden)
