@@ -219,12 +219,15 @@ def _inputs(args, config: dict):
 
 def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, seed: int,
            restarts: int, num_seeds: int):
-    """Score the answers once, build each kind's raw and normalized SbR matrix
-    and cluster each (kind, method) cell for the seeds ``seed + i``, i <
-    ``num_seeds``; only k-means reads the seed, so a linkage cell runs once
-    and repeats. Returns the answers, the (raw, normalized) matrices by kind,
-    one assignment list per cell and the stage wall times."""
-    from .sbr import build_sbr_matrix, normalize_unit_interval
+    """Score the answers once, then, one kind at a time, build the kind's raw
+    and normalized SbR matrix and cluster its cells for the seeds ``seed +
+    i``, i < ``num_seeds``; only k-means reads the seed, so a linkage cell
+    runs once and repeats. Each stage frees what later stages do not read:
+    the recognizer and the annotations before any matrix is built, and a
+    kind's matrices before the next kind's. Returns the decodes, the last
+    kind's (raw, normalized) matrices, one assignment list per cell and the
+    stage wall times, summed over kinds."""
+    from .sbr import _sbr_matrix, normalize_unit_interval
     from .seq2seq import load_checkpoint
     from .similarity import GSSF_FAMILY, cross_score_matrix, score_answers
 
@@ -235,14 +238,23 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
     kinds = dict.fromkeys(kind for kind, _ in cells)
     # One cross-score pass feeds every F-family kind.
     f = None if GSSF_FAMILY.isdisjoint(kinds) else cross_score_matrix(answers, params)
-    raws = [build_sbr_matrix(answers, kind, params, f=f) for kind in kinds]
-    matrices = {kind: (raw, normalize_unit_interval(raw)) for kind, raw in zip(kinds, raws)}
-    t2 = time.perf_counter()
-    runs = [[_cluster_once(method, *matrices[kind], k, seed + i, restarts)
-             for i in range(num_seeds if method == "m5" else 1)] for kind, method in cells]
-    runs = [once * (num_seeds // len(once)) for once in runs]
-    times = {"score_s": t1 - t0, "sbr_s": t2 - t1, "cluster_s": time.perf_counter() - t2}
-    return answers, matrices, runs, times
+    ids, decodes = [a.id for a in answers], [a.decode for a in answers]
+    del params, answers
+    times = {"score_s": t1 - t0, "sbr_s": time.perf_counter() - t1, "cluster_s": 0.0}
+    runs = []
+    for kind in kinds:  # _cells puts kinds outermost, so runs keep the cells' order
+        raw = norm = None  # free the previous kind's matrices first
+        t0 = time.perf_counter()
+        raw = _sbr_matrix(ids, decodes, kind, f)
+        norm = normalize_unit_interval(raw)
+        t1 = time.perf_counter()
+        for method in [m for c, m in cells if c == kind]:
+            once = [_cluster_once(method, raw, norm, k, seed + i, restarts)
+                    for i in range(num_seeds if method == "m5" else 1)]
+            runs.append(once * (num_seeds // len(once)))
+        times["sbr_s"] += t1 - t0
+        times["cluster_s"] += time.perf_counter() - t1
+    return decodes, (raw, norm), runs, times
 
 
 def cmd_cluster(args) -> int:
@@ -257,9 +269,8 @@ def cmd_cluster(args) -> int:
     if not cells:
         raise UsageError(f"{M3_RULE}, not {kind.value!r}")
     inks, categories, k, seed, restarts = _inputs(args, config)
-    answers, matrices, [[assignment]], times = _sweep(args.ckpt, inks, cells, k, seed,
-                                                      restarts, num_seeds=1)
-    raw, norm = matrices[kind]
+    decodes, (raw, norm), [[assignment]], times = _sweep(args.ckpt, inks, cells, k, seed,
+                                                         restarts, num_seeds=1)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,9 +281,9 @@ def cmd_cluster(args) -> int:
         "similarity_kind": kind.value,
         "method": method,
         "seeds": {"clustering": seed, "restarts": restarts},
-        "num_unscorable": sum(1 for a in answers if not a.scorable),
-        "num_unique_decodes": len({tuple(a.decode.tokens) for a in answers}),
-        "num_truncated_decodes": sum(1 for a in answers if a.decode.truncated),
+        "num_unscorable": sum(1 for d in decodes if not d.tokens),
+        "num_unique_decodes": len({tuple(d.tokens) for d in decodes}),
+        "num_truncated_decodes": sum(1 for d in decodes if d.truncated),
         "degenerate_matrix": norm.degenerate,
     }
     report.update(dict.fromkeys(("purity", "mc", "j", "per_cluster")) if None in categories

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seq2seq import ModelParams
+from .seq2seq import ModelParams, ScoredDecode
 from .similarity import (COMBINE, AnswerScoring, SimilarityKind, cross_score_matrix,
                          distinct_index, edit_distance)
 
@@ -38,12 +38,19 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
     share one cross-scoring pass between kinds; the edit kind ignores it.
     """
     kind = SimilarityKind(kind)
-    ids = [a.id for a in answers]
+    if f is None and kind in COMBINE:
+        f = cross_score_matrix(answers, params)
+    return _sbr_matrix([a.id for a in answers], [a.decode for a in answers], kind, f)
 
+
+def _sbr_matrix(ids: list[str], decodes: list[ScoredDecode], kind: SimilarityKind,
+                f: np.ndarray | None) -> SbRMatrix:
+    """``build_sbr_matrix`` from what it reads of the answers, so that the
+    recognizer and the annotations can be freed once ``f`` is known."""
     if kind == SimilarityKind.NEG_EDIT_DISTANCE:
         # Answers with equal decodes share a row of distances: compute each
         # distinct pair once, then scatter.
-        seqs, which = distinct_index([a.decode.tokens for a in answers])
+        seqs, which = distinct_index([d.tokens for d in decodes])
         dist = np.zeros((len(seqs), len(seqs)))
         for p in range(len(seqs)):
             for q in range(p + 1, len(seqs)):
@@ -52,11 +59,8 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
         np.fill_diagonal(values, 0.0)
         return SbRMatrix(values=values, ids=ids)
 
-    if f is None:
-        f = cross_score_matrix(answers, params)
     values = COMBINE[kind](f, f.T)
-
-    bad = [i for i, a in enumerate(answers) if not a.scorable]
+    bad = [i for i, d in enumerate(decodes) if not d.tokens]
     if bad:
         fill = np.nanmin(np.where(np.isfinite(values), values, np.nan))
         values[bad, :] = fill
@@ -78,16 +82,13 @@ def normalize_unit_interval(m: SbRMatrix) -> SbRMatrix:
     return replace(m, values=(m.values - vmin) / (vmax - vmin))
 
 
-def to_csv(m: SbRMatrix) -> str:
-    """The matrix as CSV; its ids hold none of ``ink.FIELD_SEPARATORS``."""
-    lines = ["id," + ",".join(m.ids)]
-    for sample_id, row in zip(m.ids, m.values):
-        lines.append(sample_id + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def save_csv(path: str | Path, m: SbRMatrix) -> None:
-    Path(path).write_text(to_csv(m), encoding="utf-8")
+    """Write the matrix as CSV, one row at a time; its ids hold none of
+    ``ink.FIELD_SEPARATORS``."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("id," + ",".join(m.ids) + "\n")
+        for sample_id, row in zip(m.ids, m.values):
+            out.write(sample_id + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def to_pgm(m: SbRMatrix) -> bytes:

@@ -4,20 +4,32 @@ Training runs once per session (about a minute of CPU); everything that
 needs a competent recognizer shares that snapshot. The benchmark parameters
 are frozen here on purpose: changing them invalidates the calibrated
 acceptance thresholds.
+
+The ``hypothesis`` property tests run under the ``tier1`` profile: examples
+derive from each test's name, not from a random seed or a saved example
+database, so every run draws the same examples. ``HYPOTHESIS_PROFILE=random``
+selects the ``random`` profile, which searches afresh on each run. Both keep
+each test's own ``max_examples`` and ``deadline``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gssf.ink import save_jsonl
 from gssf.seq2seq import ArchConfig, TrainConfig, save_checkpoint, train
 from gssf.similarity import cross_score_matrix, score_answers
 from gssf.synthgen import AnswerSetSpec, CategorySpec, JitterParams, generate_answer_set
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 BENCHMARK_SEED = 11
 BENCHMARK_TRAIN_SEED = 0
@@ -32,7 +44,7 @@ BENCHMARK_CATEGORIES = (
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """(ids, values) of a matrix CSV as ``sbr.to_csv`` writes it. Lines end at
+    """(ids, values) of a matrix CSV as ``sbr.save_csv`` writes it. Lines end at
     LF only, so an id holding U+2028, VT or the like reads back whole."""
     lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     rows = [line.split(",") for line in lines[1:]]

@@ -43,6 +43,15 @@ def loop_sbr_values(answers, kind, f):
     return values
 
 
+def to_csv(m):
+    """Oracle: the whole CSV text, joined in memory, as ``save_csv`` wrote it
+    before it streamed one row at a time."""
+    lines = ["id," + ",".join(m.ids)]
+    for sample_id, row in zip(m.ids, m.values):
+        lines.append(sample_id + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def decoded(sample_id, tokens):
     return AnswerScoring(id=sample_id,
                          annotations=Annotations(vectors=np.zeros((1, 2))),
@@ -223,6 +232,24 @@ class TestExport:
         ids, values = read_matrix_csv(path)
         assert ids == m.ids
         np.testing.assert_array_equal(values, m.values)
+
+    def test_streamed_csv_equals_joined_text_on_pinned_matrix(
+            self, tmp_path, trained, benchmark_answers, benchmark_f_matrix):
+        params, _ = trained
+        m = build_sbr_matrix(benchmark_answers, SimilarityKind.GSSF, params, f=benchmark_f_matrix)
+        assert len(m.ids) == 100
+        save_csv(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == to_csv(m).encode("utf-8")
+
+    def test_streamed_csv_equals_joined_text_on_extreme_floats(self, tmp_path):
+        values = np.array([[0.0, -0.0, 5e-324],
+                           [-5e-324, 0.0, 1.7976931348623157e308],
+                           [-1.7976931348623157e308, 1e-300, 0.0]])
+        m = SbRMatrix(values=values, ids=["\u00e9l\u00e8ve", "\u7b54\u6848", "\U0001d465"])
+        save_csv(tmp_path / "m.csv", m)
+        text = to_csv(m)
+        assert "-0.0" in text and "5e-324" in text and "1.7976931348623157e+308" in text
+        assert (tmp_path / "m.csv").read_bytes() == text.encode("utf-8")
 
     def test_pgm_format(self, tmp_path):
         norm = normalize_unit_interval(matrix([[0.0, -2.0], [-4.0, 0.0]]))
