@@ -48,6 +48,8 @@ KIND_ALIASES = {
 METHODS = ("m3", "m4", "m5")
 M3_RULE = "method m3 clusters |score| distances and needs a symmetric score family kind"
 
+MAX_ANSWERS = 5_000  # answers per file; 25x the paper's largest question, where F takes 200 MB
+
 CONFIG_KEYS = {"kind", "method", "k", "seed", "restarts", "num_seeds", "arch", "train"}
 
 
@@ -200,8 +202,8 @@ def cmd_train(args) -> int:
 
 def _inputs(args, config: dict):
     """Every setting of ``cluster`` and ``compare`` that needs no recognizer,
-    and the answer count (at least two), checked before the checkpoint is
-    read: (inks, categories, k, seed, restarts)."""
+    and the answer count (2 to ``MAX_ANSWERS``), checked before the
+    checkpoint is read: (inks, categories, k, seed, restarts)."""
     from .ink import load_jsonl
 
     seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
@@ -210,8 +212,9 @@ def _inputs(args, config: dict):
         _pick_int(args.threads, {}, "threads", 1, minimum=1)
         log.warning("--threads is deprecated and ignored")
     inks = load_jsonl(args.data)
-    if len(inks) < 2:
-        raise UsageError(f"{args.data}: need at least two answers to cluster")
+    if not 2 <= len(inks) <= MAX_ANSWERS:
+        raise UsageError(f"{args.data}: need at least two answers and at most {MAX_ANSWERS} "
+                         f"to cluster, not {len(inks)}")
     categories = [ink.category for ink in inks]
     k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
     return inks, categories, k, seed, restarts

@@ -644,8 +644,8 @@ def teacher_forced_logprobs(params: ModelParams, ann: Annotations, tokens: list[
 def cross_logprob_sums(params: ModelParams, anns: list[Annotations],
                        token_seqs: list[list[int]]) -> np.ndarray:
     """(len(anns), len(token_seqs)) total teacher-forced log-probability of
-    every sequence against every annotation set. The sequences are non-empty
-    and hold vocabulary indices, as scorable greedy decodes do.
+    every sequence against every annotation set. The sequences hold
+    vocabulary indices; an empty one sums to 0 and costs no decoder step.
 
     The annotation sets are padded in the chunks of ``INFER_CHUNK`` that
     ``encode_and_decode`` uses. Each chunk gets one ``_decoder_start`` and

@@ -109,27 +109,23 @@ def cross_score_matrix(answers: list[AnswerScoring], params: ModelParams) -> np.
     """F[i, j] = F(answer_i | answer_j) over all scorable pairs, NaN elsewhere.
 
     F(a|b) depends on a only through a's decoded tokens, so each distinct
-    decode is teacher-forced once against every scorable answer's encoding,
-    in one ``cross_logprob_sums`` call, and the sums are scattered to every
-    answer with that decode. Diagonal entries are exactly zero. Raises
+    decode, the empty one included, is teacher-forced once against every
+    answer's encoding, in one ``cross_logprob_sums`` call on the encoder's
+    chunks. Both terms, log P(dec_i | answer_j) and log P(dec_i | answer_i),
+    come from those sums, so diagonal entries are exactly zero. Raises
     ``UnscorableAnswer`` when no answer is scorable, or when a scorable
     pair's score is not finite, as with a checkpoint whose finite weights
     overflow.
     """
-    n = len(answers)
-    rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
-    if not len(rows):
+    scorable = np.array([a.scorable for a in answers])
+    if not scorable.any():
         raise UnscorableAnswer("all answers are unscorable")
-    f = np.full((n, n), np.nan)
-    seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
-    self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
-    sums = seq2seq.cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)
-    cross = sums[:, which].T
-    cross -= self_sums[:, None]
-    if not np.isfinite(cross).all():
+    seqs, which = distinct_index([a.decode.tokens for a in answers])
+    f = seq2seq.cross_logprob_sums(params, [a.annotations for a in answers], seqs).T[which]
+    f -= np.diag(f).copy()[:, None]  # a copy: an in-place view would buffer an N x N temporary
+    f[~scorable] = f[:, ~scorable] = np.nan
+    if np.count_nonzero(np.isfinite(f)) != np.count_nonzero(scorable) ** 2:
         raise UnscorableAnswer("the recognizer's cross scores are not finite")
-    f[np.ix_(rows, rows)] = cross
-    f[rows, rows] = 0.0
     return f
 
 

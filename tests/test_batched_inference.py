@@ -3,13 +3,16 @@
 The oracle scores one answer at a time through B = 1 calls of
 ``encode_and_decode``, and builds the cross-score matrix from pairwise
 ``conditional_score`` calls. The batched path must give identical decodes
-and ``truncated`` flags, and values within 1e-9. Greedy decoding on the
-encoder's own padded chunks must equal, bit for bit, decoding the same
-annotations zero-padded. ``cross_logprob_sums`` must also equal, bit for
+and ``truncated`` flags, and values within 1e-9. F's earlier build, from
+the scorable answers alone with the greedy decode's self term, is kept as
+an oracle: where every answer is scorable, F must equal it bit for bit.
+Greedy decoding on the encoder's own padded chunks must equal, bit for
+bit, decoding the same annotations zero-padded. ``cross_logprob_sums`` must also equal, bit for
 bit, the layout it replaced: every chunk teacher-forced against one decode
 at a time.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from gssf.seq2seq import (ArchConfig, Annotations, ScoredDecode,
                           cross_logprob_sums, encode_and_decode, init_params, model,
                           teacher_forced_logprobs)
 from gssf.seq2seq.vocab import build_vocabulary
+import gssf.similarity as similarity
 from gssf.similarity import (AnswerScoring, SimilarityKind, UnscorableAnswer,
                              conditional_score, cross_score_matrix, distinct_index)
 
@@ -370,19 +374,136 @@ class TestChunkedCrossScoreMatrix:
         monkeypatch.setattr(model, "_decoder_start", start_spy)
         monkeypatch.setattr(model, "_decode_step", step_spy)
         cross_score_matrix(answers, params)
-        scorable = sum(a.scorable for a in answers)
-        assert scorable > model.INFER_CHUNK, "fixture must span two chunks"
-        seqs, _ = distinct_index([a.decode.tokens for a in answers if a.scorable])
+        n = len(answers)
+        assert n > model.INFER_CHUNK, "fixture must span two chunks"
+        seqs, _ = distinct_index([a.decode.tokens for a in answers])
         # Step t of a decode depends on its first t tokens only, so one step
         # serves every decode that extends the same prefix, the empty one included.
+        # An unscorable answer's empty decode extends no prefix, so it costs no step.
         prefixes = {tuple(seq[:t]) for seq in seqs for t in range(len(seq))}
         assert len(prefixes) < sum(map(len, seqs)), "fixture must share a prefix"
         starts = [i for i, (kind, _) in enumerate(calls) if kind == "start"]
-        chunk_rows = [min(model.INFER_CHUNK, scorable - start)
-                      for start in range(0, scorable, model.INFER_CHUNK)]
+        # Every answer is scored in the encoder's chunks, the unscorable ones included.
+        chunk_rows = [min(model.INFER_CHUNK, n - start)
+                      for start in range(0, n, model.INFER_CHUNK)]
+        assert chunk_rows == [32, 8]
         assert [calls[i][1] for i in starts] == chunk_rows
         for i, end, rows in zip(starts, [*starts[1:], len(calls)], chunk_rows):
             assert calls[i + 1:end] == [("step", rows)] * len(prefixes)
+
+
+def scorable_rows_cross_score_matrix(answers, params):
+    """Oracle: F as built before every answer joined cross-scoring. Only the
+    scorable answers are teacher-forced, in chunks of their own, the self
+    term is the greedy decode's log-probability, and the result is scattered
+    into a NaN-filled matrix."""
+    n = len(answers)
+    rows = np.array([i for i, a in enumerate(answers) if a.scorable], dtype=np.int64)
+    f = np.full((n, n), np.nan)
+    seqs, which = distinct_index([answers[i].decode.tokens for i in rows])
+    self_sums = np.array([np.sum(answers[i].decode.self_logprobs) for i in rows])
+    sums = cross_logprob_sums(params, [answers[j].annotations for j in rows], seqs)
+    cross = sums[:, which].T
+    cross -= self_sums[:, None]
+    f[np.ix_(rows, rows)] = cross
+    f[rows, rows] = 0.0
+    return f
+
+
+class TestOnePassCrossScores:
+    """F from one teacher-forcing pass over every answer, self terms
+    included, against the scorable-rows oracle."""
+
+    @pytest.fixture(params=["tiny", "benchmark", "random_truncated"])
+    def scorable_set(self, request):
+        """(params, answers) of a set in which every answer is scorable."""
+        if request.param == "tiny":
+            params, _, answers = request.getfixturevalue("tiny_scored")
+        elif request.param == "benchmark":
+            params = request.getfixturevalue("trained")[0]
+            answers = request.getfixturevalue("benchmark_answers")
+        else:
+            params, _, answers = random_model_answers(1, 1, 40, 60, 12)
+            assert len(answers) > model.INFER_CHUNK
+            assert min(len(a.decode.tokens) for a in answers if a.decode.truncated) >= 8
+        assert all(a.scorable for a in answers)
+        return params, answers
+
+    def test_all_scorable_bit_equal_to_oracle(self, scorable_set):
+        params, answers = scorable_set
+        f = cross_score_matrix(answers, params)
+        assert f.flags.c_contiguous
+        assert f.tobytes() == scorable_rows_cross_score_matrix(answers, params).tobytes()
+
+    def test_greedy_self_sums_equal_teacher_forced_sums(self, scorable_set):
+        """Each answer's greedy log-probabilities sum, bit for bit, to its own
+        decode's teacher-forced sum in its encoder chunk: F's self term."""
+        params, answers = scorable_set
+        seqs, which = distinct_index([a.decode.tokens for a in answers])
+        sums = cross_logprob_sums(params, [a.annotations for a in answers], seqs)
+        got = sums[np.arange(len(answers)), which]
+        want = np.array([np.sum(a.decode.self_logprobs) for a in answers])
+        assert got.tobytes() == want.tobytes()
+
+    def test_unscorable_across_the_chunk_seam(self):
+        params, _, answers = random_model_answers(2, 9, 37, 30, 12)
+        unscorable = [i for i, a in enumerate(answers) if not a.scorable]
+        assert min(unscorable) < model.INFER_CHUNK <= max(unscorable)
+        f = cross_score_matrix(answers, params)
+        assert f.flags.c_contiguous
+        oracle = scorable_rows_cross_score_matrix(answers, params)
+        np.testing.assert_array_equal(np.isnan(f), np.isnan(oracle))
+        np.testing.assert_allclose(f, oracle, rtol=0, atol=TOL)
+
+
+def stub_answers(tokens):
+    ann = Annotations(vectors=np.zeros((1, 1)))
+    return [AnswerScoring(id=f"s{i}", annotations=ann,
+                          decode=ScoredDecode(tokens=seq, self_logprobs=np.zeros(len(seq))))
+            for i, seq in enumerate(tokens)]
+
+
+def stub_sums(monkeypatch, sums):
+    """Make ``cross_score_matrix`` read ``sums``, a (rows, sequences) view of
+    it with no copy, in place of teacher forcing."""
+    monkeypatch.setattr(similarity.seq2seq, "cross_logprob_sums",
+                        lambda params, anns, seqs: sums[:len(anns), :len(seqs)])
+
+
+class TestCrossScoreMatrixFromGivenSums:
+    def test_traced_peak_is_one_n_by_n_array(self, monkeypatch):
+        n = 2000
+        tokens = [[] if i % 101 == 7 else [2 + i % 5, i // 5] for i in range(n)]
+        seqs, which = distinct_index(tokens)
+        sums = np.random.default_rng(3).normal(-20, 5, (n, len(seqs)))
+        stub_sums(monkeypatch, sums)
+        answers = stub_answers(tokens)
+        tracemalloc.start()
+        try:
+            f = cross_score_matrix(answers, params=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, f"peak {peak / (n * n):.1f} bytes per entry"
+        scorable = np.array([bool(seq) for seq in tokens])
+        for i in (0, 7, 1234, n - 1):
+            want = sums[:, which[i]] - sums[i, which[i]] if scorable[i] else np.full(n, np.nan)
+            want[~scorable] = np.nan
+            np.testing.assert_array_equal(f[i], want)
+
+    def test_only_scorable_pairs_must_be_finite(self, monkeypatch):
+        tokens = [[2], [], [3, 2], [2]]
+        seqs, _ = distinct_index(tokens)
+        sums = np.full((4, len(seqs)), -1.0)
+        sums[1] = np.inf  # the unscorable answer's annotations overflow,
+        sums[1, 1] = 0.0  # but its own empty decode sums to 0
+        stub_sums(monkeypatch, sums)
+        f = cross_score_matrix(stub_answers(tokens), params=None)
+        assert np.isnan(f[1]).all() and np.isnan(f[:, 1]).all()
+        assert np.isfinite(np.delete(np.delete(f, 1, 0), 1, 1)).all()
+        sums[3, 2] = -np.inf  # F(answer 2 | answer 3), a scorable pair
+        with pytest.raises(UnscorableAnswer, match="not finite"):
+            cross_score_matrix(stub_answers(tokens), params=None)
 
 
 def test_distinct_index_first_seen_order():

@@ -339,6 +339,29 @@ class TestCluster:
         assert "at least two answers" in capsys.readouterr().err
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_too_many_answers_exit_2_before_checkpoint(self, tiny_pipeline, tmp_path, capsys,
+                                                       monkeypatch, command):
+        """A file of ``MAX_ANSWERS + 1`` one-stroke answers is rejected where it
+        is read, before the checkpoint is loaded or any answer is encoded."""
+        import gssf.cli as cli
+
+        def no_scoring(*args):
+            raise AssertionError("read the checkpoint of an oversized answer set")
+
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_scoring)
+        data = tmp_path / "many.jsonl"
+        data.write_text("".join(
+            json.dumps({"id": f"a{i}", "category": "c", "strokes": [[[0, 0], [1, 1]]]}) + "\n"
+            for i in range(cli.MAX_ANSWERS + 1)), encoding="utf-8")
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main([command, "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(out), "--k", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"at most {cli.MAX_ANSWERS}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
         code = self.run(tiny_pipeline, tmp_path / "x",
                         ("--kind", "asym", "--method", "m3"))

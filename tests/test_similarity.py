@@ -176,7 +176,13 @@ class TestCrossScoreMatrix:
 
     def test_unscorable_rows_are_nan(self, tiny_scored):
         params, _, answers = tiny_scored
-        mixed = answers[:2] + [fake_scoring("empty", [], tokens=[])]
+        # Cross-scoring teacher-forces every decode against every answer's
+        # annotations, the unscorable answer's included, so they have the
+        # recognizer's width.
+        empty = AnswerScoring(
+            id="empty", annotations=Annotations(np.zeros((1, params.arch.annotation_dim))),
+            decode=ScoredDecode(tokens=[], self_logprobs=np.array([])))
+        mixed = answers[:2] + [empty]
         f = cross_score_matrix(mixed, params)
         assert np.isnan(f[2, 0]) and np.isnan(f[0, 2]) and np.isnan(f[2, 2])
         assert np.isfinite(f[0, 1]) and np.isfinite(f[1, 0])
