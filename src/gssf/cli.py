@@ -1,7 +1,10 @@
 """Command-line pipeline: synthesize, train, score, cluster, evaluate, export.
 
 Subcommands: ``synth``, ``train``, ``cluster``, ``compare``.
-Options can come from a JSON config file (``--config``); explicit flags win.
+Every setting is a flag, except the recognizer's: ``train --config`` reads a
+JSON file shaped like ``TrainConfig``, whose only keys are ``arch`` and
+``train``. A setting that does not depend on the answers is checked before
+the answer file is read.
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
 divergence, no scorable answers, non-finite scores); any other error is a
 program fault and ends in a traceback. The ``GSSF_LOG`` environment variable
@@ -50,8 +53,6 @@ M3_RULE = "method m3 clusters |score| distances and needs a symmetric score fami
 
 MAX_ANSWERS = 5_000  # answers per file; 25x the paper's largest question, where F takes 200 MB
 
-CONFIG_KEYS = {"kind", "method", "k", "seed", "restarts", "num_seeds", "arch", "train"}
-
 
 class UsageError(InputError):
     pass
@@ -60,37 +61,25 @@ class UsageError(InputError):
 # -- configuration ----------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
-    unknown = set(obj) - CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"config {path}: unknown keys {sorted(unknown)}")
-    return obj
-
-
-def _pick(flag_value, config: dict, key: str, default):
-    return flag_value if flag_value is not None else config.get(key, default)
-
-
-def _pick_int(flag_value, config: dict, key: str, default: int, minimum: int) -> int:
-    """An integer setting of at least ``minimum``: the flag, else the config key,
-    else ``default``. Anything else raises ``UsageError``."""
-    value = _pick(flag_value, config, key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise UsageError(f"{key} must be an integer >= {minimum}, got {value!r}")
+def _at_least(value: int, flag: str, minimum: int) -> int:
+    if value < minimum:
+        raise UsageError(f"{flag} must be an integer >= {minimum}, got {value}")
     return value
 
 
-def _train_config(config: dict) -> TrainConfig:
+def _train_config(path: str | None) -> TrainConfig:
+    """The checked ``train --config`` file; without one, ``TrainConfig()``."""
     from .seq2seq import ArchConfig, ModelError, TrainConfig
 
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8")) if path is not None else {}
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path}: expected a JSON object")
+    unknown = set(config) - {"arch", "train"}
+    if unknown:
+        raise UsageError(f"config {path}: unknown keys {sorted(unknown)}")
     try:
         tconf = TrainConfig(arch=ArchConfig(**config.get("arch", {})),
                             **config.get("train", {}))
@@ -103,7 +92,7 @@ def _train_config(config: dict) -> TrainConfig:
 def _parse_kind(name: str) -> SimilarityKind:
     from .similarity import SimilarityKind
 
-    key = str(name).strip().lower()
+    key = name.strip().lower()
     try:
         return SimilarityKind(KIND_ALIASES.get(key, key))
     except ValueError:
@@ -129,17 +118,15 @@ def _cells(kinds: list[SimilarityKind], methods: list[str]) -> list[tuple[Simila
             if method != "m3" or kind in DISTANCE_KINDS]
 
 
-def _resolve_k(policy, categories: list[str | None], n: int) -> int:
-    if policy in (None, "categories"):
+def _resolve_k(policy: str, categories: list[str | None], n: int) -> int:
+    if policy == "categories":
         if any(c is None for c in categories):
             raise UsageError("k policy 'categories' needs a category on every sample")
         return len(set(categories))
-    try:  # an integer string, from --k or the config
-        k = int(policy) if isinstance(policy, str) else policy
+    try:
+        k = int(policy)
     except ValueError:
-        k = None
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise UsageError(f"k must be an integer or 'categories', got {policy!r}")
+        raise UsageError(f"k must be an integer or 'categories', got {policy!r}") from None
     if not 1 <= k <= n:
         raise UsageError(f"k={k} out of range for {n} answers")
     return k
@@ -171,8 +158,9 @@ def cmd_synth(args) -> int:
     from .ink import save_jsonl
 
     spec = synthgen.load_spec(args.spec)
-    seed = _pick_int(args.seed, {}, "seed", spec.seed, minimum=0)
-    inks = synthgen.generate_answer_set(dataclasses.replace(spec, seed=seed))
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=_at_least(args.seed, "--seed", 0))
+    inks = synthgen.generate_answer_set(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(out, inks)
@@ -184,10 +172,9 @@ def cmd_train(args) -> int:
     from .ink import load_jsonl
     from .seq2seq import save_checkpoint, train
 
-    config = _load_config(args.config)
+    seed = _at_least(args.seed, "--seed", 0)
+    tconf = _train_config(args.config)
     inks = load_jsonl(args.data)
-    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
-    tconf = _train_config(config)
 
     def on_epoch(record: dict) -> None:
         print(json.dumps(record, sort_keys=True), flush=True)
@@ -200,24 +187,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _inputs(args, config: dict):
+def _inputs(args):
     """Every setting of ``cluster`` and ``compare`` that needs no recognizer,
     and the answer count (2 to ``MAX_ANSWERS``), checked before the
-    checkpoint is read: (inks, categories, k, seed, restarts)."""
+    checkpoint is read: (inks, categories, k)."""
     from .ink import load_jsonl
 
-    seed = _pick_int(args.seed, config, "seed", 0, minimum=0)
-    restarts = _pick_int(args.restarts, config, "restarts", 10, minimum=1)
+    _at_least(args.seed, "--seed", 0)
+    _at_least(args.restarts, "--restarts", 1)
     if args.threads is not None:  # accepted and validated, but scoring does not use it
-        _pick_int(args.threads, {}, "threads", 1, minimum=1)
+        _at_least(args.threads, "--threads", 1)
         log.warning("--threads is deprecated and ignored")
-    inks = load_jsonl(args.data)
-    if not 2 <= len(inks) <= MAX_ANSWERS:
-        raise UsageError(f"{args.data}: need at least two answers and at most {MAX_ANSWERS} "
-                         f"to cluster, not {len(inks)}")
+    inks = load_jsonl(args.data, max_answers=MAX_ANSWERS)
+    if len(inks) < 2:
+        raise UsageError(f"{args.data}: need at least two answers to cluster, not {len(inks)}")
     categories = [ink.category for ink in inks]
-    k = _resolve_k(_pick(args.k, config, "k", "categories"), categories, len(inks))
-    return inks, categories, k, seed, restarts
+    return inks, categories, _resolve_k(args.k, categories, len(inks))
 
 
 def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, seed: int,
@@ -265,15 +250,13 @@ def cmd_cluster(args) -> int:
     from .metrics import evaluate
     from .sbr import save_csv, save_pgm
 
-    config = _load_config(args.config)
-    kind = _parse_kind(_pick(args.kind, config, "kind", "gssf"))
-    method = str(_pick(args.method, config, "method", "m5"))
+    kind, method = _parse_kind(args.kind), args.method
     cells = _cells([kind], [method])
     if not cells:
         raise UsageError(f"{M3_RULE}, not {kind.value!r}")
-    inks, categories, k, seed, restarts = _inputs(args, config)
-    decodes, (raw, norm), [[assignment]], times = _sweep(args.ckpt, inks, cells, k, seed,
-                                                         restarts, num_seeds=1)
+    inks, categories, k = _inputs(args)
+    decodes, (raw, norm), [[assignment]], times = _sweep(args.ckpt, inks, cells, k, args.seed,
+                                                         args.restarts, num_seeds=1)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,7 +266,7 @@ def cmd_cluster(args) -> int:
         "objective": assignment.objective,
         "similarity_kind": kind.value,
         "method": method,
-        "seeds": {"clustering": seed, "restarts": restarts},
+        "seeds": {"clustering": args.seed, "restarts": args.restarts},
         "num_unscorable": sum(1 for d in decodes if not d.tokens),
         "num_unique_decodes": len({tuple(d.tokens) for d in decodes}),
         "num_truncated_decodes": sum(1 for d in decodes if d.truncated),
@@ -306,21 +289,20 @@ def cmd_cluster(args) -> int:
 def cmd_compare(args) -> int:
     from .metrics import evaluate
 
-    config = _load_config(args.config)
     kinds = [_parse_kind(s) for s in (args.kinds.split(",") if args.kinds else KIND_ALIASES)]
-    cells = _cells(kinds, args.methods.split(",") if args.methods else ["m5"])
+    cells = _cells(kinds, args.methods.split(","))
     if not cells:
         raise UsageError("no compatible kind/method combinations to compare")
-    num_seeds = _pick_int(args.num_seeds, config, "num_seeds", 3, minimum=1)
-    inks, categories, k, base_seed, restarts = _inputs(args, config)
+    num_seeds = _at_least(args.num_seeds, "--num-seeds", 1)
+    inks, categories, k = _inputs(args)
     if None in categories:
         raise UsageError("compare needs a category on every sample")
 
-    _, _, runs, _ = _sweep(args.ckpt, inks, cells, k, base_seed, restarts, num_seeds)
+    _, _, runs, _ = _sweep(args.ckpt, inks, cells, k, args.seed, args.restarts, num_seeds)
     rows, summary = [], []
     for (kind, method), assignments in zip(cells, runs):
         evs = [evaluate(a.labels, categories) for a in assignments]
-        rows += [{"kind": kind.value, "method": method, "seed": base_seed + i,
+        rows += [{"kind": kind.value, "method": method, "seed": args.seed + i,
                   "purity": ev["purity"], "mc": ev["mc"]} for i, ev in enumerate(evs)]
         purities, mcs = (np.array([ev[key] for ev in evs]) for key in ("purity", "mc"))
         summary.append({"kind": kind.value, "method": method,
@@ -358,30 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the recognizer")
     p.add_argument("--data", required=True, help="labelled dataset (JSON Lines)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="recognizer config JSON: 'arch' and 'train'")
+    p.add_argument("--seed", type=int, default=0, help="training seed")
     p.set_defaults(handler=cmd_train)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", required=True, help="dataset (JSON Lines)")
     common.add_argument("--ckpt", required=True, help="trained checkpoint")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--config", help="pipeline config JSON")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int, default=0, help="k-means seed")
     common.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
-    common.add_argument("--k", help="cluster count or 'categories'")
-    common.add_argument("--restarts", type=int)
+    common.add_argument("--k", default="categories", help="cluster count or 'categories'")
+    common.add_argument("--restarts", type=int, default=10, help="k-means restarts")
 
     p = sub.add_parser("cluster", parents=[common], help="score, cluster and evaluate")
-    p.add_argument("--kind", help="similarity kind: gssf|asym|min|max|edit")
-    p.add_argument("--method", help="clustering method: m3|m4|m5")
+    p.add_argument("--kind", default="gssf", help="similarity kind: gssf|asym|min|max|edit")
+    p.add_argument("--method", default="m5", help="clustering method: m3|m4|m5")
     p.set_defaults(handler=cmd_cluster)
 
     p = sub.add_parser("compare", parents=[common],
                        help="sweep similarity kinds and methods")
     p.add_argument("--kinds", help="comma list of kinds (default: all)")
-    p.add_argument("--methods", help="comma list of methods (default: m5)")
-    p.add_argument("--num-seeds", type=int, dest="num_seeds")
+    p.add_argument("--methods", default="m5", help="comma list of methods (default: m5)")
+    p.add_argument("--num-seeds", type=int, default=3, help="k-means seeds per cell")
     p.set_defaults(handler=cmd_compare)
     return parser
 

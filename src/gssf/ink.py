@@ -193,15 +193,19 @@ def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
     return ink
 
 
-def load_jsonl(path: str | Path) -> list[RawInk]:
-    """Read an answer set from JSON Lines (one sample object per line)."""
+def load_jsonl(path: str | Path, max_answers: int | None = None) -> list[RawInk]:
+    """Read an answer set from JSON Lines (one sample object per line),
+    stopping with ``InkError`` at answer ``max_answers + 1`` when given."""
     inks = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    inks.append(_parse_sample(path, lineno, line))
+                if not line:
+                    continue
+                if len(inks) == max_answers:
+                    raise InkError(f"{path}:{lineno}: at most {max_answers} answers per file")
+                inks.append(_parse_sample(path, lineno, line))
     except UnicodeDecodeError as exc:
         raise InkError(f"{path}: not UTF-8 text ({exc})") from None
     if not inks:

@@ -67,10 +67,30 @@ TINY_CONFIG = {
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def exit_code(argv: list[str]) -> int:
+    """``main``'s exit code, also when argparse rejects the flags and exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def no_call(what: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran on input that should have been rejected")
+    return fail
+
+
 def readme_config() -> str:
     """The JSON example under README's "Configuration" heading."""
     section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
     return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def one_stroke_answers(count: int) -> str:
+    """JSON Lines text of ``count`` one-stroke answers in one category."""
+    return "".join(json.dumps({"id": f"a{i}", "category": "c", "strokes": [[[0, 0], [1, 1]]]})
+                   + "\n" for i in range(count))
 
 
 TINY_SPEC = {
@@ -234,8 +254,7 @@ class TestTrain:
 class TestCluster:
     def run(self, tiny_pipeline, out, extra=()):
         return main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]), *extra])
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out), *extra])
 
     def test_artifacts_and_report_schema(self, tiny_pipeline, tmp_path):
         out = tmp_path / "run"
@@ -279,10 +298,7 @@ class TestCluster:
         """Ids and categories are unquoted CSV fields, so the reader rejects
         separators in them before any answer is scored."""
 
-        def no_scoring(*args):
-            raise AssertionError("scored a dataset that should have been rejected")
-
-        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
+        monkeypatch.setattr("gssf.similarity.score_answers", no_call("score_answers"))
         lines = tiny_pipeline["dataset"].read_text().splitlines()
         first = json.loads(lines[0])
         first[field] = value
@@ -302,11 +318,8 @@ class TestCluster:
         for ``compare`` an explicit k on answers without categories."""
         import gssf.ink as ink_mod
 
-        def no_scoring(*args):
-            raise AssertionError("scored answers whose k should have been rejected")
-
-        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_scoring)
-        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_call("load_checkpoint"))
+        monkeypatch.setattr("gssf.similarity.score_answers", no_call("score_answers"))
         data, k = tiny_pipeline["dataset"], "13"
         if command == "compare":
             inks = ink_mod.load_jsonl(data)
@@ -346,14 +359,9 @@ class TestCluster:
         is read, before the checkpoint is loaded or any answer is encoded."""
         import gssf.cli as cli
 
-        def no_scoring(*args):
-            raise AssertionError("read the checkpoint of an oversized answer set")
-
-        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_scoring)
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_call("load_checkpoint"))
         data = tmp_path / "many.jsonl"
-        data.write_text("".join(
-            json.dumps({"id": f"a{i}", "category": "c", "strokes": [[[0, 0], [1, 1]]]}) + "\n"
-            for i in range(cli.MAX_ANSWERS + 1)), encoding="utf-8")
+        data.write_text(one_stroke_answers(cli.MAX_ANSWERS + 1), encoding="utf-8")
         out = tmp_path / "o"
         start = time.perf_counter()
         assert main([command, "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
@@ -361,6 +369,28 @@ class TestCluster:
         assert time.perf_counter() - start < 1.0
         assert f"at most {cli.MAX_ANSWERS}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_answer_cap_stops_the_read(self, tiny_pipeline, tmp_path, capsys, monkeypatch):
+        """The reader stops at answer ``MAX_ANSWERS + 1``: a file of 100,000
+        answers exits 2 in under a second, having parsed no more."""
+        import gssf.cli as cli
+        import gssf.ink as ink_mod
+
+        parsed, parse = [], ink_mod._parse_sample
+
+        def counted(path, lineno, line):
+            parsed.append(lineno)
+            return parse(path, lineno, line)
+
+        monkeypatch.setattr(ink_mod, "_parse_sample", counted)
+        data = tmp_path / "many.jsonl"
+        data.write_text(one_stroke_answers(100_000), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"{data}:{cli.MAX_ANSWERS + 1}: at most" in capsys.readouterr().err
+        assert len(parsed) == cli.MAX_ANSWERS
 
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
         code = self.run(tiny_pipeline, tmp_path / "x",
@@ -375,31 +405,22 @@ class TestCluster:
 
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     @pytest.mark.parametrize("k", [2.5, True, 3.0, [3], "three"])
-    def test_non_integer_config_k_exit_2(self, tiny_pipeline, tmp_path, capsys, command, k):
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps({**json.loads(tiny_pipeline["config"].read_text()), "k": k}))
+    def test_non_integer_config_k_exit_2(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
+                                         command, k):
+        """``--k`` is the only source of k: text that is not an integer, such
+        as these values written out, exits 2 before the checkpoint is read."""
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_call("load_checkpoint"))
         assert main([command, "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o"),
-                     "--config", str(path)]) == 2
+                     "--k", str(k)]) == 2
         assert "k must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,config_k,want", [
-        ("2", None, 2), (" 2 ", None, 2), (None, 2, 2), (None, "2", 2),
-        ("categories", 2, 3), (None, None, 3),
-    ])
-    def test_k_policies(self, tiny_pipeline, tmp_path, flag, config_k, want):
-        """Integer strings (from ``--k`` or the config), integers and the
-        'categories' policy, which the flag overrides from the config."""
-        config = json.loads(tiny_pipeline["config"].read_text())
-        if config_k is not None:
-            config["k"] = config_k
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps(config))
+    @pytest.mark.parametrize("flag,want", [("2", 2), (" 2 ", 2), ("categories", 3), (None, 3)])
+    def test_k_policies(self, tiny_pipeline, tmp_path, flag, want):
+        """Integer text and the 'categories' policy, which is the default."""
         out = tmp_path / "run"
         extra = ("--k", flag) if flag is not None else ()
-        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(path), *extra]) == 0
+        assert self.run(tiny_pipeline, out, extra) == 0
         assert json.loads((out / "report.json").read_text())["k"] == want
 
     def test_k_equals_n_perfect_purity_and_unit_cost(self, tiny_pipeline, tmp_path):
@@ -426,23 +447,14 @@ class TestCluster:
         for artifact in ("report.json", "assignment.csv", "sbr.pgm", "sbr.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
-    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog,
-                                                    capsys):
-        """The ``--threads`` flag is still accepted; the config key is gone."""
+    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog):
+        """The ``--threads`` flag is still accepted, checked and ignored."""
         caplog.set_level(logging.WARNING, logger="gssf")
         assert self.run(tiny_pipeline, tmp_path / "t2", ("--threads", "2")) == 0
         deprecations = [r for r in caplog.records if "deprecated" in r.getMessage()]
         assert len(deprecations) == 1
         assert "threads" not in json.loads((tmp_path / "t2" / "timings.json").read_text())
         assert self.run(tiny_pipeline, tmp_path / "t0", ("--threads", "0")) == 2
-        config = json.loads(tiny_pipeline["config"].read_text())
-        bad = tmp_path / "bad.json"
-        for threads in (0, 2):
-            bad.write_text(json.dumps({**config, "threads": threads}))
-            assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                         "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "c0"),
-                         "--config", str(bad)]) == 2
-            assert "unknown keys ['threads']" in capsys.readouterr().err
 
     def test_report_decode_diagnostics(self, tiny_pipeline, tmp_path):
         from gssf.ink import load_jsonl
@@ -458,13 +470,13 @@ class TestCluster:
         assert report["num_truncated_decodes"] == sum(a.decode.truncated for a in answers)
         assert 1 <= report["num_unique_decodes"] <= 12
 
-    def test_readme_config_example(self, tiny_pipeline, tmp_path):
+    def test_readme_config_example(self, tmp_path):
+        """README's ``train --config`` example spells out every default."""
+        from gssf.seq2seq import TrainConfig
+
         path = tmp_path / "readme.json"
         path.write_text(readme_config())
-        gssf.cli._train_config(gssf.cli._load_config(str(path)))
-        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "run"),
-                     "--config", str(path)]) == 0
+        assert gssf.cli._train_config(str(path)) == TrainConfig()
 
     def test_no_categories_explicit_k_skips_evaluation(self, tiny_pipeline, tmp_path):
         import gssf.ink as ink_mod
@@ -476,14 +488,12 @@ class TestCluster:
         ink_mod.save_jsonl(data, inks)
         out = tmp_path / "run"
         assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
-                     "--out", str(out), "--config", str(tiny_pipeline["config"]),
-                     "--k", "3"]) == 0
+                     "--out", str(out), "--k", "3"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["purity"] is None and report["mc"] is None
         # the 'categories' k policy, however, needs categories
         assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
-                     "--out", str(tmp_path / "x"),
-                     "--config", str(tiny_pipeline["config"])]) == 2
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_all_unscorable_exit_3(self, tiny_pipeline, tmp_path, capsys):
         # a rigged checkpoint whose decoder emits the end token immediately
@@ -495,8 +505,7 @@ class TestCluster:
         ckpt = tmp_path / "rigged.ckpt"
         save_checkpoint(ckpt, rigged)
         code = main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(ckpt), "--out", str(tmp_path / "o"),
-                     "--config", str(tiny_pipeline["config"])])
+                     "--ckpt", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "unscorable" in capsys.readouterr().err
 
@@ -514,7 +523,7 @@ class TestCluster:
         out = tmp_path / "o"
         with np.errstate(all="ignore"):
             code = main([command, "--data", str(tiny_pipeline["dataset"]), "--ckpt", str(ckpt),
-                         "--out", str(out), "--config", str(tiny_pipeline["config"]),
+                         "--out", str(out),
                          "--method" if command == "cluster" else "--methods", method])
         assert code == 3
         assert "not finite" in capsys.readouterr().err
@@ -526,7 +535,6 @@ class TestCompare:
         out = tmp_path / "cmp"
         code = main(["compare", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]),
                      "--num-seeds", "2", "--seed", "0"])
         assert code == 0
         table = json.loads((out / "compare.json").read_text())
@@ -542,7 +550,6 @@ class TestCompare:
         out = tmp_path / "cmp3"
         code = main(["compare", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]),
                      "--methods", "m3", "--num-seeds", "1"])
         assert code == 0
         table = json.loads((out / "compare.json").read_text())
@@ -554,7 +561,6 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert main(["compare", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]),
                      "--kinds", "gssf,gssf,asym,asymmetric", "--methods", "m5,m5",
                      "--num-seeds", "2"]) == 0
         table = json.loads((out / "compare.json").read_text())
@@ -567,8 +573,7 @@ class TestCompare:
     def test_cluster_is_one_compare_cell(self, tiny_pipeline, tmp_path, kind, method):
         """``cluster --seed s`` reports the purity and cost of ``compare``'s row
         for the same kind, method and seed; s is compare's second seed."""
-        common = ["--data", str(tiny_pipeline["dataset"]), "--ckpt", str(tiny_pipeline["ckpt"]),
-                  "--config", str(tiny_pipeline["config"])]
+        common = ["--data", str(tiny_pipeline["dataset"]), "--ckpt", str(tiny_pipeline["ckpt"])]
         assert main(["compare", *common, "--out", str(tmp_path / "cmp"), "--kinds", kind,
                      "--methods", method, "--num-seeds", "2", "--seed", "6"]) == 0
         assert main(["cluster", *common, "--out", str(tmp_path / "run"), "--kind", kind,
@@ -592,7 +597,6 @@ class TestCompare:
         out = tmp_path / "cmp_all"
         code = main(["compare", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(tiny_pipeline["config"]),
                      "--methods", "m3,m4,m5", "--num-seeds", "3", "--seed", "4"])
         assert code == 0
         # 13 cells (m3 needs a symmetric F kind): 5 k-means cells x 3 seeds + 8 linkage.
@@ -628,11 +632,11 @@ def test_each_rule_checked_once(tiny_pipeline, tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"arch": TINY_CONFIG["arch"],
                                   "train": {"max_epochs": 1, "patience": 1}}))
-    data = ["--data", str(tiny_pipeline["dataset"]), "--config", str(config)]
+    data = ["--data", str(tiny_pipeline["dataset"])]
     commands = {
         "synth": ["synth", "--spec", str(tiny_pipeline["spec"]),
                   "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
-        "train": ["train", *data, "--out", str(tmp_path / "m.ckpt")],
+        "train": ["train", *data, "--config", str(config), "--out", str(tmp_path / "m.ckpt")],
         "cluster": ["cluster", *data, "--ckpt", str(tiny_pipeline["ckpt"]),
                     "--out", str(tmp_path / "o")],
     }
@@ -684,8 +688,10 @@ class TestUsage:
         ("arch", {"enc_layers": 2.5}), ("arch", {"max_decode_len": 2.5}),
         ("arch", {"max_decode_len": 10 ** 12}), ("arch", {"input_dim": 5}),
     ])
-    def test_bad_training_config_exit_2(self, tiny_pipeline, tmp_path, capsys,
+    def test_bad_training_config_exit_2(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
                                         section, values):
+        """The config is checked before the answer file is read."""
+        monkeypatch.setattr("gssf.ink.load_jsonl", no_call("load_jsonl"))
         config = {"arch": dict(TINY_CONFIG["arch"]),
                   "train": {"max_epochs": 1, "patience": 1}}
         config[section].update(values)
@@ -720,49 +726,68 @@ class TestUsage:
         assert time.perf_counter() - start < 1.0
         assert "'zigzag'" in capsys.readouterr().err
 
-    def test_unknown_config_key_exit_2(self, tiny_pipeline, tmp_path):
+    def test_unknown_config_key_exit_2(self, tiny_pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gssf.ink.load_jsonl", no_call("load_jsonl"))
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"weird": 1}))
-        assert main(["cluster", "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]),
-                     "--out", str(tmp_path / "o"), "--config", str(config)]) == 2
+        assert main(["train", "--data", str(tiny_pipeline["dataset"]),
+                     "--out", str(tmp_path / "m.ckpt"), "--config", str(config)]) == 2
+        assert "unknown keys ['weird']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("kind", "gssf"), ("method", "m5"), ("k", "categories"), ("seed", 0),
+        ("restarts", 10), ("num_seeds", 3), ("threads", 1),
+    ])
+    def test_train_config_holds_no_flag_setting(self, tiny_pipeline, tmp_path, capsys,
+                                                monkeypatch, key, value):
+        """A config holds ``arch`` and ``train`` only, so even a flag's default
+        value under its own name exits 2, before the answers are read."""
+        monkeypatch.setattr("gssf.ink.load_jsonl", no_call("load_jsonl"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"arch": TINY_CONFIG["arch"], key: value}))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(tiny_pipeline["dataset"]), "--out", str(ckpt),
+                     "--config", str(path)]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("command,key,value", [
-        ("cluster", "seed", "3"), ("cluster", "seed", -1), ("cluster", "seed", 1.5),
+        ("cluster", "threads", 0), ("cluster", "seed", -1), ("cluster", "seed", 1.5),
         ("cluster", "restarts", 0), ("cluster", "restarts", True),
         ("cluster", "threads", "x"), ("compare", "num_seeds", 2.0),
-        ("compare", "seed", None), ("train", "seed", [1]),
+        ("compare", "seed", None), ("train", "seed", [1]), ("compare", "num_seeds", 0),
+        ("train", "seed", -1),
     ])
-    def test_bad_integer_setting_exit_2(self, tiny_pipeline, tmp_path, capsys,
+    def test_bad_integer_setting_exit_2(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
                                         command, key, value):
-        config = {**json.loads(tiny_pipeline["config"].read_text()), key: value}
-        config["train"] = {"max_epochs": 1, "patience": 1}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
-        args = ["--data", str(tiny_pipeline["dataset"]), "--config", str(path)]
+        """An integer flag below its minimum, or not an integer, exits 2
+        before the answers or the checkpoint are read."""
+        monkeypatch.setattr("gssf.ink.load_jsonl", no_call("load_jsonl"))
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_call("load_checkpoint"))
+        flag = "--" + key.replace("_", "-")
+        args = ["--data", str(tiny_pipeline["dataset"]), flag, str(value)]
         if command == "train":
             args += ["--out", str(tmp_path / "m.ckpt")]
         else:
             args += ["--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o")]
-        assert main([command, *args]) == 2
-        assert key in capsys.readouterr().err
+        assert exit_code([command, *args]) == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     @pytest.mark.parametrize("mode", ["bogus", 1, None])
     def test_bad_config_normalization_exit_2_before_scoring(self, tiny_pipeline, tmp_path,
                                                             capsys, monkeypatch, command,
                                                             mode):
-        def no_scoring(*args):
-            raise AssertionError("scored with a normalization that should have been rejected")
-
-        monkeypatch.setattr("gssf.similarity.score_answers", no_scoring)
+        """``cluster`` and ``compare`` take no config file: one holding any
+        setting, here a normalization mode, exits 2 before any answer is scored."""
+        monkeypatch.setattr("gssf.similarity.score_answers", no_call("score_answers"))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"normalization": mode}))
         out = tmp_path / "o"
-        assert main([command, "--data", str(tiny_pipeline["dataset"]),
-                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--config", str(path)]) == 2
-        assert "normalization" in capsys.readouterr().err
+        assert exit_code([command, "--data", str(tiny_pipeline["dataset"]),
+                          "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
+                          "--config", str(path)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_architecture_exit_2_fast(self, tiny_pipeline, tmp_path, capsys):
@@ -899,8 +924,7 @@ class TestImports:
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     def test_cluster_and_compare(self, tiny_pipeline, tmp_path, command):
         modules = self.loaded(command, "--data", str(tiny_pipeline["dataset"]),
-                              "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path),
-                              "--config", str(tiny_pipeline["config"]))
+                              "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path))
         assert {"gssf.similarity", "gssf.cluster"} <= modules
         assert not modules & {"gssf.synthgen", "gssf.seq2seq.training"}
 
