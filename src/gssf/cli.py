@@ -7,8 +7,8 @@ JSON file shaped like ``TrainConfig``, whose only keys are ``arch`` and
 the answer file is read.
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
 divergence, no scorable answers, non-finite scores); any other error is a
-program fault and ends in a traceback. The ``GSSF_LOG`` environment variable
-(error/info/debug) controls stderr logging.
+program fault and ends in a traceback. Only this module writes diagnostics:
+one ``error: <text>`` or ``warning: <text>`` line on stderr per condition.
 
 Each subcommand imports the gssf modules it runs when it starts, so that,
 for example, ``synth`` never loads the recognizer.
@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,8 +33,6 @@ if TYPE_CHECKING:
     from .sbr import SbRMatrix
     from .seq2seq import TrainConfig
     from .similarity import SimilarityKind
-
-log = logging.getLogger("gssf")
 
 EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 2, 3
 
@@ -56,6 +52,10 @@ MAX_ANSWERS = 5_000  # answers per file; 25x the paper's largest question, where
 
 class UsageError(InputError):
     pass
+
+
+def _warn(text: str) -> None:
+    print(f"warning: {text}", file=sys.stderr)
 
 
 # -- configuration ----------------------------------------------------------
@@ -103,19 +103,20 @@ def _parse_kind(name: str) -> SimilarityKind:
 def _cells(kinds: list[SimilarityKind], methods: list[str]) -> list[tuple[SimilarityKind, str]]:
     """The distinct (kind, method) cells to cluster, kinds outermost, in
     first-seen order; m3 clusters |score| distances, so it keeps only the
-    kinds in ``DISTANCE_KINDS``."""
+    kinds in ``DISTANCE_KINDS``, warning of the others when a cell remains."""
     from .similarity import DISTANCE_KINDS
 
     kinds, methods = list(dict.fromkeys(kinds)), list(dict.fromkeys(methods))
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
+    cells = [(kind, method) for kind in kinds for method in methods
+             if method != "m3" or kind in DISTANCE_KINDS]
     skipped = [f"{kind.value}/m3" for kind in kinds if "m3" in methods
                and kind not in DISTANCE_KINDS]
-    if skipped:
-        log.warning("skipping %s: %s", ", ".join(skipped), M3_RULE)
-    return [(kind, method) for kind in kinds for method in methods
-            if method != "m3" or kind in DISTANCE_KINDS]
+    if skipped and cells:
+        _warn(f"skipping {', '.join(skipped)}: {M3_RULE}")
+    return cells
 
 
 def _resolve_k(policy: str, categories: list[str | None], n: int) -> int:
@@ -164,7 +165,6 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(out, inks)
-    log.info("synthesized %d samples into %s", len(inks), out)
     return EXIT_OK
 
 
@@ -183,7 +183,6 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, params)
-    log.info("checkpoint written to %s", out)
     return EXIT_OK
 
 
@@ -197,7 +196,7 @@ def _inputs(args):
     _at_least(args.restarts, "--restarts", 1)
     if args.threads is not None:  # accepted and validated, but scoring does not use it
         _at_least(args.threads, "--threads", 1)
-        log.warning("--threads is deprecated and ignored")
+        _warn("--threads is deprecated and ignored")
     inks = load_jsonl(args.data, max_answers=MAX_ANSWERS)
     if len(inks) < 2:
         raise UsageError(f"{args.data}: need at least two answers to cluster, not {len(inks)}")
@@ -212,9 +211,10 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
     i``, i < ``num_seeds``; only k-means reads the seed, so a linkage cell
     runs once and repeats. Each stage frees what later stages do not read:
     the recognizer and the annotations before any matrix is built, and a
-    kind's matrices before the next kind's. Returns the decodes, the last
-    kind's (raw, normalized) matrices, one assignment list per cell and the
-    stage wall times, summed over kinds."""
+    kind's matrices before the next kind's; each kind warns of its sentinel
+    fill and its constant matrix. Returns the decodes, the last kind's (raw,
+    normalized) matrices, one assignment list per cell and the stage wall
+    times, summed over kinds."""
     from .sbr import _sbr_matrix, normalize_unit_interval
     from .seq2seq import load_checkpoint
     from .similarity import GSSF_FAMILY, cross_score_matrix, score_answers
@@ -228,7 +228,8 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
     f = None if GSSF_FAMILY.isdisjoint(kinds) else cross_score_matrix(answers, params)
     ids, decodes = [a.id for a in answers], [a.decode for a in answers]
     del params, answers
-    times = {"score_s": t1 - t0, "sbr_s": time.perf_counter() - t1, "cluster_s": 0.0}
+    times = {"score_s": t1 - t0, "cross_s": time.perf_counter() - t1, "sbr_s": 0, "cluster_s": 0}
+    unscorable = sum(1 for d in decodes if not d.tokens)
     runs = []
     for kind in kinds:  # _cells puts kinds outermost, so runs keep the cells' order
         raw = norm = None  # free the previous kind's matrices first
@@ -236,6 +237,10 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
         raw = _sbr_matrix(ids, decodes, kind, f)
         norm = normalize_unit_interval(raw)
         t1 = time.perf_counter()
+        if unscorable and kind in GSSF_FAMILY:
+            _warn(f"{kind.value}: {unscorable} unscorable answer(s) get the lowest score")
+        if norm.degenerate:
+            _warn(f"{kind.value}: degenerate similarity matrix, normalized to zeros")
         for method in [m for c, m in cells if c == kind]:
             once = [_cluster_once(method, raw, norm, k, seed + i, restarts)
                     for i in range(num_seeds if method == "m5" else 1)]
@@ -281,8 +286,6 @@ def cmd_cluster(args) -> int:
     save_pgm(out_dir / "sbr.pgm", norm)
     # Wall times live outside report.json so repeat runs stay byte-identical.
     _write_json(out_dir / "timings.json", times)
-    log.info("clustered %d answers into %d clusters (purity=%s)", len(inks),
-             assignment.k, report.get("purity"))
     return EXIT_OK
 
 
@@ -317,7 +320,6 @@ def cmd_compare(args) -> int:
     lines += [f"{r['kind']},{r['method']},{r['seed']},{r['purity']!r},{r['mc']!r}"
               for r in rows]
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    log.info("compared %d kind/method/seed cells", len(rows))
     return EXIT_OK
 
 
@@ -367,15 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("GSSF_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr, level=levels.get(level_name, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

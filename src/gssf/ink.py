@@ -19,7 +19,8 @@ import numpy as np
 
 from . import InputError
 
-MAX_POINTS = 32_768  # resampled points per answer; ~300x a typical answer, bounds encoder cost
+MAX_POINTS = 32_768  # raw and resampled points per answer; ~300x a typical answer
+MAX_LINE_CHARS = 2 ** 21  # per JSON line; save_jsonl writes MAX_POINTS points in < 1.84 M
 FEATURE_DIM = 8  # columns of extract_features' per-point rows, the recognizer's input width
 FIELD_SEPARATORS = ",\r\n"  # ids and categories are written as unquoted CSV fields
 MAX_ASPECT = 10  # ink scales by max(height, width / MAX_ASPECT), so flat ink stays short
@@ -174,6 +175,8 @@ def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InkError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
     try:
+        if len(obj["strokes"]) > MAX_POINTS or sum(map(len, obj["strokes"])) > MAX_POINTS:
+            raise ValueError(f"more than {MAX_POINTS} strokes or points")  # before any array
         ink = RawInk(
             strokes=obj["strokes"],
             id=str(obj["id"]),
@@ -194,12 +197,15 @@ def _parse_sample(path: str | Path, lineno: int, line: str) -> RawInk:
 
 
 def load_jsonl(path: str | Path, max_answers: int | None = None) -> list[RawInk]:
-    """Read an answer set from JSON Lines (one sample object per line),
-    stopping with ``InkError`` at answer ``max_answers + 1`` when given."""
+    """Read an answer set from JSON Lines (one sample per line), stopping with
+    ``InkError`` at a line over ``MAX_LINE_CHARS`` characters or answer ``max_answers + 1``."""
     inks = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            lines = iter(lambda: fh.readline(MAX_LINE_CHARS + 1), "")
+            for lineno, line in enumerate(lines, start=1):
+                if len(line) > MAX_LINE_CHARS and not line.endswith("\n"):
+                    raise InkError(f"{path}:{lineno}: line over {MAX_LINE_CHARS} characters")
                 line = line.strip()
                 if not line:
                     continue

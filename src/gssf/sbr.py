@@ -8,7 +8,6 @@ PGM heatmaps for visual inspection.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -17,8 +16,6 @@ import numpy as np
 from .seq2seq import ModelParams, ScoredDecode
 from .similarity import (COMBINE, AnswerScoring, SimilarityKind, cross_score_matrix,
                          distinct_index, edit_distance)
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -66,7 +63,6 @@ def _sbr_matrix(ids: list[str], decodes: list[ScoredDecode], kind: SimilarityKin
         values[bad, :] = fill
         values[:, bad] = fill
         values[bad, bad] = 0.0
-        log.warning("%d unscorable answer(s) assigned the sentinel score %.6g", len(bad), fill)
     return SbRMatrix(values=values, ids=ids)
 
 
@@ -77,7 +73,6 @@ def normalize_unit_interval(m: SbRMatrix) -> SbRMatrix:
     """
     vmin, vmax = float(m.values.min()), float(m.values.max())
     if vmax == vmin:
-        log.warning("degenerate similarity matrix: all entries equal %.6g", vmin)
         return replace(m, values=np.zeros_like(m.values), degenerate=True)
     return replace(m, values=(m.values - vmin) / (vmax - vmin))
 

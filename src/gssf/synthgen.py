@@ -21,6 +21,8 @@ from . import InputError
 from .ink import FIELD_SEPARATORS, RawInk, _is_int, _is_real, resample_and_normalize
 
 GLYPH_GAP = 0.15
+MAX_SPEC_ANSWERS = 12_000  # 10x the largest committed spec, data/hard_sets/corpus.json
+MAX_LABEL_TOKENS = 30  # the default ArchConfig.max_decode_len; committed labels reach 7
 SHUFFLE_STREAM = 999983  # sub-stream tag for the final sample shuffle
 
 
@@ -102,9 +104,11 @@ class AnswerSetSpec:
             raise SynthesisError("need at least two categories")
         if not all(_is_int(c.count) and c.count >= 1 for c in self.categories):
             raise SynthesisError("category counts must be integers of at least 1")
-        if not all(isinstance(c.label, tuple) and c.label
+        if sum(c.count for c in self.categories) > MAX_SPEC_ANSWERS:
+            raise SynthesisError(f"a spec may ask for at most {MAX_SPEC_ANSWERS} answers")
+        if not all(isinstance(c.label, tuple) and 0 < len(c.label) <= MAX_LABEL_TOKENS
                    and all(isinstance(t, str) for t in c.label) for c in self.categories):
-            raise SynthesisError("category labels must be non-empty lists of token strings")
+            raise SynthesisError(f"labels must be 1 to {MAX_LABEL_TOKENS} token strings")
         unknown = [t for c in self.categories for t in c.label if t not in TEMPLATES]
         if unknown:
             raise SynthesisError(f"no template for token {unknown[0]!r}")

@@ -4,7 +4,6 @@ import collections
 import gzip
 import importlib
 import json
-import logging
 import math
 import os
 import pkgutil
@@ -162,6 +161,24 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("category,message", [
+        ({"label": ["1"], "count": 10 ** 12}, "at most 12000 answers"),
+        ({"label": ["1"] * 10 ** 6, "count": 1}, "labels must be 1 to 30 token strings"),
+    ], ids=["answers", "label_tokens"])
+    def test_oversized_spec_exit_2_before_rendering(self, tmp_path, capsys, monkeypatch,
+                                                    category, message):
+        """10^12 answers or a 10^6-token label is rejected where the spec is
+        read, in under a second and before anything is rendered."""
+        monkeypatch.setattr("gssf.synthgen.generate_answer_set", no_call("generate_answer_set"))
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"categories": [category, {"label": ["2"], "count": 1}]}))
+        out = tmp_path / "o.jsonl"
+        start = time.perf_counter()
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_override_exit_2(self, tiny_pipeline, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
         assert main(["synth", "--spec", str(tiny_pipeline["spec"]), "--out", str(out),
@@ -279,6 +296,18 @@ class TestCluster:
         assert pgm.startswith(header) and len(pgm) == len(header) + 144
         assert (out / "timings.json").exists()
 
+    def test_timings_give_cross_scoring_its_own_key(self, tiny_pipeline, tmp_path, monkeypatch):
+        """A slowed cross-scoring pass shows in ``cross_s`` and not in ``sbr_s``."""
+        import gssf.similarity as similarity
+
+        cross = similarity.cross_score_matrix
+        monkeypatch.setattr(similarity, "cross_score_matrix",
+                            lambda *a: time.sleep(0.3) or cross(*a))
+        assert self.run(tiny_pipeline, tmp_path) == 0
+        times = json.loads((tmp_path / "timings.json").read_text())
+        assert set(times) == {"score_s", "cross_s", "sbr_s", "cluster_s"}
+        assert times["cross_s"] >= 0.3 > times["sbr_s"]
+
     @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("asym", "m5"), ("edit", "m4")])
     def test_heatmap_renders_the_written_matrix(self, tiny_pipeline, tmp_path, kind, method):
         """``sbr.pgm`` is the normalized ``sbr.csv``, so the CSV alone redraws it."""
@@ -392,6 +421,25 @@ class TestCluster:
         assert f"{data}:{cli.MAX_ANSWERS + 1}: at most" in capsys.readouterr().err
         assert len(parsed) == cli.MAX_ANSWERS
 
+    @pytest.mark.parametrize("strokes", [
+        json.dumps([[[0.5, 0.5]]] * 300_000),
+        "[[" + ", ".join(["[0.25, 0.5]"] * 2_000_000) + "]]",
+    ], ids=["300k_one_point_strokes", "2m_point_stroke"])
+    def test_hostile_answer_exit_2_before_checkpoint(self, tiny_pipeline, tmp_path, capsys,
+                                                     monkeypatch, strokes):
+        """A second answer of 300,000 one-point strokes (4.2 MB) or of one
+        2,000,000-point stroke (24 MB) is rejected by the reader in under a
+        second, before the checkpoint is loaded."""
+        monkeypatch.setattr("gssf.seq2seq.load_checkpoint", no_call("load_checkpoint"))
+        data = tmp_path / "hostile.jsonl"
+        data.write_text(one_stroke_answers(1) + '{"id": "b", "strokes": ' + strokes + "}\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["cluster", "--data", str(data), "--ckpt", str(tiny_pipeline["ckpt"]),
+                     "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"{data}:2: line over" in capsys.readouterr().err
+
     def test_incompatible_method_kind_exit_2(self, tiny_pipeline, tmp_path):
         code = self.run(tiny_pipeline, tmp_path / "x",
                         ("--kind", "asym", "--method", "m3"))
@@ -447,14 +495,14 @@ class TestCluster:
         for artifact in ("report.json", "assignment.csv", "sbr.pgm", "sbr.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
-    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, caplog):
-        """The ``--threads`` flag is still accepted, checked and ignored."""
-        caplog.set_level(logging.WARNING, logger="gssf")
+    def test_threads_accepted_validated_and_ignored(self, tiny_pipeline, tmp_path, capsys):
+        """The ``--threads`` flag is still accepted, checked and ignored, and
+        saying so is the one line the run writes on stderr."""
         assert self.run(tiny_pipeline, tmp_path / "t2", ("--threads", "2")) == 0
-        deprecations = [r for r in caplog.records if "deprecated" in r.getMessage()]
-        assert len(deprecations) == 1
+        assert capsys.readouterr().err == "warning: --threads is deprecated and ignored\n"
         assert "threads" not in json.loads((tmp_path / "t2" / "timings.json").read_text())
         assert self.run(tiny_pipeline, tmp_path / "t0", ("--threads", "0")) == 2
+        assert "warning" not in capsys.readouterr().err
 
     def test_report_decode_diagnostics(self, tiny_pipeline, tmp_path):
         from gssf.ink import load_jsonl
@@ -927,6 +975,114 @@ class TestImports:
                               "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path))
         assert {"gssf.similarity", "gssf.cluster"} <= modules
         assert not modules & {"gssf.synthgen", "gssf.seq2seq.training"}
+
+
+def partly_unscorable(ckpt: Path, inks: list[RawInk], out: Path) -> int:
+    """Save ``ckpt`` to ``out`` with its end-token bias raised until some, but
+    not all, of ``inks`` decode to nothing; returns how many do."""
+    from gssf.seq2seq import EOS_INDEX, save_checkpoint
+    from gssf.similarity import score_answers
+
+    params = load_checkpoint(ckpt)
+    base = params.tensors["out_b"][EOS_INDEX]
+    for lift in np.arange(0.0, 40.0, 0.25):
+        params.tensors["out_b"][EOS_INDEX] = base + lift
+        empty = sum(not a.decode.tokens for a in score_answers(params, inks))
+        if 0 < empty < len(inks):
+            save_checkpoint(out, params)
+            return empty
+    raise AssertionError("no end-token bias leaves only some answers unscorable")
+
+
+class TestDiagnostics:
+    """Each condition that a finished run must report writes one ``warning:``
+    line on stderr, in a fresh process whose environment sets nothing for
+    gssf; the pinned runs write nothing there."""
+
+    def gssf(self, *args: str) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items() if k != "GSSF_LOG"}
+        env.update(PYTHONPATH=str(Path(gssf.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "gssf.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def warnings(self, *args: str) -> list[str]:
+        proc = self.gssf(*args)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith("warning: ") for line in lines), proc.stderr
+        return lines
+
+    def test_threads(self, tiny_pipeline, tmp_path):
+        assert self.warnings("cluster", "--data", str(tiny_pipeline["dataset"]),
+                             "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path),
+                             "--threads", "2") == [
+            "warning: --threads is deprecated and ignored"]
+
+    def test_skipped_cell(self, tiny_pipeline, tmp_path):
+        [line] = self.warnings("compare", "--data", str(tiny_pipeline["dataset"]),
+                               "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path),
+                               "--kinds", "gssf,asym", "--methods", "m3,m5",
+                               "--num-seeds", "1")
+        assert line.startswith("warning: skipping asymmetric/m3:")
+        summary = json.loads((tmp_path / "compare.json").read_text())["summary"]
+        assert [(c["kind"], c["method"]) for c in summary] == [
+            ("gssf", "m3"), ("gssf", "m5"), ("asymmetric", "m5")]
+
+    def test_incompatible_cell_is_one_error(self, tiny_pipeline, tmp_path):
+        """``cluster`` on a cell that m3 cannot take fails without a warning."""
+        proc = self.gssf("cluster", "--data", str(tiny_pipeline["dataset"]),
+                         "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path / "o"),
+                         "--kind", "asym", "--method", "m3")
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: method m3")
+
+    def test_unscorable_sentinel(self, tiny_pipeline, tmp_path):
+        """An empty decode's sentinel score is reported once per F kind: once
+        by ``cluster``, and by ``compare`` for each F kind but not for edit."""
+        from gssf.ink import load_jsonl
+
+        ckpt = tmp_path / "eos.ckpt"
+        empty = partly_unscorable(tiny_pipeline["ckpt"], load_jsonl(tiny_pipeline["dataset"]),
+                                  ckpt)
+        common = ("--data", str(tiny_pipeline["dataset"]), "--ckpt", str(ckpt))
+        [line] = self.warnings("cluster", *common, "--out", str(tmp_path / "run"))
+        assert line.startswith(f"warning: gssf: {empty} unscorable answer(s)")
+        assert json.loads((tmp_path / "run" / "report.json").read_text())[
+            "num_unscorable"] == empty
+        lines = self.warnings("compare", *common, "--out", str(tmp_path / "cmp"),
+                              "--num-seeds", "1")
+        assert [line.split(":")[1].strip() for line in lines] == [
+            "gssf", "asymmetric", "min", "max"]
+        assert all("unscorable" in line for line in lines)
+
+    def test_degenerate_matrix(self, tiny_pipeline, tmp_path):
+        """A recognizer with all-zero weights scores every answer alike, F = 0."""
+        from gssf.seq2seq import save_checkpoint, zero_params
+
+        base = load_checkpoint(tiny_pipeline["ckpt"])
+        ckpt = tmp_path / "zero.ckpt"
+        save_checkpoint(ckpt, zero_params(base.arch, base.vocab))
+        out = tmp_path / "run"
+        [line] = self.warnings("cluster", "--data", str(tiny_pipeline["dataset"]),
+                               "--ckpt", str(ckpt), "--out", str(out))
+        assert line.startswith("warning: gssf: degenerate similarity matrix")
+        assert json.loads((out / "report.json").read_text())["degenerate_matrix"] is True
+
+    def test_pinned_runs_write_nothing_to_stderr(self, benchmark_inks, tmp_path):
+        """The benchmark's ``cluster`` on its pinned checkpoint, and its
+        ``train`` (two epochs here), both on the pinned set."""
+        data, config = tmp_path / "answers.jsonl", tmp_path / "config.json"
+        save_jsonl(data, benchmark_inks)
+        config.write_text(json.dumps({"arch": {"resample_spacing": 0.08},
+                                      "train": {"max_epochs": 2, "patience": 2}}))
+        ckpt = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "pinned.ckpt"
+        assert self.warnings("cluster", "--data", str(data), "--ckpt", str(ckpt),
+                             "--out", str(tmp_path / "run"), "--kind", "gssf",
+                             "--method", "m5", "--k", "categories") == []
+        assert self.warnings("train", "--data", str(data), "--config", str(config),
+                             "--seed", "0", "--out", str(tmp_path / "m.ckpt")) == []
 
 
 class TestReference:

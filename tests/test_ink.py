@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gssf.ink import (MAX_ASPECT, MAX_POINTS, InkError, RawInk, _resample, extract_features,
-                      load_jsonl, resample_and_normalize, save_jsonl)
+from gssf.ink import (MAX_ASPECT, MAX_LINE_CHARS, MAX_POINTS, InkError, RawInk, _resample,
+                      extract_features, load_jsonl, resample_and_normalize, save_jsonl)
 
 
 def _resample_stroke(pts, step):
@@ -350,6 +350,52 @@ class TestJsonl:
         path.write_text("{not json\n")
         with pytest.raises(InkError, match="invalid JSON"):
             load_jsonl(path)
+
+    def test_line_cap(self, tmp_path, monkeypatch):
+        """A line of ``MAX_LINE_CHARS`` characters, its newline not counted,
+        is read; one character more stops the reader before it parses that line."""
+        import gssf.ink as ink_mod
+
+        line = json.dumps({"id": "x", "strokes": [[[0.0, 0.0], [1.0, 1.0]]]})
+        path = tmp_path / "long.jsonl"
+        path.write_text(line + " " * (MAX_LINE_CHARS - len(line)) + "\n")
+        assert len(load_jsonl(path)) == 1
+        parsed, parse = [], ink_mod._parse_sample
+        monkeypatch.setattr(ink_mod, "_parse_sample",
+                            lambda path, lineno, line: parsed.append(lineno) or parse(
+                                path, lineno, line))
+        path.write_text(line + "\n" + line + " " * (MAX_LINE_CHARS + 1 - len(line)) + "\n")
+        with pytest.raises(InkError, match=f":2: line over {MAX_LINE_CHARS} characters"):
+            load_jsonl(path)
+        assert parsed == [1]
+
+    @pytest.mark.parametrize("strokes", [
+        [[[0, 0]]] * (MAX_POINTS + 1),
+        [[]] * (MAX_POINTS + 1),
+        [[[0, 0], [1, 1]]] * (MAX_POINTS // 2) + [[[2, 2]]],
+        [[[5, 5]] * (MAX_POINTS + 1)],
+    ], ids=["one_point_strokes", "empty_strokes", "points", "repeated_point"])
+    def test_stroke_and_point_cap(self, tmp_path, monkeypatch, strokes):
+        """At most ``MAX_POINTS`` strokes and raw points per answer, checked
+        before any array is made. Raw points bound the resampled count up to
+        consecutive repeats, which resampling collapses: a stroke of
+        ``MAX_POINTS + 1`` copies of one point resamples to one point, but is
+        rejected here."""
+        import gssf.ink as ink_mod
+
+        monkeypatch.setattr(ink_mod, "RawInk", lambda **kw: pytest.fail("converted"))
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps({"id": "x", "strokes": strokes}) + "\n")
+        with pytest.raises(InkError, match=f"more than {MAX_POINTS} strokes or points"):
+            load_jsonl(path)
+
+    def test_stroke_and_point_cap_boundary(self, tmp_path):
+        path = tmp_path / "cap.jsonl"
+        for strokes in ([[[i, 0]] for i in range(MAX_POINTS)],
+                        [[[i, i % 2] for i in range(MAX_POINTS)]]):
+            path.write_text(json.dumps({"id": "x", "strokes": strokes}) + "\n")
+            [ink] = load_jsonl(path)
+            assert sum(len(s) for s in ink.strokes) == MAX_POINTS
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

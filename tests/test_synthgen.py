@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gssf.ink import load_jsonl, resample_and_normalize, save_jsonl
-from gssf.synthgen import (TEMPLATES, AnswerSetSpec, CategorySpec, JitterParams,
-                           SynthesisError, generate_answer_set, load_spec, render_expression)
+from gssf.synthgen import (MAX_LABEL_TOKENS, MAX_SPEC_ANSWERS, TEMPLATES, AnswerSetSpec,
+                           CategorySpec, JitterParams, SynthesisError, generate_answer_set,
+                           load_spec, render_expression)
 
 
 TWO_CATEGORIES = '[{"label": ["1"], "count": 1}, {"label": ["2"], "count": 1}]'
@@ -149,6 +150,25 @@ class TestGenerateAnswerSet:
             small_spec(jitter=JitterParams(sigma=-0.1)).validate()
         with pytest.raises(SynthesisError):
             small_spec(spacing=0.0).validate()
+
+    def test_spec_size_caps(self):
+        """A spec asks for at most ``MAX_SPEC_ANSWERS`` answers in all, each
+        label at most ``MAX_LABEL_TOKENS`` tokens long; both caps are inclusive."""
+        small_spec(categories=(CategorySpec(("1",), MAX_SPEC_ANSWERS - 1),
+                               CategorySpec(("2",) * MAX_LABEL_TOKENS, 1))).validate()
+        with pytest.raises(SynthesisError, match=f"at most {MAX_SPEC_ANSWERS} answers"):
+            small_spec(categories=(CategorySpec(("1",), MAX_SPEC_ANSWERS),
+                                   CategorySpec(("2",), 1))).validate()
+        with pytest.raises(SynthesisError, match=f"1 to {MAX_LABEL_TOKENS} token strings"):
+            small_spec(categories=(CategorySpec(("1",), 1),
+                                   CategorySpec(("2",) * (MAX_LABEL_TOKENS + 1), 1))).validate()
+
+    def test_label_cap_is_the_default_decode_bound(self):
+        """A default recognizer decodes at most ``MAX_LABEL_TOKENS`` tokens, so
+        no label longer than that can be read back in full."""
+        from gssf.seq2seq import ArchConfig
+
+        assert MAX_LABEL_TOKENS == ArchConfig().max_decode_len
 
     @pytest.mark.parametrize("name", ["scale", "rotation_deg", "shear"])
     def test_jitter_range_bound(self, name):
