@@ -1,10 +1,12 @@
 """Command-line pipeline: synthesize, train, score, cluster, evaluate, export.
 
 Subcommands: ``synth``, ``train``, ``cluster``, ``compare``.
-Every setting is a flag, except the recognizer's: ``train --config`` reads a
-JSON file shaped like ``TrainConfig``, whose only keys are ``arch`` and
-``train``. A setting that does not depend on the answers is checked before
-the answer file is read.
+Every setting is a flag, except the recognizer's and the synthetic set's:
+``train --config`` reads a JSON file of at most ``MAX_CONFIG_BYTES`` shaped
+like ``TrainConfig`` (keys ``arch`` and ``train``), and ``synth`` takes its
+seed from the spec. A setting that does not depend on the answers is checked
+before the answer file is read. A kind or method has one spelling, its flag
+value, in the flags and in every output.
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure (training
 divergence, no scorable answers, non-finite scores); any other error is a
 program fault and ends in a traceback. Only this module writes diagnostics:
@@ -17,7 +19,6 @@ for example, ``synth`` never loads the recognizer.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import InputError, RunFailure
+from . import InputError, RunFailure, read_json_object
 
 if TYPE_CHECKING:
     from .cluster import Assignment
@@ -36,18 +37,11 @@ if TYPE_CHECKING:
 
 EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 2, 3
 
-#: Short names for the ``SimilarityKind`` values; the values themselves work too.
-KIND_ALIASES = {
-    "gssf": "gssf",
-    "asym": "asymmetric",
-    "min": "min",
-    "max": "max",
-    "edit": "neg_edit_distance",
-}
 METHODS = ("m3", "m4", "m5")
 M3_RULE = "method m3 clusters |score| distances and needs a symmetric score family kind"
 
 MAX_ANSWERS = 5_000  # answers per file; 25x the paper's largest question, where F takes 200 MB
+MAX_CONFIG_BYTES = 17 * 256  # 256 bytes for each TrainConfig key: 6 in train, 11 in arch
 
 
 class UsageError(InputError):
@@ -71,12 +65,8 @@ def _train_config(path: str | None) -> TrainConfig:
     """The checked ``train --config`` file; without one, ``TrainConfig()``."""
     from .seq2seq import ArchConfig, ModelError, TrainConfig
 
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8")) if path is not None else {}
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
+    config = (read_json_object(path, MAX_CONFIG_BYTES, "config", UsageError)
+              if path is not None else {})
     unknown = set(config) - {"arch", "train"}
     if unknown:
         raise UsageError(f"config {path}: unknown keys {sorted(unknown)}")
@@ -92,12 +82,11 @@ def _train_config(path: str | None) -> TrainConfig:
 def _parse_kind(name: str) -> SimilarityKind:
     from .similarity import SimilarityKind
 
-    key = name.strip().lower()
     try:
-        return SimilarityKind(KIND_ALIASES.get(key, key))
+        return SimilarityKind(name)
     except ValueError:
-        raise UsageError(f"unknown similarity kind {name!r} "
-                         f"(choose from {sorted(KIND_ALIASES)})") from None
+        names = tuple(kind.value for kind in SimilarityKind)
+        raise UsageError(f"unknown similarity kind {name!r} (choose from {names})") from None
 
 
 def _cells(kinds: list[SimilarityKind], methods: list[str]) -> list[tuple[SimilarityKind, str]]:
@@ -158,10 +147,7 @@ def cmd_synth(args) -> int:
     from . import synthgen
     from .ink import save_jsonl
 
-    spec = synthgen.load_spec(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=_at_least(args.seed, "--seed", 0))
-    inks = synthgen.generate_answer_set(spec)
+    inks = synthgen.generate_answer_set(synthgen.load_spec(args.spec))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(out, inks)
@@ -291,8 +277,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_compare(args) -> int:
     from .metrics import evaluate
+    from .similarity import SimilarityKind
 
-    kinds = [_parse_kind(s) for s in (args.kinds.split(",") if args.kinds else KIND_ALIASES)]
+    kinds = (list(SimilarityKind) if args.kinds is None
+             else [_parse_kind(name) for name in args.kinds.split(",")])
     cells = _cells(kinds, args.methods.split(","))
     if not cells:
         raise UsageError("no compatible kind/method combinations to compare")
@@ -336,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic answer set")
     p.add_argument("--spec", required=True, help="answer-set spec JSON")
     p.add_argument("--out", required=True, help="output dataset (JSON Lines)")
-    p.add_argument("--seed", type=int, help="override the spec seed")
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("train", help="train the recognizer")

@@ -19,12 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import InputError
-from .model import ArchConfig, ModelParams, param_shapes
+from .. import InputError, read_bounded
+from .model import MAX_PARAMS, ArchConfig, ModelParams, param_shapes
 from .vocab import Vocabulary
 
 MAGIC = b"GSSF"
 VERSION = 1
+# The float64 data of MAX_PARAMS parameters plus 1 MiB for the vocabulary, the
+# config block and the tensor records' names and dims: 135,266,304 bytes.
+MAX_CHECKPOINT_BYTES = 8 * MAX_PARAMS + 2 ** 20
 
 
 class CheckpointError(InputError):
@@ -81,7 +84,8 @@ class _Reader:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    reader = _Reader(Path(path).read_bytes(), str(path))
+    reader = _Reader(read_bounded(path, MAX_CHECKPOINT_BYTES, "checkpoint", CheckpointError),
+                     str(path))
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a recognizer checkpoint")
     version = reader.u32()

@@ -23,10 +23,10 @@ from .seq2seq import Annotations, ModelParams, ScoredDecode
 
 class SimilarityKind(str, Enum):
     GSSF = "gssf"
-    ASYMMETRIC = "asymmetric"
+    ASYMMETRIC = "asym"
     MIN = "min"
     MAX = "max"
-    NEG_EDIT_DISTANCE = "neg_edit_distance"
+    NEG_EDIT_DISTANCE = "edit"
 
 
 #: How each kind built on the cross-conditioned score F combines F(a|b) and

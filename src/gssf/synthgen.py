@@ -9,7 +9,6 @@ per-point Gaussian noise, all drawn from per-sample generators derived from
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,12 +16,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import InputError
+from . import InputError, read_json_object
 from .ink import FIELD_SEPARATORS, RawInk, _is_int, _is_real, resample_and_normalize
 
 GLYPH_GAP = 0.15
 MAX_SPEC_ANSWERS = 12_000  # 10x the largest committed spec, data/hard_sets/corpus.json
 MAX_LABEL_TOKENS = 30  # the default ArchConfig.max_decode_len; committed labels reach 7
+# At most one category per answer, each with a label of at most 30 tokens of at most
+# 8 bytes ('"frac", ') and 256 bytes for its count, id and layout: 5,952,000 bytes.
+MAX_SPEC_BYTES = MAX_SPEC_ANSWERS * (8 * MAX_LABEL_TOKENS + 256)
 SHUFFLE_STREAM = 999983  # sub-stream tag for the final sample shuffle
 
 
@@ -124,10 +126,8 @@ class AnswerSetSpec:
         self.jitter.validate()
 
     @staticmethod
-    def from_dict(obj) -> "AnswerSetSpec":
+    def from_dict(obj: dict) -> "AnswerSetSpec":
         try:
-            if not isinstance(obj, dict):
-                raise TypeError("expected a JSON object")
             jitter = JitterParams(**obj.get("jitter", {}))
             categories = tuple(  # a label that is not a list fails validation as None
                 CategorySpec(label=tuple(c["label"]) if isinstance(c["label"], list) else None,
@@ -143,11 +143,7 @@ class AnswerSetSpec:
 
 
 def load_spec(path: str | Path) -> AnswerSetSpec:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise SynthesisError(f"{path}: cannot read spec ({exc})") from exc
-    return AnswerSetSpec.from_dict(obj)
+    return AnswerSetSpec.from_dict(read_json_object(path, MAX_SPEC_BYTES, "spec", SynthesisError))
 
 
 def render_expression(tokens: list[str], jitter: JitterParams,

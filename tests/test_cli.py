@@ -127,12 +127,16 @@ class TestSynth:
         assert main(["synth", "--spec", str(tiny_pipeline["spec"]), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 12
 
-    def test_byte_identical_repeat(self, tiny_pipeline, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for out in (a, b):
-            assert main(["synth", "--spec", str(tiny_pipeline["spec"]),
-                         "--out", str(out), "--seed", "5"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_byte_identical_repeat(self, tmp_path):
+        """The spec's seed is the only seed: a repeat writes the same bytes,
+        and another seed in the spec writes another answer set."""
+        spec, outs = tmp_path / "spec.json", []
+        for seed in (5, 5, 6):
+            spec.write_text(json.dumps({**TINY_SPEC, "seed": seed}))
+            out = tmp_path / f"{len(outs)}.jsonl"
+            assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] != outs[2]
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -142,7 +146,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("text", [
         "[1]", json.dumps({**TINY_SPEC, "jitter": {"sigma": "a"}}),
-        json.dumps({**TINY_SPEC, "seed": 2.5}), json.dumps({**TINY_SPEC, "spacing": "0.1"}),
+        json.dumps({**TINY_SPEC, "seed": 2.5}), json.dumps({**TINY_SPEC, "seed": -1}),
+        json.dumps({**TINY_SPEC, "spacing": "0.1"}),
         json.dumps({**TINY_SPEC, "categories": [{"label": ["1"], "count": 2.7},
                                                 {"label": ["2"], "count": 3}]}),
         json.dumps({**TINY_SPEC, "categories": [{"label": "12", "count": 3},
@@ -151,8 +156,8 @@ class TestSynth:
                                                 {"label": ["2"], "count": 3}]}),
         json.dumps({**TINY_SPEC, "categories": [{"label": ["1", "@"], "count": 2},
                                                 {"label": ["2"], "count": 3}]}),
-    ], ids=["list", "text_sigma", "float_seed", "text_spacing", "float_count", "text_label",
-            "comma_id", "unknown_glyph"])
+    ], ids=["list", "text_sigma", "float_seed", "negative_seed", "text_spacing", "float_count",
+            "text_label", "comma_id", "unknown_glyph"])
     def test_malformed_spec_contents_exit_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -179,11 +184,12 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_override_exit_2(self, tiny_pipeline, tmp_path, capsys):
+    def test_seed_flag_exit_2(self, tiny_pipeline, tmp_path, capsys):
+        """The seed comes from the spec only; ``synth`` has no ``--seed``."""
         out = tmp_path / "o.jsonl"
-        assert main(["synth", "--spec", str(tiny_pipeline["spec"]), "--out", str(out),
-                     "--seed", "-1"]) == 2
-        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert exit_code(["synth", "--spec", str(tiny_pipeline["spec"]), "--out", str(out),
+                          "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -605,17 +611,32 @@ class TestCompare:
         assert kinds == {"gssf", "min", "max"}
 
     def test_repeated_kinds_and_methods_are_one_cell(self, tiny_pipeline, tmp_path):
-        """Aliases and repeats name one cell each, in first-seen order."""
+        """Repeats name one cell each, in first-seen order."""
         out = tmp_path / "cmp"
         assert main(["compare", "--data", str(tiny_pipeline["dataset"]),
                      "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out),
-                     "--kinds", "gssf,gssf,asym,asymmetric", "--methods", "m5,m5",
-                     "--num-seeds", "2"]) == 0
+                     "--kinds", "gssf,gssf", "--methods", "m5,m5", "--num-seeds", "2"]) == 0
         table = json.loads((out / "compare.json").read_text())
-        assert [(s["kind"], s["method"]) for s in table["summary"]] == [
-            ("gssf", "m5"), ("asymmetric", "m5")]
-        assert [(r["kind"], r["seed"]) for r in table["rows"]] == [
-            ("gssf", 0), ("gssf", 1), ("asymmetric", 0), ("asymmetric", 1)]
+        assert [(s["kind"], s["method"]) for s in table["summary"]] == [("gssf", "m5")]
+        assert [(r["kind"], r["seed"]) for r in table["rows"]] == [("gssf", 0), ("gssf", 1)]
+
+    def test_outputs_name_kinds_as_their_flags(self, tiny_pipeline, tmp_path):
+        """``compare.json`` and ``compare.csv`` name each kind by its flag
+        value, so a kind copied from ``compare.csv`` works as ``--kind``."""
+        common = ["--data", str(tiny_pipeline["dataset"]), "--ckpt", str(tiny_pipeline["ckpt"])]
+        out = tmp_path / "cmp"
+        assert main(["compare", *common, "--out", str(out), "--kinds", "asym,edit",
+                     "--num-seeds", "1"]) == 0
+        table = json.loads((out / "compare.json").read_text())
+        assert [s["kind"] for s in table["summary"]] == ["asym", "edit"]
+        assert [r["kind"] for r in table["rows"]] == ["asym", "edit"]
+        rows = (out / "compare.csv").read_text().splitlines()[1:]
+        kinds = [row.split(",")[0] for row in rows]
+        assert kinds == ["asym", "edit"]
+        for kind in kinds:
+            run = tmp_path / kind
+            assert main(["cluster", *common, "--out", str(run), "--kind", kind]) == 0
+            assert json.loads((run / "report.json").read_text())["similarity_kind"] == kind
 
     @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("edit", "m4"), ("min", "m3")])
     def test_cluster_is_one_compare_cell(self, tiny_pipeline, tmp_path, kind, method):
@@ -683,7 +704,7 @@ def test_each_rule_checked_once(tiny_pipeline, tmp_path, monkeypatch):
     data = ["--data", str(tiny_pipeline["dataset"])]
     commands = {
         "synth": ["synth", "--spec", str(tiny_pipeline["spec"]),
-                  "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
+                  "--out", str(tmp_path / "a.jsonl")],
         "train": ["train", *data, "--config", str(config), "--out", str(tmp_path / "m.ckpt")],
         "cluster": ["cluster", *data, "--ckpt", str(tiny_pipeline["ckpt"]),
                     "--out", str(tmp_path / "o")],
@@ -929,6 +950,130 @@ class TestUsage:
         assert not any(tmp_path.glob("[mo].*"))
 
 
+class TestKindNames:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("cluster", "--kind", "asymmetric"), ("cluster", "--kind", "GSSF"),
+        ("cluster", "--kind", " edit"), ("compare", "--kinds", ""),
+        ("compare", "--kinds", "gssf,neg_edit_distance"),
+    ], ids=["long_name", "upper_case", "space", "empty_list", "long_name_in_list"])
+    def test_other_spellings_exit_2(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
+                                    command, flag, value):
+        """A kind has one spelling, as a method does: no long name, case or
+        whitespace variant, and an empty ``--kinds`` names no kind. Each exits
+        2 before the answers are read, and the error lists the five names."""
+        monkeypatch.setattr("gssf.ink.load_jsonl", no_call("load_jsonl"))
+        out = tmp_path / "o"
+        assert main([command, "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown similarity kind")
+        assert "(choose from ('gssf', 'asym', 'min', 'max', 'edit'))" in err
+        assert not out.exists()
+
+    def test_kind_values_are_the_flag_names(self):
+        from gssf.similarity import SimilarityKind
+
+        assert [kind.value for kind in SimilarityKind] == ["gssf", "asym", "min", "max", "edit"]
+
+
+def sparse_file(path: Path, size: int) -> Path:
+    """A file of ``size`` zero bytes that takes no disk blocks."""
+    path.touch()
+    os.truncate(path, size)
+    return path
+
+
+class TestReadCaps:
+    """A checkpoint, a spec and a config are each read as at most a cap of
+    bytes: a regular file over it by its size, before any read, and any
+    other file, such as a device, by a read of at most cap + 1 bytes."""
+
+    def test_caps(self):
+        from dataclasses import fields
+
+        from gssf.seq2seq import ArchConfig, TrainConfig
+        from gssf.seq2seq.checkpoint import MAX_CHECKPOINT_BYTES
+        from gssf.seq2seq.model import MAX_PARAMS
+        from gssf.synthgen import MAX_LABEL_TOKENS, MAX_SPEC_ANSWERS, MAX_SPEC_BYTES
+
+        assert MAX_CHECKPOINT_BYTES == 8 * MAX_PARAMS + 2 ** 20 == 135_266_304
+        assert MAX_SPEC_BYTES == MAX_SPEC_ANSWERS * (8 * MAX_LABEL_TOKENS + 256) == 5_952_000
+        keys = len(fields(ArchConfig)) + len(fields(TrainConfig)) - 1  # arch is a section
+        assert gssf.cli.MAX_CONFIG_BYTES == 256 * keys == 4_352
+
+    @pytest.mark.parametrize("flag", ["--ckpt", "--spec", "--config"])
+    def test_over_cap_file_exit_2_unread(self, tiny_pipeline, tmp_path, capsys, monkeypatch,
+                                         flag):
+        """A sparse file one byte over the cap, so the test writes nothing."""
+        from gssf.seq2seq.checkpoint import MAX_CHECKPOINT_BYTES
+        from gssf.synthgen import MAX_SPEC_BYTES
+
+        cap, what = {"--ckpt": (MAX_CHECKPOINT_BYTES, "checkpoint"),
+                     "--spec": (MAX_SPEC_BYTES, "spec"),
+                     "--config": (gssf.cli.MAX_CONFIG_BYTES, "config")}[flag]
+        monkeypatch.setattr("gssf.similarity.score_answers", no_call("score_answers"))
+        monkeypatch.setattr("gssf.seq2seq.train", no_call("train"))
+        monkeypatch.setattr("gssf.synthgen.generate_answer_set", no_call("generate_answer_set"))
+        big = sparse_file(tmp_path / "big", cap + 1)
+        argv = {"--ckpt": ["cluster", "--data", str(tiny_pipeline["dataset"]), "--ckpt"],
+                "--spec": ["synth", "--spec"],
+                "--config": ["train", "--data", str(tiny_pipeline["dataset"]), "--config"]}[flag]
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main([*argv, str(big), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {big}: {what} over {cap} bytes\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--spec", "--config"])
+    def test_device_read_stops_at_the_cap(self, tiny_pipeline, tmp_path, capsys, flag):
+        """An endless device has no size to check: the read stops one byte
+        past the cap."""
+        argv = {"--spec": ["synth", "--spec"],
+                "--config": ["train", "--data", str(tiny_pipeline["dataset"]), "--config"]}[flag]
+        out = tmp_path / "o"
+        assert main([*argv, "/dev/zero", "--out", str(out)]) == 2
+        assert f"/dev/zero: {flag[2:]} over" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_read_bounded_boundary(self, tmp_path):
+        from gssf import InputError, read_bounded
+
+        at_cap = tmp_path / "at_cap"
+        at_cap.write_bytes(b"x" * 100)
+        assert read_bounded(at_cap, 100, "file", InputError) == b"x" * 100
+        for path in (sparse_file(tmp_path / "over", 101), Path("/dev/zero")):
+            with pytest.raises(InputError, match=f"{path}: file over 100 bytes"):
+                read_bounded(path, 100, "file", InputError)
+
+    def test_committed_inputs_load_under_the_caps(self):
+        """The benchmark's checkpoint (only read here), every committed spec
+        and README's config example."""
+        from gssf.synthgen import load_spec
+
+        root = Path(__file__).resolve().parents[1]
+        load_checkpoint(root / "perfbench" / "models" / "pinned.ckpt")
+        specs = sorted((root / "data" / "hard_sets").glob("*.json"))
+        assert len(specs) == 26
+        for spec in specs:
+            load_spec(spec)
+        assert len(readme_config().encode("utf-8")) <= gssf.cli.MAX_CONFIG_BYTES
+
+    def test_spec_at_both_caps_fits(self, tmp_path):
+        """``MAX_SPEC_ANSWERS`` one-answer categories with ``MAX_LABEL_TOKENS``
+        tokens each, in the layout of the committed specs, with ids."""
+        from gssf.synthgen import MAX_LABEL_TOKENS, MAX_SPEC_ANSWERS, MAX_SPEC_BYTES, load_spec
+
+        category = {"label": ["frac"] * MAX_LABEL_TOKENS, "count": 1}
+        lines = [json.dumps({**category, "id": f"question_7_variant_{i:05d}"})
+                 for i in range(MAX_SPEC_ANSWERS)]
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "seed": 0,\n "categories": [\n  ' + ",\n  ".join(lines)
+                        + "\n ]\n}\n")
+        assert path.stat().st_size <= MAX_SPEC_BYTES
+        assert len(load_spec(path).categories) == MAX_SPEC_ANSWERS
+
+
 #: Runs ``gssf.cli.main`` on its arguments, then prints the exit code and the
 #: gssf modules the process loaded.
 IMPORT_PROBE = """
@@ -1024,10 +1169,10 @@ class TestDiagnostics:
                                "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(tmp_path),
                                "--kinds", "gssf,asym", "--methods", "m3,m5",
                                "--num-seeds", "1")
-        assert line.startswith("warning: skipping asymmetric/m3:")
+        assert line.startswith("warning: skipping asym/m3:")
         summary = json.loads((tmp_path / "compare.json").read_text())["summary"]
         assert [(c["kind"], c["method"]) for c in summary] == [
-            ("gssf", "m3"), ("gssf", "m5"), ("asymmetric", "m5")]
+            ("gssf", "m3"), ("gssf", "m5"), ("asym", "m5")]
 
     def test_incompatible_cell_is_one_error(self, tiny_pipeline, tmp_path):
         """``cluster`` on a cell that m3 cannot take fails without a warning."""
@@ -1054,7 +1199,7 @@ class TestDiagnostics:
         lines = self.warnings("compare", *common, "--out", str(tmp_path / "cmp"),
                               "--num-seeds", "1")
         assert [line.split(":")[1].strip() for line in lines] == [
-            "gssf", "asymmetric", "min", "max"]
+            "gssf", "asym", "min", "max"]
         assert all("unscorable" in line for line in lines)
 
     def test_degenerate_matrix(self, tiny_pipeline, tmp_path):
