@@ -127,13 +127,13 @@ def _resolve_k(policy: str, categories: list[str | None], n: int) -> int:
 
 def _cluster_once(method: str, raw: SbRMatrix, norm: SbRMatrix, k: int, seed: int,
                   restarts: int) -> Assignment:
-    from .cluster import complete_linkage, euclidean_distance_matrix, gssf_distance_matrix, kmeans
+    from .cluster import complete_linkage, euclidean_distance_matrix, kmeans
 
     if method == "m5":
         return kmeans(norm.values, k, seed=seed, restarts=restarts)
     if method == "m4":
         return complete_linkage(euclidean_distance_matrix(norm.values), k)
-    return complete_linkage(gssf_distance_matrix(raw.values), k)
+    return complete_linkage(np.abs(raw.values), k)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -155,12 +155,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import synthgen
     from .ink import load_jsonl
     from .seq2seq import save_checkpoint, train
 
     seed = _at_least(args.seed, "--seed", 0)
     tconf = _train_config(args.config)
-    inks = load_jsonl(args.data)
+    # The largest set ``synth`` renders.
+    inks = load_jsonl(args.data, max_answers=synthgen.MAX_SPEC_ANSWERS)
 
     def on_epoch(record: dict) -> None:
         print(json.dumps(record, sort_keys=True), flush=True)
@@ -190,17 +192,16 @@ def _inputs(args):
     return inks, categories, _resolve_k(args.k, categories, len(inks))
 
 
-def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, seed: int,
-           restarts: int, num_seeds: int):
+def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int,
+           seeds: list[int], restarts: int):
     """Score the answers once, then, one kind at a time, build the kind's raw
-    and normalized SbR matrix and cluster its cells for the seeds ``seed +
-    i``, i < ``num_seeds``; only k-means reads the seed, so a linkage cell
-    runs once and repeats. Each stage frees what later stages do not read:
-    the recognizer and the annotations before any matrix is built, and a
-    kind's matrices before the next kind's; each kind warns of its sentinel
-    fill and its constant matrix. Returns the decodes, the last kind's (raw,
-    normalized) matrices, one assignment list per cell and the stage wall
-    times, summed over kinds."""
+    and normalized SbR matrix and cluster its cells for each of ``seeds``;
+    only k-means reads the seed, so a linkage cell runs once and repeats.
+    Each stage frees what later stages do not read: the recognizer and the
+    annotations before any matrix is built, and a kind's matrices before the
+    next kind's; each kind warns of its sentinel fill and its constant
+    matrix. Returns the decodes, the last kind's (raw, normalized) matrices,
+    one assignment list per cell and the stage wall times, summed over kinds."""
     from .sbr import _sbr_matrix, normalize_unit_interval
     from .seq2seq import load_checkpoint
     from .similarity import GSSF_FAMILY, cross_score_matrix, score_answers
@@ -228,9 +229,9 @@ def _sweep(ckpt: str, inks, cells: list[tuple[SimilarityKind, str]], k: int, see
         if norm.degenerate:
             _warn(f"{kind.value}: degenerate similarity matrix, normalized to zeros")
         for method in [m for c, m in cells if c == kind]:
-            once = [_cluster_once(method, raw, norm, k, seed + i, restarts)
-                    for i in range(num_seeds if method == "m5" else 1)]
-            runs.append(once * (num_seeds // len(once)))
+            once = [_cluster_once(method, raw, norm, k, seed, restarts)
+                    for seed in (seeds if method == "m5" else seeds[:1])]
+            runs.append(once * (len(seeds) // len(once)))
         times["sbr_s"] += t1 - t0
         times["cluster_s"] += time.perf_counter() - t1
     return decodes, (raw, norm), runs, times
@@ -246,8 +247,8 @@ def cmd_cluster(args) -> int:
     if not cells:
         raise UsageError(f"{M3_RULE}, not {kind.value!r}")
     inks, categories, k = _inputs(args)
-    decodes, (raw, norm), [[assignment]], times = _sweep(args.ckpt, inks, cells, k, args.seed,
-                                                         args.restarts, num_seeds=1)
+    decodes, (raw, norm), [[assignment]], times = _sweep(args.ckpt, inks, cells, k, [args.seed],
+                                                         args.restarts)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,12 +290,14 @@ def cmd_compare(args) -> int:
     if None in categories:
         raise UsageError("compare needs a category on every sample")
 
-    _, _, runs, _ = _sweep(args.ckpt, inks, cells, k, args.seed, args.restarts, num_seeds)
+    # Restart r of seed s draws generator s + r, so these seeds share none.
+    seeds = [args.seed + i * args.restarts for i in range(num_seeds)]
+    _, _, runs, _ = _sweep(args.ckpt, inks, cells, k, seeds, args.restarts)
     rows, summary = [], []
     for (kind, method), assignments in zip(cells, runs):
         evs = [evaluate(a.labels, categories) for a in assignments]
-        rows += [{"kind": kind.value, "method": method, "seed": args.seed + i,
-                  "purity": ev["purity"], "mc": ev["mc"]} for i, ev in enumerate(evs)]
+        rows += [{"kind": kind.value, "method": method, "seed": seed,
+                  "purity": ev["purity"], "mc": ev["mc"]} for seed, ev in zip(seeds, evs)]
         purities, mcs = (np.array([ev[key] for ev in evs]) for key in ("purity", "mc"))
         summary.append({"kind": kind.value, "method": method,
                         "purity_mean": float(purities.mean()), "purity_sd": float(purities.std()),

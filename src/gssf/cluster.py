@@ -112,12 +112,6 @@ def complete_linkage(d: np.ndarray, k: int) -> Assignment:
     return Assignment(labels=labels, k=k, objective=0.0)
 
 
-def gssf_distance_matrix(values: np.ndarray) -> np.ndarray:
-    """Absolute similarity scores as distances, from the unnormalized matrix
-    of a ``similarity.DISTANCE_KINDS`` kind, whose diagonal is zero."""
-    return np.abs(values)
-
-
 def euclidean_distance_matrix(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]

@@ -31,10 +31,9 @@ def build_sbr_matrix(answers: list[AnswerScoring], kind: SimilarityKind,
 
     For the F-family kinds, any answer with an empty decode gets its row and
     column (diagonal excluded) filled with the minimum computed score. Pass
-    ``f`` (a precomputed ``cross_score_matrix``, whose diagonal is zero) to
-    share one cross-scoring pass between kinds; the edit kind ignores it.
+    ``f``, a precomputed ``cross_score_matrix`` (finite but for the NaN rows and
+    columns of unscorable answers), to share one F pass; edit ignores it.
     """
-    kind = SimilarityKind(kind)
     if f is None and kind in COMBINE:
         f = cross_score_matrix(answers, params)
     return _sbr_matrix([a.id for a in answers], [a.decode for a in answers], kind, f)
@@ -59,7 +58,7 @@ def _sbr_matrix(ids: list[str], decodes: list[ScoredDecode], kind: SimilarityKin
     values = COMBINE[kind](f, f.T)
     bad = [i for i, d in enumerate(decodes) if not d.tokens]
     if bad:
-        fill = np.nanmin(np.where(np.isfinite(values), values, np.nan))
+        fill = np.nanmin(values)
         values[bad, :] = fill
         values[:, bad] = fill
         values[bad, bad] = 0.0

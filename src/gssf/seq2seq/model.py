@@ -717,10 +717,15 @@ def loss_and_gradients(params: ModelParams, batch: list[tuple[np.ndarray, list[i
 
 
 def teacher_forced_accuracy(params: ModelParams, batch: list[tuple[np.ndarray, list[int]]]) -> float:
-    """Fraction of target tokens (end token included) predicted by argmax;
-    NaN when a log-probability is not finite, as with weights that overflow."""
-    lp, argmax, targets, mask, _ = _forward_batch(params, batch, keep=False)
-    if not np.isfinite(lp[mask > 0]).all():
-        return math.nan
-    hits = ((argmax == targets) & (mask > 0)).sum()
-    return float(hits) / float(mask.sum())
+    """Fraction of target tokens (end token included) predicted by argmax,
+    in padded slices of ``INFER_CHUNK``; NaN when a log-probability is not
+    finite, as with weights that overflow."""
+    hits = tokens = 0
+    for start in range(0, len(batch), INFER_CHUNK):
+        lp, argmax, targets, mask, _ = _forward_batch(
+            params, batch[start:start + INFER_CHUNK], keep=False)
+        if not np.isfinite(lp[mask > 0]).all():
+            return math.nan
+        hits += int(((argmax == targets) & (mask > 0)).sum())
+        tokens += int(mask.sum())
+    return hits / tokens

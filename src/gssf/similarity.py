@@ -91,7 +91,6 @@ def gssf_score(a: AnswerScoring, b: AnswerScoring, params: ModelParams) -> float
 def variant_score(kind: SimilarityKind, a: AnswerScoring, b: AnswerScoring,
                   params: ModelParams) -> float:
     """Similarity under any supported kind (larger = more similar)."""
-    kind = SimilarityKind(kind)
     if kind == SimilarityKind.NEG_EDIT_DISTANCE:
         return -float(edit_distance(a.decode.tokens, b.decode.tokens))
     fab, fba = conditional_score(a, b, params), conditional_score(b, a, params)

@@ -266,6 +266,20 @@ class TestTrain:
         assert "held-out log-probabilities are not finite" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_too_many_answers_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        """A file one answer over ``synthgen.MAX_SPEC_ANSWERS``, the largest
+        set ``synth`` renders, exits 2 where it is read, before training."""
+        from gssf.synthgen import MAX_SPEC_ANSWERS
+
+        monkeypatch.setattr("gssf.seq2seq.train", no_call("train"))
+        data = tmp_path / "many.jsonl"
+        data.write_text(one_stroke_answers(MAX_SPEC_ANSWERS + 1), encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(ckpt)]) == 2
+        assert (f"{data}:{MAX_SPEC_ANSWERS + 1}: at most {MAX_SPEC_ANSWERS}"
+                in capsys.readouterr().err)
+        assert not ckpt.exists()
+
     def test_missing_labels_exit_2(self, tmp_path):
         stroke = np.array([[0.0, 0.0], [1.0, 1.0]])
         data = tmp_path / "nolabel.jsonl"
@@ -618,7 +632,7 @@ class TestCompare:
                      "--kinds", "gssf,gssf", "--methods", "m5,m5", "--num-seeds", "2"]) == 0
         table = json.loads((out / "compare.json").read_text())
         assert [(s["kind"], s["method"]) for s in table["summary"]] == [("gssf", "m5")]
-        assert [(r["kind"], r["seed"]) for r in table["rows"]] == [("gssf", 0), ("gssf", 1)]
+        assert [(r["kind"], r["seed"]) for r in table["rows"]] == [("gssf", 0), ("gssf", 10)]
 
     def test_outputs_name_kinds_as_their_flags(self, tiny_pipeline, tmp_path):
         """``compare.json`` and ``compare.csv`` name each kind by its flag
@@ -641,16 +655,37 @@ class TestCompare:
     @pytest.mark.parametrize("kind,method", [("gssf", "m5"), ("edit", "m4"), ("min", "m3")])
     def test_cluster_is_one_compare_cell(self, tiny_pipeline, tmp_path, kind, method):
         """``cluster --seed s`` reports the purity and cost of ``compare``'s row
-        for the same kind, method and seed; s is compare's second seed."""
+        for the same kind, method and seed; s is compare's second seed, base
+        seed + restarts."""
         common = ["--data", str(tiny_pipeline["dataset"]), "--ckpt", str(tiny_pipeline["ckpt"])]
         assert main(["compare", *common, "--out", str(tmp_path / "cmp"), "--kinds", kind,
                      "--methods", method, "--num-seeds", "2", "--seed", "6"]) == 0
         assert main(["cluster", *common, "--out", str(tmp_path / "run"), "--kind", kind,
-                     "--method", method, "--seed", "7"]) == 0
+                     "--method", method, "--seed", "16"]) == 0
         [row] = [r for r in json.loads((tmp_path / "cmp" / "compare.json").read_text())["rows"]
-                 if r["seed"] == 7]
+                 if r["seed"] == 16]
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert (report["purity"], report["mc"]) == (row["purity"], row["mc"])
+
+    def test_seeds_use_each_generator_once(self, tiny_pipeline, tmp_path, monkeypatch):
+        """k-means restart r of seed s draws generator s + r, so compare's
+        seeds, base + i x restarts, share no generator."""
+        import gssf.cluster
+
+        generators, single = [], gssf.cluster.kmeans_single
+
+        def spy(rows, k, rng):
+            generators.append(rng.bit_generator.seed_seq.entropy)
+            return single(rows, k, rng)
+
+        monkeypatch.setattr(gssf.cluster, "kmeans_single", spy)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", str(tiny_pipeline["dataset"]),
+                     "--ckpt", str(tiny_pipeline["ckpt"]), "--out", str(out), "--kinds", "gssf",
+                     "--num-seeds", "3", "--restarts", "2", "--seed", "5"]) == 0
+        assert generators == [5, 6, 7, 8, 9, 10]
+        rows = json.loads((out / "compare.json").read_text())["rows"]
+        assert [r["seed"] for r in rows] == [5, 7, 9]
 
     def test_linkage_cells_clustered_once(self, tiny_pipeline, tmp_path, monkeypatch):
         import gssf.cli
@@ -674,7 +709,7 @@ class TestCompare:
         assert len(table["rows"]) == 39
         for start in range(0, 39, 3):
             cell = table["rows"][start:start + 3]
-            assert [r["seed"] for r in cell] == [4, 5, 6]
+            assert [r["seed"] for r in cell] == [4, 14, 24]
             if cell[0]["method"] != "m5":
                 assert len({(r["purity"], r["mc"]) for r in cell}) == 1
 
@@ -1110,9 +1145,8 @@ class TestImports:
                                       "train": {"max_epochs": 1, "patience": 1}}))
         modules = self.loaded("train", "--data", str(tiny_pipeline["dataset"]),
                               "--config", str(config), "--out", str(tmp_path / "m.ckpt"))
-        assert "gssf.seq2seq.training" in modules
-        assert not modules & {"gssf.synthgen", "gssf.similarity", "gssf.cluster",
-                              "gssf.metrics"}
+        assert {"gssf.seq2seq.training", "gssf.synthgen"} <= modules  # synthgen for the cap
+        assert not modules & {"gssf.similarity", "gssf.cluster", "gssf.metrics"}
 
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     def test_cluster_and_compare(self, tiny_pipeline, tmp_path, command):

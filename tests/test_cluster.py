@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gssf import cluster
-from gssf.cluster import (Assignment, complete_linkage,
-                          euclidean_distance_matrix, gssf_distance_matrix, kmeans,
+from gssf.cluster import (Assignment, complete_linkage, euclidean_distance_matrix, kmeans,
                           kmeans_pp_init, kmeans_single)
 from gssf.sbr import build_sbr_matrix
 from gssf.similarity import SimilarityKind
@@ -280,17 +279,13 @@ def assert_distance_matrix(d, n):
 
 
 class TestDistanceMatrices:
-    def test_gssf_distance_absolute_value(self):
-        d = gssf_distance_matrix(np.array([[0.0, -3.0], [-3.0, 0.0]]))
-        np.testing.assert_array_equal(d, [[0.0, 3.0], [3.0, 0.0]])
-
     @pytest.mark.parametrize("kind", [SimilarityKind.GSSF, SimilarityKind.MIN,
                                       SimilarityKind.MAX])
     def test_gssf_distances_of_pinned_set(self, trained, benchmark_answers,
                                           benchmark_f_matrix, kind):
         params, _ = trained
         raw = build_sbr_matrix(benchmark_answers, kind, params, f=benchmark_f_matrix)
-        assert_distance_matrix(gssf_distance_matrix(raw.values), len(benchmark_answers))
+        assert_distance_matrix(np.abs(raw.values), len(benchmark_answers))
 
     @pytest.mark.parametrize("n,width", [(1, 3), (2, 1), (7, 1), (40, 5), (60, 1000)])
     def test_euclidean_matrix_bit_equal_to_loop(self, n, width):

@@ -1,12 +1,14 @@
 """Similarity-based representation matrix: build, normalize, export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import read_matrix_csv
 from gssf.seq2seq import Annotations, ScoredDecode
-from gssf.sbr import (SbRMatrix, build_sbr_matrix, normalize_unit_interval, save_csv,
-                      save_pgm, to_pgm)
+from gssf.sbr import (SbRMatrix, _sbr_matrix, build_sbr_matrix, normalize_unit_interval,
+                      save_csv, save_pgm, to_pgm)
 from gssf.similarity import AnswerScoring, SimilarityKind, UnscorableAnswer, edit_distance
 
 
@@ -211,6 +213,32 @@ class TestAgainstLoopOracle:
         got = build_sbr_matrix(answers, SimilarityKind.NEG_EDIT_DISTANCE, None).values
         assert_bit_equal(got, loop_sbr_values(answers, SimilarityKind.NEG_EDIT_DISTANCE, None))
         assert got[0, 2] == 0.0 and got[0, 1] == -1.0 and got[3, 6] == 0.0
+
+
+class TestMemory:
+    @pytest.mark.parametrize("kind", [SimilarityKind.ASYMMETRIC, SimilarityKind.MIN,
+                                      SimilarityKind.MAX])
+    def test_unscorable_fill_reads_the_matrix_in_place(self, kind):
+        """These kinds' combine rules allocate only the returned N x N matrix,
+        and the sentinel fill adds less than one more N x N float."""
+        n = 400
+        f = np.random.default_rng(6).normal(-3.0, 2.0, (n, n))
+        np.fill_diagonal(f, 0.0)
+        bad = [3, 200]
+        f[bad, :] = np.nan
+        f[:, bad] = np.nan
+        decodes = [ScoredDecode(tokens=[] if i in bad else [2], self_logprobs=np.array([]))
+                   for i in range(n)]
+        ids = [f"a{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            m = _sbr_matrix(ids, decodes, kind, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        good = np.setdiff1d(np.arange(n), bad)
+        assert m.values[3, 0] == m.values[np.ix_(good, good)].min()
+        assert peak < 2 * n * n * 8
 
 
 class TestExport:

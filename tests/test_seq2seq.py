@@ -18,7 +18,7 @@ from gssf.seq2seq import (Annotations, ArchConfig, CheckpointError, ModelError,
                           VocabularyError, build_vocabulary, checkpoint_bytes,
                           cross_logprob_sums, encode, encode_and_decode, init_params,
                           load_checkpoint, loss_and_gradients, param_shapes, save_checkpoint,
-                          teacher_forced_logprobs, train, zero_params)
+                          teacher_forced_accuracy, teacher_forced_logprobs, train, zero_params)
 from gssf.seq2seq import model
 from gssf.seq2seq.model import MAX_ARCH_SIZE
 from gssf.seq2seq.vocab import EOS_INDEX, SOS_INDEX
@@ -296,6 +296,48 @@ class TestLossAndGradients:
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def one_batch_accuracy(params, batch):
+    """Oracle: held-out accuracy from one padded batch of the whole set, as
+    ``teacher_forced_accuracy`` computed it before it ran in slices."""
+    lp, argmax, targets, mask, _ = model._forward_batch(params, batch, keep=False)
+    if not np.isfinite(lp[mask > 0]).all():
+        return math.nan
+    return float(((argmax == targets) & (mask > 0)).sum()) / float(mask.sum())
+
+
+def held_out_set(n, seed=3):
+    """``n`` (features, label) pairs of varied lengths over tokens 2-4."""
+    rng = np.random.default_rng(seed)
+    return [(random_feats(int(rng.integers(3, 12)), seed=i),
+             [int(t) for t in rng.integers(2, 5, int(rng.integers(1, 4)))]) for i in range(n)]
+
+
+class TestHeldOutAccuracy:
+    def test_slices_equal_one_batch(self):
+        p = small_model(seed=31)
+        batch = held_out_set(40)
+        assert len(batch) > model.INFER_CHUNK
+        acc = teacher_forced_accuracy(p, batch)
+        assert acc == one_batch_accuracy(p, batch)
+        assert 0.0 < acc < 1.0
+
+    def test_non_finite_second_slice_is_nan(self, monkeypatch):
+        """A slice with a non-finite log-probability ends the pass with NaN;
+        later slices are not run."""
+        forward, sizes = model._forward_batch, []
+
+        def overflow_second(params, part, keep):
+            lp, *rest = forward(params, part, keep)
+            sizes.append(len(part))
+            if len(sizes) == 2:
+                lp[0, 0] = -np.inf
+            return (lp, *rest)
+
+        monkeypatch.setattr(model, "_forward_batch", overflow_second)
+        assert math.isnan(teacher_forced_accuracy(small_model(seed=31), held_out_set(70)))
+        assert sizes == [model.INFER_CHUNK] * 2
 
 
 def memorization_fixture():
